@@ -9,6 +9,7 @@ joint symbols are indexed 0..3 via (+1,+1), (+1,-1), (-1,+1), (-1,-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_hermite
@@ -277,6 +278,28 @@ class InfeasibleRayError(RuntimeError):
     """A boundary search ray never satisfies the rate constraints."""
 
 
+def bisect(holds, lo: float, hi: float, width: float) -> float:
+    """Midpoint of [lo, hi] once bisection has narrowed it to `width`;
+    holds(alpha) must be false at lo, true at hi and monotone in between."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def ray_boundary(job, ray_grid, pmap=map) -> list[tuple[float, float]]:
+    """Boundary polyline (alpha, ray * alpha) with alpha = job(ray) per ray.  For
+    a worker pool's pmap the job must pickle: a module-level function or a
+    functools.partial of one."""
+    rays = list(ray_grid)
+    if not rays:
+        raise ValueError("empty ray grid")
+    return [(alpha, ray * alpha) for ray, alpha in zip(rays, pmap(job, rays))]
+
+
 def mac_acpr_point(rate_pair: tuple[float, float], ray: float, tol: float = 1e-4) -> float:
     """Minimal alpha on the ray h2 = ray*h1 where (R1, R2) is achievable."""
     r1, r2 = rate_pair
@@ -294,16 +317,9 @@ def mac_acpr_point(rate_pair: tuple[float, float], ray: float, tol: float = 1e-4
         lo, hi = hi, hi * 2.0
         if hi > 512.0:
             raise InfeasibleRayError(f"constraints unsatisfied up to alpha={hi} on ray {ray}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect(feasible, lo, hi, tol)
 
 
 def mac_acpr_boundary(rate_pair, ray_grid, tol: float = 1e-4, pmap=map) -> list[tuple[float, float]]:
     """MAC-ACPR boundary polyline: one (h1, h2) point per ray."""
-    alphas = list(pmap(lambda a: mac_acpr_point(tuple(rate_pair), a, tol), list(ray_grid)))
-    return [(alpha, ray * alpha) for ray, alpha in zip(ray_grid, alphas)]
+    return ray_boundary(partial(mac_acpr_point, tuple(rate_pair), tol=tol), ray_grid, pmap)

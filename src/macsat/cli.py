@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
-from multiprocessing import Pool
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def _apply_config(args: argparse.Namespace, config: dict, subparser: argparse.Ar
         elif action.type is not None:
             try:
                 value = action.type(raw)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         else:
             value = raw
@@ -139,16 +140,44 @@ def _alpha_grid(spec: str) -> list[float]:
     return list(np.round(np.arange(lo, hi + step / 2, step), 10))
 
 
-def _pool_map(jobs: int):
+@contextmanager
+def _pmap(jobs: int):
+    """The map a sweep fans out with: builtin map, or for jobs > 1 the map of a
+    pool of that many spawned workers, shut down when the block exits."""
     if jobs <= 1:
-        return None, map
-    pool = Pool(processes=jobs)
-    return pool, pool.map
+        yield map
+        return
+    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        yield pool.map
+
+
+def _nonnegative(text: str) -> float:
+    """argparse type of --ratio and the gains: a float >= 0."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
+    return value
+
+
+def _lattice(args, grid: DensityGrid) -> int:
+    if args.lattice < 1 or grid.k_max % args.lattice:
+        raise ConfigError(f"lattice {args.lattice} must divide the grid half-width {grid.k_max}")
+    return args.lattice
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+
+def _emit_boundary(args, config, kind: str, pts, meta: dict) -> int:
+    """Write a sweep's boundary polyline: CSV, or JSON under --json."""
+    meta = {**meta, "config_hash": output.config_hash(_hashable(args, config))}
+    bnd = output.AcprBoundary(kind, pts, meta)
+    as_json = getattr(args, "json", False)  # map-bound has no --json
+    text = bnd.json(args.no_timestamp) if as_json else bnd.csv(args.no_timestamp)
+    output.emit(text, args.output)
+    return 0
 
 
 def cmd_threshold(args, config) -> int:
@@ -196,59 +225,34 @@ def cmd_coupled_threshold(args, config) -> int:
 
 
 def cmd_capacity(args, config) -> int:
-    rates = tuple(float(t) for t in args.rates.split(","))
-    if len(rates) != 2:
-        raise ConfigError("rates must be R1,R2")
-    pool, pmap = _pool_map(args.jobs)
     try:
+        rates = tuple(float(t) for t in args.rates.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad rates {args.rates!r}, expected R1,R2") from exc
+    if len(rates) != 2 or not all(0.0 < r < 1.0 for r in rates):
+        raise ConfigError("rates must be R1,R2 with each rate in (0, 1)")
+    with _pmap(args.jobs) as pmap:
         pts = mac_acpr_boundary(rates, _rays(args), tol=args.tol, pmap=pmap)
-    finally:
-        if pool:
-            pool.close()
-    bnd = output.AcprBoundary(
-        "mac", pts, {"rates": args.rates, "config_hash": output.config_hash(_hashable(args, config))}
-    )
-    text = bnd.json(args.no_timestamp) if args.json else bnd.csv(args.no_timestamp)
-    output.emit(text, args.output)
-    return 0
+    return _emit_boundary(args, config, "mac", pts, {"rates": args.rates})
 
 
 def cmd_acpr(args, config) -> int:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
-    pool, pmap = _pool_map(args.jobs)
-    try:
-        if isinstance(ens, CoupledSpec):
-            rays = _rays(args)
-            alphas = [coupled_threshold(ens, a, tol=args.tol, grid=grid).alpha for a in rays]
-            pts = [(al, a * al) for a, al in zip(rays, alphas)]
-        else:
-            pts = bp_acpr(ens, _rays(args), tol=args.tol, grid=grid, pmap=pmap)
-    finally:
-        if pool:
-            pool.close()
-    bnd = output.AcprBoundary(
-        "bp",
-        pts,
-        {
-            "ensemble": str(ens),
-            "grid_bins": grid.n_bins,
-            "config_hash": output.config_hash(_hashable(args, config)),
-        },
-    )
-    text = bnd.json(args.no_timestamp) if args.json else bnd.csv(args.no_timestamp)
-    output.emit(text, args.output)
-    return 0
+    with _pmap(args.jobs) as pmap:
+        pts = bp_acpr(ens, _rays(args), tol=args.tol, grid=grid, pmap=pmap)
+    return _emit_boundary(args, config, "bp", pts, {"ensemble": str(ens), "grid_bins": grid.n_bins})
 
 
 def cmd_gexit(args, config) -> int:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
+    bins = _lattice(args, grid)
     alphas = _alpha_grid(args.alphas)
     if isinstance(ens, CoupledSpec):
-        curve = coupled_bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=args.lattice)
+        curve = coupled_bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=bins)
     else:
-        curve = bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=args.lattice)
+        curve = bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=bins)
     curve.metadata["config_hash"] = output.config_hash(_hashable(args, config))
     output.emit(output.gexit_csv(curve, args.no_timestamp), args.output)
     return 0
@@ -259,28 +263,13 @@ def cmd_map_bound(args, config) -> int:
     if isinstance(ens, CoupledSpec):
         raise ConfigError("map-bound applies to uncoupled ensembles")
     grid = _grid(args)
+    bins = _lattice(args, grid)
     if args.ray_list:
-        rays = [float(t) for t in args.ray_list.split(",") if t]
-        pool, pmap = _pool_map(args.jobs)
-        try:
-            pts = map_boundary(ens, rays, grid=grid, pmap=pmap, step=args.step, bins=args.lattice)
-        finally:
-            if pool:
-                pool.close()
-        bnd = output.AcprBoundary(
-            "map",
-            pts,
-            {
-                "ensemble": str(ens),
-                "grid_bins": grid.n_bins,
-                "config_hash": output.config_hash(_hashable(args, config)),
-            },
-        )
-        output.emit(bnd.csv(args.no_timestamp), args.output)
-        return 0
-    bound, curve = map_bound_sweep(
-        ens, args.ratio, grid=grid, step=args.step, bins=args.lattice
-    )
+        with _pmap(args.jobs) as pmap:
+            pts = map_boundary(ens, _rays(args), grid=grid, pmap=pmap, step=args.step, bins=bins)
+        meta = {"ensemble": str(ens), "grid_bins": grid.n_bins}
+        return _emit_boundary(args, config, "map", pts, meta)
+    bound, curve = map_bound_sweep(ens, args.ratio, grid=grid, step=args.step, bins=bins)
     meta = {
         "config_hash": output.config_hash(_hashable(args, config)),
         "grid_bins": grid.n_bins,
@@ -312,8 +301,7 @@ def cmd_simulate(args, config) -> int:
         g1 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed)
         g2 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed + 1)
     inst = build_joint(g1, g2, args.seed + 2)
-    pool, pmap = _pool_map(args.jobs)
-    try:
+    with _pmap(args.jobs) as pmap:
         res = simulate_joint(
             inst,
             ch,
@@ -323,9 +311,6 @@ def cmd_simulate(args, config) -> int:
             seed=args.seed,
             pmap=pmap,
         )
-    finally:
-        if pool:
-            pool.close()
 
     lines = []
     for fr in res.frames:
@@ -378,17 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="BP threshold of an uncoupled ensemble")
     p.add_argument("--ensemble", default="reg36")
-    p.add_argument("--ratio", type=float, default=1.0, help="A = h2/h1")
+    p.add_argument("--ratio", type=_nonnegative, default=1.0, help="A = h2/h1")
     p.add_argument("--tol", type=float, default=5e-3)
     p.add_argument("--genie", action="store_true", help="pin the partner to +inf (single-user)")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("coupled-threshold", help="BP threshold of an (l,r,L,w) ensemble")
     p.add_argument("--ensemble", required=True, help="file or l,r,L,w")
-    p.add_argument("--ratio", type=float, default=1.0)
+    p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--tol", type=float, default=5e-3)
     p.add_argument("--profile-out", help="also write a per-position entropy profile CSV")
-    p.add_argument("--profile-alpha", type=float, default=None, help="alpha for the profile run")
+    p.add_argument(
+        "--profile-alpha", type=_nonnegative, default=None, help="alpha for the profile run"
+    )
     p.set_defaults(func=cmd_coupled_threshold)
 
     p = sub.add_parser("capacity", help="MAC-ACPR boundary for a rate pair")
@@ -409,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gexit", help="BP-GEXIT curve along one ray")
     p.add_argument("--ensemble", default="reg36")
-    p.add_argument("--ratio", type=float, default=1.0)
+    p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--alphas", default="0:2:0.01", help="lo:hi:step")
     p.add_argument("--lattice", type=int, default=128, help="kernel lattice half-width")
     p.set_defaults(func=cmd_gexit)
 
     p = sub.add_parser("map-bound", help="area-theorem MAP bound along one ray")
     p.add_argument("--ensemble", default="reg36")
-    p.add_argument("--ratio", type=float, default=1.0)
+    p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--ray-list", help="emit the MAP boundary over these rays as CSV")
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--lattice", type=int, default=128)
@@ -426,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--n", type=int, default=20000)
     p.add_argument("--m-per-position", type=int, default=None)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--ratio", type=float, default=1.0)
+    p.add_argument("--alpha", type=_nonnegative, required=True)
+    p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--mode", choices=("all_plus_one", "random"), default="random")
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--iters", type=int, default=200)

@@ -17,8 +17,10 @@ The per-position updates are pure functions of their input windows, so the
 engine memoizes them: positions whose windows did not change since the last
 iteration (the decoded region behind the wave and the inert bulk ahead of it)
 are skipped bit-exactly.  On the symmetric ray (A = 1, equal codes, symmetric
-start) user exchange and spatial mirror symmetry hold exactly and the engine
-evolves only positions 0..L of one user.
+start) the user-exchange reduction of uncoupled DE applies here too, together
+with spatial mirror symmetry, so the engine evolves only positions 0..L of one
+user.  Runs and thresholds use the halting rule and threshold search of
+`jointde`.
 """
 
 from __future__ import annotations
@@ -41,11 +43,16 @@ from .densities import (
     power_vn,
 )
 from .ensembles import CoupledSpec
-from .jointde import BracketError, ThresholdResult
+from .jointde import (
+    BRACKET_ALPHA_MAX,
+    STALL_ENTROPY_DELTA,
+    STALL_PATIENCE,
+    SUCCESS_ERROR_PROB,
+    ThresholdResult,
+    run_to_halt,
+    threshold_search,
+)
 
-SUCCESS_ERROR_PROB = 1e-10
-STALL_ENTROPY_DELTA = 1e-9
-STALL_PATIENCE = 10
 FREEZE_ERROR_PROB = 1e-12
 COUPLED_MAX_ITERS = 30_000  # decoding waves need ~L / wave-speed iterations
 
@@ -210,8 +217,15 @@ class CoupledFixedPoint:
         return np.array([error_prob(d) for d in self.state.a_vec])
 
 
-def _mean_entropy(vecs) -> float:
-    return float(np.mean([entropy(d) for vec in vecs for d in vec]))
+def _entropies(vec) -> np.ndarray:
+    return np.array([entropy(d) for d in vec])
+
+
+def _measure_full(state: CoupledState) -> tuple[float, float]:
+    """Mean entropy over every position of both users, largest error probability."""
+    vecs = (state.a_vec, state.b_vec)
+    h = float(np.mean([entropy(d) for vec in vecs for d in vec]))
+    return h, max(error_prob(d) for vec in vecs for d in vec)
 
 
 class _SymmetricRun:
@@ -229,6 +243,7 @@ class _SymmetricRun:
         self.spec = spec
         self.engine = _Engine(grid, spec, freeze)
         self.fn = fn_operator(grid, 1, ch)
+        self.iteration = 0
         if start is None:
             self.half = [delta_zero(grid)] * (spec.L + 1)
         else:
@@ -238,22 +253,30 @@ class _SymmetricRun:
         p = abs(p)
         return self.half[p] if p <= self.spec.L else self.engine.dinf
 
-    def iterate(self):
+    def iterate(self) -> "_SymmetricRun":
+        """One Jacobi sweep in place; returns self, the state run_to_halt steps."""
         fetch = self.fetch  # one bound-method object so identity checks hold
         self.half = [
             self.engine.update_position(i, fetch, fetch, self.fn)
             for i in range(self.spec.L + 1)
         ]
+        self.iteration += 1
+        return self
 
-    def full_state(self, iteration: int) -> CoupledState:
+    def measure(self) -> tuple[float, float]:
+        """Mean entropy over positions 0..L, largest error probability."""
+        return float(np.mean(_entropies(self.half))), max(error_prob(d) for d in self.half)
+
+    def full_state(self) -> CoupledState:
         full = tuple(self.half[abs(i)] for i in range(-self.spec.L, self.spec.L + 1))
-        return CoupledState(full, full, self.spec.L, iteration)
+        return CoupledState(full, full, self.spec.L, self.iteration)
 
-    def entropies(self) -> np.ndarray:
-        return np.array([entropy(d) for d in self.half])
 
-    def error_probs(self) -> np.ndarray:
-        return np.array([error_prob(d) for d in self.half])
+def _is_symmetric_state(st: CoupledState) -> bool:
+    n = len(st.a_vec)
+    return all(st.a_vec[i] is st.b_vec[i] for i in range(n)) and all(
+        st.a_vec[i] is st.a_vec[n - 1 - i] for i in range(n // 2)
+    )
 
 
 def coupled_run(
@@ -274,58 +297,30 @@ def coupled_run(
     when given (wave visualization).  On the symmetric ray the half-domain
     fast path is used; it is exact, not an approximation.
     """
+    if ch.ratio == 1.0 and (start is None or _is_symmetric_state(start)):
+        init = _SymmetricRun(grid, spec, ch, freeze, start=start)
+        step, measure = _SymmetricRun.iterate, _SymmetricRun.measure
+        full_state = _SymmetricRun.full_state
+    else:
+        engine_a = _Engine(grid, spec, freeze)
+        engine_b = _Engine(grid, spec, freeze)
+        init = start if start is not None else coupled_initial_state(grid, spec)
+        step = lambda st: _iterate_general(st, ch, spec, engine_a, engine_b)
+        measure = _measure_full
+        full_state = lambda st: st
 
-    def _is_symmetric_state(st: CoupledState) -> bool:
-        n = len(st.a_vec)
-        return all(st.a_vec[i] is st.b_vec[i] for i in range(n)) and all(
-            st.a_vec[i] is st.a_vec[n - 1 - i] for i in range(n // 2)
-        )
+    observe = None
+    if profile is not None:
 
-    symmetric = ch.ratio == 1.0 and (start is None or _is_symmetric_state(start))
-    if symmetric:
-        run = _SymmetricRun(grid, spec, ch, freeze, start=start)
-        h_prev = float(np.mean(run.entropies()))
-        quiet = 0
-        for it in range(1, max_iters + 1):
-            run.iterate()
-            ent = run.entropies()
-            if profile is not None:
-                full = np.concatenate((ent[:0:-1], ent))
-                profile(it, full, full)
-            h_now = float(np.mean(ent))
-            residual = abs(h_prev - h_now)
-            if np.all(run.error_probs() < success_error):
-                return CoupledFixedPoint(ch, run.full_state(it), residual, True, it, "success")
-            quiet = quiet + 1 if residual < stall_delta else 0
-            if quiet >= stall_patience:
-                return CoupledFixedPoint(ch, run.full_state(it), residual, False, it, "stall")
-            h_prev = h_now
-        return CoupledFixedPoint(ch, run.full_state(max_iters), residual, False, max_iters, "max_iters")
+        def observe(st, _entropy):
+            full = full_state(st)
+            profile(full.iteration, _entropies(full.a_vec), _entropies(full.b_vec))
 
-    state = start if start is not None else coupled_initial_state(grid, spec)
-    engine_a = _Engine(grid, spec, freeze)
-    engine_b = _Engine(grid, spec, freeze)
-    h_prev = _mean_entropy((state.a_vec, state.b_vec))
-    quiet = 0
-    residual = np.inf
-    for _ in range(max_iters):
-        state = _iterate_general(state, ch, spec, engine_a, engine_b)
-        if profile is not None:
-            profile(
-                state.iteration,
-                np.array([entropy(d) for d in state.a_vec]),
-                np.array([entropy(d) for d in state.b_vec]),
-            )
-        h_now = _mean_entropy((state.a_vec, state.b_vec))
-        residual = abs(h_prev - h_now)
-        errs = [error_prob(d) for vec in (state.a_vec, state.b_vec) for d in vec]
-        if max(errs) < success_error:
-            return CoupledFixedPoint(ch, state, residual, True, state.iteration, "success")
-        quiet = quiet + 1 if residual < stall_delta else 0
-        if quiet >= stall_patience:
-            return CoupledFixedPoint(ch, state, residual, False, state.iteration, "stall")
-        h_prev = h_now
-    return CoupledFixedPoint(ch, state, residual, False, state.iteration, "max_iters")
+    final, residual, halt = run_to_halt(
+        init, step, measure, max_iters, success_error, stall_delta, stall_patience, observe
+    )
+    state = full_state(final)
+    return CoupledFixedPoint(ch, state, residual, halt == "success", state.iteration, halt)
 
 
 def coupled_threshold(
@@ -333,7 +328,7 @@ def coupled_threshold(
     ratio: float,
     tol: float = 5e-3,
     grid: DensityGrid | None = None,
-    bracket: tuple[float, float] = (0.0, 6.0),
+    bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
     max_iters: int = COUPLED_MAX_ITERS,
     freeze: bool = True,
 ) -> ThresholdResult:
@@ -342,31 +337,12 @@ def coupled_threshold(
 
     if grid is None:
         grid = default_grid()
-
-    probes = []
-    spent = 0
-
-    def decoded_at(alpha: float) -> bool:
-        nonlocal spent
-        fp = coupled_run(
-            ChannelPoint(alpha, ratio), spec, grid, max_iters=max_iters, freeze=freeze
-        )
-        spent += fp.iterations
-        probes.append((alpha, fp.decoded))
-        return fp.decoded
-
-    lo, hi = bracket
-    if decoded_at(lo):
-        raise BracketError(f"coupled DE already succeeds at alpha={lo}")
-    if not decoded_at(hi):
-        raise BracketError(f"coupled DE still fails at alpha={hi}")
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        if decoded_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdResult(0.5 * (lo + hi), tol, ratio, spent, probes)
+    return threshold_search(
+        lambda ch: coupled_run(ch, spec, grid, max_iters=max_iters, freeze=freeze),
+        ratio,
+        tol,
+        bracket,
+    )
 
 
 def extrinsic_profile(state: CoupledState, spec: CoupledSpec):

@@ -11,7 +11,6 @@ precomputed output-bin table.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -96,22 +95,6 @@ class LlrDensity:
     @property
     def total_mass(self) -> float:
         return float(self.mass.sum() + self.mass_pos_inf + self.mass_neg_inf)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "grid": {"bin_width": self.grid.bin_width, "half_range": self.grid.half_range},
-                "mass": self.mass.tolist(),
-                "pos_inf": self.mass_pos_inf,
-                "neg_inf": self.mass_neg_inf,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "LlrDensity":
-        obj = json.loads(text)
-        grid = DensityGrid(obj["grid"]["bin_width"], obj["grid"]["half_range"])
-        return make_density(grid, np.asarray(obj["mass"]), obj["pos_inf"], obj["neg_inf"])
 
 
 def _check_same_grid(a: LlrDensity, b: LlrDensity):
@@ -327,19 +310,6 @@ def _boxplus_table(grid: DensityGrid) -> BoxPlusTable:
         tab = BoxPlusTable(grid)
         _BOXPLUS_TABLES[grid] = tab
     return tab
-
-
-def boxplus_scalar(x: float, y: float) -> float:
-    """Exact two-argument box-plus, used by oracles and the BP decoder."""
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    if np.isinf(x):
-        return y if x > 0 else -y
-    if np.isinf(y):
-        return x if y > 0 else -x
-    s = np.sign(x) * np.sign(y)
-    ax, ay = abs(x), abs(y)
-    return float(s * (min(ax, ay) + np.log1p(np.exp(-(ax + ay))) - np.log1p(np.exp(-abs(ax - ay)))))
 
 
 def conv_cn(a: LlrDensity, b: LlrDensity) -> LlrDensity:

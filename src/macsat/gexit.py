@@ -16,10 +16,11 @@ threshold (the area theorem).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .channel import ChannelPoint, gauss_hermite
+from .channel import ChannelPoint, gauss_hermite, ray_boundary
 from .densities import DensityGrid, LlrDensity, entropy, make_density
 from .ensembles import EnsembleSpec, design_rate
 from .jointde import (
@@ -37,37 +38,6 @@ INF_LLR = 1000.0  # sentinel LLR for the +/-inf point masses inside kernels
 
 KERNEL_ORDER = 129
 LATTICE_BINS_DEFAULT = 128  # coarse half-width of the (u, v) kernel lattice
-
-
-def lift(u: float, v: float) -> np.ndarray:
-    """Extrinsic pair (u, v) lifted to the posterior 4-vector over symbols."""
-    su = 1.0 / (1.0 + np.exp(-u))
-    sv = 1.0 / (1.0 + np.exp(-v))
-    return np.array([su * sv, su * (1 - sv), (1 - su) * sv, (1 - su) * (1 - sv)])
-
-
-def gexit_kernel(x: int, u: float, v: float, ch: ChannelPoint, order: int = KERNEL_ORDER) -> float:
-    """Kernel kappa_x(u, v): quadrature of dp/dalpha against the posterior log ratio.
-
-    The term -log2(lift[x]) is constant in y and integrates against dp/dalpha
-    to exactly zero (the quadrature nodes are symmetric), so it is dropped;
-    this also gives the correct analytic limit when lift[x] = 0 at infinite
-    extrinsic LLRs.
-    """
-    uu = np.clip(u, -INF_LLR, INF_LLR)
-    vv = np.clip(v, -INF_LLR, INF_LLR)
-    y_off, w = gauss_hermite(order)
-    mu = ch.means()
-    s = ch.slopes()
-    y = mu[x] + y_off
-    g = -0.5 * (y[:, None] - mu[None, :]) ** 2  # (Q, 4)
-    lse = np.logaddexp(
-        np.logaddexp(uu + vv + g[:, 0], uu + g[:, 1]),
-        np.logaddexp(vv + g[:, 2], g[:, 3]),
-    )
-    log_z = np.logaddexp(0.0, uu) + np.logaddexp(0.0, vv)
-    integrand = (lse - log_z - g[:, x]) * LOG2E
-    return float((w * y_off * s[x]) @ integrand)
 
 
 def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float, float]:
@@ -205,34 +175,40 @@ class GexitCurve:
 
 
 class _CurveTracer:
-    """Forward-DE sweep with warm starts plus GEXIT evaluation per alpha."""
+    """Stable-branch sweep along one ray: forward DE per alpha, warm-started
+    from the stalled state at the nearest smaller alpha, and the GEXIT value
+    of each fixed point.  run(ch, start) returns (decoded, state, g)."""
 
-    def __init__(self, ens, ratio, grid, bins, order, max_iters):
-        self.ens = ens
+    def __init__(self, ratio: float, run):
         self.ratio = ratio
-        self.grid = grid
-        self.bins = bins
-        self.order = order
-        self.max_iters = max_iters
-        self.states: list[tuple[float, DeState]] = []  # stalled states, ascending alpha
-
-    def _start_for(self, alpha: float) -> DeState | None:
-        best = None
-        for a, st in self.states:
-            if a <= alpha:
-                best = st
-        return best
+        self.run = run
+        self.states = []  # (alpha, stalled state), ascending alpha
 
     def eval_point(self, alpha: float) -> float:
-        ch = ChannelPoint(alpha, self.ratio)
-        start = self._start_for(alpha)
-        fp = de_run(ch, self.ens, self.grid, max_iters=self.max_iters, start=start)
-        if not fp.decoded:
-            st = DeState(fp.a, fp.b)
-            self.states.append((alpha, st))
+        start = None
+        for a, st in self.states:
+            if a <= alpha:
+                start = st
+        decoded, state, g = self.run(ChannelPoint(alpha, self.ratio), start)
+        if not decoded:
+            self.states.append((alpha, state))
             self.states.sort(key=lambda t: t[0])
-        g = bp_gexit_value(extrinsic_fixed_point(fp, self.ens), self.bins, self.order)
         return g
+
+    def curve(self, alphas, name: str, metadata: dict) -> GexitCurve:
+        samples = [
+            (a, self.eval_point(a), "stable") if a else (0.0, 0.0, "stable") for a in sorted(alphas)
+        ]
+        return GexitCurve(self.ratio, name, samples, metadata)
+
+
+def _uncoupled_tracer(ens, ratio, grid, bins, order, max_iters) -> _CurveTracer:
+    def run(ch, start):
+        fp = de_run(ch, ens, grid, max_iters=max_iters, start=start)
+        g = bp_gexit_value(extrinsic_fixed_point(fp, ens), bins, order)
+        return fp.decoded, DeState(fp.a, fp.b), g
+
+    return _CurveTracer(ratio, run)
 
 
 def bp_gexit_curve(
@@ -250,24 +226,8 @@ def bp_gexit_curve(
 
     if grid is None:
         grid = default_grid()
-    tracer = _CurveTracer(ens, ratio, grid, bins, order, max_iters)
-    samples = []
-    for alpha in sorted(alphas):
-        if alpha == 0.0:
-            samples.append((0.0, 0.0, "stable"))
-            continue
-        samples.append((alpha, tracer.eval_point(alpha), "stable"))
-    return GexitCurve(
-        ratio,
-        str(ens),
-        samples,
-        metadata={
-            "grid_bins": grid.n_bins,
-            "lattice_bins": bins,
-            "order": order,
-            "positions": "single",
-        },
-    )
+    meta = {"grid_bins": grid.n_bins, "lattice_bins": bins, "order": order, "positions": "single"}
+    return _uncoupled_tracer(ens, ratio, grid, bins, order, max_iters).curve(alphas, str(ens), meta)
 
 
 def coupled_gexit_value(
@@ -300,33 +260,18 @@ def coupled_bp_gexit_curve(
         grid = default_grid()
     if max_iters is None:
         max_iters = COUPLED_MAX_ITERS
-    samples = []
-    warm = []  # (alpha, stalled state) ascending
-    for alpha in sorted(alphas):
-        if alpha == 0.0:
-            samples.append((0.0, 0.0, "stable"))
-            continue
-        ch = ChannelPoint(alpha, ratio)
-        start = None
-        for a_prev, st in warm:
-            if a_prev <= alpha:
-                start = st
+
+    def run(ch, start):
         fp = coupled_run(ch, spec, grid, max_iters=max_iters, start=start)
-        if not fp.decoded:
-            warm.append((alpha, fp.state))
-            warm.sort(key=lambda t: t[0])
-        samples.append((alpha, coupled_gexit_value(fp.state, spec, ch, bins, order), "stable"))
-    return GexitCurve(
-        ratio,
-        str(spec),
-        samples,
-        metadata={
-            "grid_bins": grid.n_bins,
-            "lattice_bins": bins,
-            "order": order,
-            "positions": "all (2L+1, boundaries included)",
-        },
-    )
+        return fp.decoded, fp.state, coupled_gexit_value(fp.state, spec, ch, bins, order)
+
+    meta = {
+        "grid_bins": grid.n_bins,
+        "lattice_bins": bins,
+        "order": order,
+        "positions": "all (2L+1, boundaries included)",
+    }
+    return _CurveTracer(ratio, run).curve(alphas, str(spec), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +421,7 @@ def map_bound_sweep(
         grid = default_grid()
     rate = design_rate(ens)
     target = 2.0 * rate
-    tracer = _CurveTracer(ens, ratio, grid, bins, order, max_iters)
+    tracer = _uncoupled_tracer(ens, ratio, grid, bins, order, max_iters)
 
     samples: dict[float, float] = {0.0: 0.0}
     alpha = 0.0
@@ -519,6 +464,10 @@ def map_bound_sweep(
     return bound, curve
 
 
+def _map_bound_alpha(ens: EnsembleSpec, ratio: float, **kwargs) -> float:
+    return map_bound_sweep(ens, ratio, **kwargs)[0]
+
+
 def map_boundary(
     ens: EnsembleSpec,
     ray_grid,
@@ -527,8 +476,4 @@ def map_boundary(
     **kwargs,
 ) -> list[tuple[float, float]]:
     """Outer bound on the MAP boundary: (alpha_bar(A), A * alpha_bar(A)) per ray."""
-    rays = list(ray_grid)
-    if not rays:
-        raise ValueError("empty ray grid")
-    bounds = list(pmap(lambda a: map_bound_sweep(ens, a, grid=grid, **kwargs)[0], rays))
-    return [(b, a * b) for a, b in zip(rays, bounds)]
+    return ray_boundary(partial(_map_bound_alpha, ens, grid=grid, **kwargs), ray_grid, pmap)

@@ -7,17 +7,21 @@ One update is
 
 with * the variable-node convolution; both users update simultaneously from
 the previous state (Jacobi), which is what the displayed recursion expresses.
-A sequential variant (user 1 first, then user 2 from the fresh user-1 state)
-sits behind a flag for comparison.
+On the symmetric ray (A = 1) with equal codes the recursion maps a pair of
+identical densities to an identical pair, so one update serves both users.
+
+This module also holds the halting rule and the threshold search shared with
+coupled DE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .channel import ChannelPoint, fn_operator
+from .channel import ChannelPoint, bisect, fn_operator, ray_boundary
 from .densities import (
     DensityGrid,
     LlrDensity,
@@ -30,7 +34,7 @@ from .densities import (
     poly_vn,
     poly_vn_node,
 )
-from .ensembles import EnsembleSpec
+from .ensembles import CoupledSpec, EnsembleSpec
 
 # halting defaults: success once both users are essentially error free, stall
 # once entropy stops moving for a while (separates near-threshold slowdown
@@ -64,8 +68,9 @@ class DeFixedPoint:
 
 
 def initial_state(grid: DensityGrid) -> DeState:
-    """No-knowledge start: both users at the 0-LLR delta."""
-    return DeState(delta_zero(grid), delta_zero(grid))
+    """No-knowledge start: both users at one shared 0-LLR delta."""
+    d0 = delta_zero(grid)
+    return DeState(d0, d0)
 
 
 def vf_density(ens: EnsembleSpec, a: LlrDensity) -> LlrDensity:
@@ -78,30 +83,62 @@ def de_iterate(
     state: DeState,
     ch: ChannelPoint,
     ens: EnsembleSpec,
-    schedule: str = "parallel",
     genie: bool = False,
 ) -> DeState:
     """One joint DE update.  genie=True pins each user's partner to the
-    perfectly-known delta at +inf (single-user diagnostic)."""
-    grid = state.a.grid
-    fn1 = fn_operator(grid, 1, ch)
-    fn2 = fn_operator(grid, 2, ch)
-    dinf = delta_inf(grid)
+    perfectly-known delta at +inf (single-user diagnostic).
 
+    On the symmetric ray a state whose users share one density object is
+    updated once and stays shared: both users' updates are bit-identical.
+    """
+    grid = state.a.grid
+    dinf = delta_inf(grid)
     rho_a = poly_cn(ens.rho_coeffs, state.a)
+    vf_a = dinf if genie else poly_vn_node(ens.node_lambda, rho_a)
+    if ch.ratio == 1.0 and state.a is state.b:
+        x = conv_vn(fn_operator(grid, 1, ch).apply(vf_a), poly_vn(ens.lambda_coeffs, rho_a))
+        return DeState(x, x, state.iteration + 1)
+
     rho_b = poly_cn(ens.rho_coeffs, state.b)
     vf_b = dinf if genie else poly_vn_node(ens.node_lambda, rho_b)
-    a_next = conv_vn(fn1.apply(vf_b), poly_vn(ens.lambda_coeffs, rho_a))
-
-    if schedule == "parallel":
-        vf_a = dinf if genie else poly_vn_node(ens.node_lambda, rho_a)
-    elif schedule == "sequential":
-        vf_a = dinf if genie else poly_vn_node(ens.node_lambda, poly_cn(ens.rho_coeffs, a_next))
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
-    b_next = conv_vn(fn2.apply(vf_a), poly_vn(ens.lambda_coeffs, rho_b))
-
+    a_next = conv_vn(fn_operator(grid, 1, ch).apply(vf_b), poly_vn(ens.lambda_coeffs, rho_a))
+    b_next = conv_vn(fn_operator(grid, 2, ch).apply(vf_a), poly_vn(ens.lambda_coeffs, rho_b))
     return DeState(a_next, b_next, state.iteration + 1)
+
+
+def run_to_halt(
+    state, step, measure, max_iters, success_error, stall_delta, stall_patience, observe=None
+):
+    """The halting rule of every DE run, uncoupled or coupled.
+
+    Applies state = step(state) until the largest error probability falls
+    below success_error ("success"), the entropy moves by less than
+    stall_delta for stall_patience iterations in a row ("stall"), or
+    max_iters steps are spent ("max_iters", reported as not decoded).
+    measure(state) returns (entropy, largest error probability) and
+    observe(state, entropy), when given, sees every step.  Returns
+    (state, residual, halt) with residual the last entropy change.
+    """
+    h_prev, _ = measure(state)
+    quiet = 0
+    residual = np.inf
+    for _ in range(max_iters):
+        state = step(state)
+        h_now, worst_error = measure(state)
+        residual = abs(h_prev - h_now)
+        if observe is not None:
+            observe(state, h_now)
+        if worst_error < success_error:
+            return state, residual, "success"
+        quiet = quiet + 1 if residual < stall_delta else 0
+        if quiet >= stall_patience:
+            return state, residual, "stall"
+        h_prev = h_now
+    return state, residual, "max_iters"
+
+
+def _measure_pair(state: DeState) -> tuple[float, float]:
+    return entropy(state.a) + entropy(state.b), max(error_prob(state.a), error_prob(state.b))
 
 
 def de_run(
@@ -112,30 +149,19 @@ def de_run(
     success_error: float = SUCCESS_ERROR_PROB,
     stall_delta: float = STALL_ENTROPY_DELTA,
     stall_patience: int = STALL_PATIENCE,
-    schedule: str = "parallel",
     genie: bool = False,
     start: DeState | None = None,
     trace=None,
 ) -> DeFixedPoint:
     """Iterate DE until decoded, stalled at a nontrivial fixed point, or out
-    of iterations (reported as nontrivial, conservatively)."""
-    state = start if start is not None else initial_state(grid)
-    h_prev = entropy(state.a) + entropy(state.b)
-    quiet = 0
-    residual = np.inf
-    for _ in range(max_iters):
-        state = de_iterate(state, ch, ens, schedule=schedule, genie=genie)
-        h_now = entropy(state.a) + entropy(state.b)
-        residual = abs(h_prev - h_now)
-        if trace is not None:
-            trace(state, h_now)
-        if error_prob(state.a) < success_error and error_prob(state.b) < success_error:
-            return DeFixedPoint(ch, state.a, state.b, residual, True, state.iteration, "success")
-        quiet = quiet + 1 if residual < stall_delta else 0
-        if quiet >= stall_patience:
-            return DeFixedPoint(ch, state.a, state.b, residual, False, state.iteration, "stall")
-        h_prev = h_now
-    return DeFixedPoint(ch, state.a, state.b, residual, False, state.iteration, "max_iters")
+    of iterations (reported as nontrivial, conservatively).  trace(state,
+    entropy) sees every iteration."""
+    state, residual, halt = run_to_halt(
+        start if start is not None else initial_state(grid),
+        lambda st: de_iterate(st, ch, ens, genie=genie),
+        _measure_pair, max_iters, success_error, stall_delta, stall_patience, trace,
+    )
+    return DeFixedPoint(ch, state.a, state.b, residual, halt == "success", state.iteration, halt)
 
 
 class BracketError(RuntimeError):
@@ -160,34 +186,21 @@ class ThresholdResult:
         }
 
 
-def bp_threshold(
-    ens: EnsembleSpec,
-    ratio: float,
-    tol: float = 5e-3,
-    grid: DensityGrid | None = None,
-    bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
-    genie: bool = False,
-    max_iters: int = MAX_ITERS,
+def threshold_search(
+    run, ratio: float, tol: float, bracket: tuple[float, float]
 ) -> ThresholdResult:
-    """Bisect for the BP threshold on the ray h2 = ratio * h1.
-
-    Returns the bracket midpoint once the half-width drops below tol.  DE
-    outcomes must be monotone along the probes; a violation means the halting
-    tolerances are fighting the quantization and is raised loudly.
-    """
-    from .densities import default_grid
-
-    if grid is None:
-        grid = default_grid()
+    """Bisect for the BP threshold on the ray h2 = ratio * h1, where
+    run(ChannelPoint) returns a fixed point of the DE in question; the bracket
+    ends must fail and decode.  Returns the bracket midpoint once the
+    half-width drops below tol."""
     if not ratio >= 0:
         raise ValueError("ratio must be nonnegative")
-
     probes: list[tuple[float, bool]] = []
     spent = 0
 
     def decoded_at(alpha: float) -> bool:
         nonlocal spent
-        fp = de_run(ChannelPoint(alpha, ratio), ens, grid, max_iters=max_iters, genie=genie)
+        fp = run(ChannelPoint(alpha, ratio))
         spent += fp.iterations
         probes.append((alpha, fp.decoded))
         return fp.decoded
@@ -197,30 +210,44 @@ def bp_threshold(
         raise BracketError(f"DE already succeeds at alpha={lo}")
     if not decoded_at(hi):
         raise BracketError(f"DE still fails at alpha={hi}")
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        if decoded_at(mid):
-            hi = mid
-        else:
-            lo = mid
+    alpha = bisect(decoded_at, lo, hi, 2.0 * tol)
+    return ThresholdResult(alpha, tol, ratio, spent, probes)
 
-    for a_lo, d_lo in probes:
-        for a_hi, d_hi in probes:
-            if a_lo < a_hi and d_lo and not d_hi:
-                raise BracketError(f"non-monotone DE outcomes at {a_lo} vs {a_hi}")
-    return ThresholdResult(0.5 * (lo + hi), tol, ratio, spent, probes)
+
+def bp_threshold(
+    ens: EnsembleSpec,
+    ratio: float,
+    tol: float = 5e-3,
+    grid: DensityGrid | None = None,
+    bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
+    genie: bool = False,
+    max_iters: int = MAX_ITERS,
+) -> ThresholdResult:
+    """Bisect for the uncoupled BP threshold on the ray h2 = ratio * h1."""
+    from .densities import default_grid
+
+    if grid is None:
+        grid = default_grid()
+    return threshold_search(
+        lambda ch: de_run(ch, ens, grid, max_iters=max_iters, genie=genie), ratio, tol, bracket
+    )
+
+
+def _threshold_alpha(ens, ratio: float, **kwargs) -> float:
+    if isinstance(ens, CoupledSpec):
+        from .coupled import coupled_threshold
+
+        return coupled_threshold(ens, ratio, **kwargs).alpha
+    return bp_threshold(ens, ratio, **kwargs).alpha
 
 
 def bp_acpr(
-    ens: EnsembleSpec,
+    ens: EnsembleSpec | CoupledSpec,
     ray_grid,
     tol: float = 5e-3,
     grid: DensityGrid | None = None,
     pmap=map,
 ) -> list[tuple[float, float]]:
-    """BP-ACPR boundary: (threshold, ratio * threshold) per ray."""
-    rays = list(ray_grid)
-    if not rays:
-        raise ValueError("empty ray grid")
-    results = list(pmap(lambda a: bp_threshold(ens, a, tol=tol, grid=grid).alpha, rays))
-    return [(alpha, ray * alpha) for ray, alpha in zip(rays, results)]
+    """BP-ACPR boundary of an uncoupled or coupled ensemble:
+    (threshold, ratio * threshold) per ray."""
+    return ray_boundary(partial(_threshold_alpha, ens, tol=tol, grid=grid), ray_grid, pmap)

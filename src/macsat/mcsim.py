@@ -10,6 +10,7 @@ densities directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -336,7 +337,6 @@ def _decode_frame(
     y: np.ndarray,
     max_iters: int,
     collect_iteration: int | None = None,
-    schedule: str = "parallel",
     return_hard: bool = False,
 ):
     """Joint BP with the DE schedule: function nodes fire from the previous
@@ -350,8 +350,6 @@ def _decode_frame(
     n = inst.graph1.n_vars
     perm = inst.matching
 
-    if schedule not in ("parallel", "sequential"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     vf1 = np.zeros(n)  # indexed by code-1 variable == fn index
     vf2 = np.zeros(n)  # indexed by code-2 variable
     vc1 = np.zeros(inst.graph1.n_edges)
@@ -363,12 +361,9 @@ def _decode_frame(
     it = 0
     for it in range(1, max_iters + 1):
         ch1 = _fn_outputs(y, vf2[perm], ch, 1)
-        if schedule == "parallel":
-            out2 = _fn_outputs(y, vf1, ch, 2)  # fn-indexed, pre-round vf1
+        out2 = _fn_outputs(y, vf1, ch, 2)  # fn-indexed, pre-round vf1
         cv1 = side1.check_update(vc1)
         vc1, vf1 = side1.var_update(cv1, ch1)
-        if schedule == "sequential":
-            out2 = _fn_outputs(y, vf1, ch, 2)  # user 2 sees user 1's fresh round
         ch2_by_var = np.empty(n)
         ch2_by_var[perm] = out2
         cv2 = side2.check_update(vc2)
@@ -392,6 +387,34 @@ def _decode_frame(
     return err1, err2, it, collected
 
 
+def _transmit(inst: JointInstance, ch: ChannelPoint, mode: str, rng) -> tuple:
+    """(x1, x2, y): one +-1 word per code (bit 0 -> +1) and the channel output
+    per function node.  mode "all_plus_one" sends all +1, "signs" i.i.d.
+    uniform signs that are not codewords, "random" uniform codewords."""
+    n = inst.graph1.n_vars
+    if mode == "all_plus_one":
+        x1, x2 = np.ones(n), np.ones(n)
+    elif mode == "signs":
+        x1 = 1.0 - 2.0 * rng.integers(0, 2, size=n)
+        x2 = 1.0 - 2.0 * rng.integers(0, 2, size=n)
+    elif mode == "random":
+        enc1, enc2 = _encoder_for(inst.graph1), _encoder_for(inst.graph2)
+        x1 = 1.0 - 2.0 * enc1.encode(rng.integers(0, 2, size=enc1.k).astype(np.uint8))
+        x2 = 1.0 - 2.0 * enc2.encode(rng.integers(0, 2, size=enc2.k).astype(np.uint8))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return x1, x2, ch.h1 * x1 + ch.h2 * x2[inst.matching] + rng.standard_normal(n)
+
+
+def _run_frame(
+    inst: JointInstance, ch: ChannelPoint, mode: str, max_iters: int, seed: int, frame: int
+) -> FrameResult:
+    """One frame of simulate_joint; its randomness is keyed by (seed, frame)."""
+    x1, x2, y = _transmit(inst, ch, mode, _rng_for(seed, stream=1000 + frame))
+    e1, e2, iters, _ = _decode_frame(inst, ch, x1, x2, y, max_iters)
+    return FrameResult(frame, (e1, e2), iters, e1 == 0 and e2 == 0)
+
+
 def simulate_joint(
     inst: JointInstance,
     ch: ChannelPoint,
@@ -406,32 +429,17 @@ def simulate_joint(
     mode "all_plus_one" transmits the all-(+1) codeword pair (fast; the
     channel is user-asymmetric so this is the type caveat noted in the
     docs); mode "random" draws uniform codewords through a systematic
-    GF(2) encoding of each graph.
+    GF(2) encoding of each graph.  pmap(job, frames) runs the frames; job
+    pickles, so a worker pool's map serves.
     """
-    n = inst.graph1.n_vars
     if mode == "random":
-        enc1, enc2 = _encoder_for(inst.graph1), _encoder_for(inst.graph2)
+        # built once here; the graphs carry them to pool workers
+        _encoder_for(inst.graph1)
+        _encoder_for(inst.graph2)
     elif mode != "all_plus_one":
         raise ValueError(f"unknown mode {mode!r}")
-
-    def run_frame(frame: int) -> FrameResult:
-        rng = _rng_for(seed, stream=1000 + frame)
-        if mode == "all_plus_one":
-            x1 = np.ones(n)
-            x2 = np.ones(n)
-        else:
-            b1 = enc1.encode(rng.integers(0, 2, size=enc1.k).astype(np.uint8))
-            b2 = enc2.encode(rng.integers(0, 2, size=enc2.k).astype(np.uint8))
-            x1 = 1.0 - 2.0 * b1  # bit 0 -> +1
-            x2_by_var = 1.0 - 2.0 * b2
-            x2 = x2_by_var
-        x2_at_fn = x2[inst.matching]
-        y = ch.h1 * x1 + ch.h2 * x2_at_fn + rng.standard_normal(n)
-        e1, e2, iters, _ = _decode_frame(inst, ch, x1, x2, y, max_iters)
-        return FrameResult(frame, (e1, e2), iters, e1 == 0 and e2 == 0)
-
-    frames = list(pmap(run_frame, range(num_frames)))
-    return SimulationResult(frames, n, seed, mode)
+    job = partial(_run_frame, inst, ch, mode, max_iters, seed)
+    return SimulationResult(list(pmap(job, range(num_frames))), inst.graph1.n_vars, seed, mode)
 
 
 def positional_errors(
@@ -442,12 +450,7 @@ def positional_errors(
     before the chain center)."""
     if inst.graph1.var_pos is None:
         raise ValueError("positional error traces need a coupled instance")
-    n = inst.graph1.n_vars
-    rng = _rng_for(seed, stream=3000)
-    enc1, enc2 = _encoder_for(inst.graph1), _encoder_for(inst.graph2)
-    x1 = 1.0 - 2.0 * enc1.encode(rng.integers(0, 2, size=enc1.k).astype(np.uint8))
-    x2 = 1.0 - 2.0 * enc2.encode(rng.integers(0, 2, size=enc2.k).astype(np.uint8))
-    y = ch.h1 * x1 + ch.h2 * x2[inst.matching] + rng.standard_normal(n)
+    x1, x2, y = _transmit(inst, ch, "random", _rng_for(seed, stream=3000))
     _, _, _, _, hard1 = _decode_frame(inst, ch, x1, x2, y, max_iters, return_hard=True)
     wrong = hard1 != x1
     positions = np.unique(inst.graph1.var_pos)
@@ -475,30 +478,16 @@ def de_mc_crosscheck(
     any k; cycles still make k >= 3 unreliable at small n, which is flagged,
     not asserted.  iteration = 0 compares the raw function-node outputs.
     """
-    n = inst.graph1.n_vars
-    if mode == "signs":
-        if iteration > 1:
-            raise ValueError("i.i.d. signs break check parity; use mode='random' for k >= 2")
-        draw = lambda rng: (
-            1.0 - 2.0 * rng.integers(0, 2, size=n),
-            1.0 - 2.0 * rng.integers(0, 2, size=n),
-        )
-    elif mode == "random":
-        enc1, enc2 = _encoder_for(inst.graph1), _encoder_for(inst.graph2)
-        draw = lambda rng: (
-            1.0 - 2.0 * enc1.encode(rng.integers(0, 2, size=enc1.k).astype(np.uint8)),
-            1.0 - 2.0 * enc2.encode(rng.integers(0, 2, size=enc2.k).astype(np.uint8)),
-        )
-    else:
+    if mode not in ("signs", "random"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "signs" and iteration > 1:
+        raise ValueError("i.i.d. signs break check parity; use mode='random' for k >= 2")
 
     samples = []
     for frame in range(num_frames):
-        rng = _rng_for(seed, stream=2000 + frame)
-        x1, x2 = draw(rng)
-        y = ch.h1 * x1 + ch.h2 * x2[inst.matching] + rng.standard_normal(n)
+        x1, x2, y = _transmit(inst, ch, mode, _rng_for(seed, stream=2000 + frame))
         if iteration == 0:
-            out = _fn_outputs(y, np.zeros(n), ch, 1)
+            out = _fn_outputs(y, np.zeros(y.size), ch, 1)
             samples.append(out * x1)
         else:
             _, _, _, collected = _decode_frame(

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,6 +24,9 @@ from macsat.densities import (
     make_density,
     symmetry_residual,
 )
+from macsat.ensembles import CoupledSpec, regular
+from macsat.gexit import map_boundary
+from macsat.jointde import bp_acpr
 
 from conftest import random_density
 
@@ -187,3 +192,29 @@ class TestBoundary:
     def test_infeasible_ray(self):
         with pytest.raises(InfeasibleRayError):
             mac_acpr_point((0.5, 0.5), 0.0)
+
+
+SWEEPS = {
+    "mac": lambda rays, pmap: mac_acpr_boundary((0.5, 0.5), rays, pmap=pmap),
+    "bp": lambda rays, pmap: bp_acpr(regular(3, 6), rays, pmap=pmap),
+    "coupled": lambda rays, pmap: bp_acpr(CoupledSpec(3, 6, 4, 2), rays, pmap=pmap),
+    "map": lambda rays, pmap: map_boundary(regular(3, 6), rays, pmap=pmap),
+}
+
+
+def pickling_map(job, items):
+    """Stands in for a worker pool's map: the job must survive pickling, as
+    it would on its way to a worker; returns alpha = 1 per item unevaluated."""
+    pickle.loads(pickle.dumps(job))
+    return [1.0 for _ in items]
+
+
+class TestRaySweeps:
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_job_pickles_and_rays_read_once(self, sweep):
+        assert SWEEPS[sweep](iter([0.5, 2.0]), pickling_map) == [(1.0, 0.5), (1.0, 2.0)]
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_empty_ray_grid_rejected(self, sweep):
+        with pytest.raises(ValueError, match="empty ray grid"):
+            SWEEPS[sweep]([], map)

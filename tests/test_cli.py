@@ -205,3 +205,20 @@ class TestGexitCommand:
             alpha, g, branch = row.split(",")
             assert branch == "stable"
             assert float(g) <= 1e-6
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gexit", "--lattice", "100"],
+            ["map-bound", "--lattice", "100"],
+            ["threshold", "--ratio", "-1"],
+            ["coupled-threshold", "--ensemble", "3,6,4,2", "--ratio", "-1"],
+            ["simulate", "--alpha", "1.9", "--ratio", "-1"],
+            ["capacity", "--rates", "1.5,0.5"],
+        ],
+    )
+    def test_bad_input_is_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err

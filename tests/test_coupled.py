@@ -85,7 +85,7 @@ class TestIterate:
         run = _SymmetricRun(coarse_grid, SPEC, ch, freeze=False)
         for _ in range(5):
             run.iterate()
-        sym = run.full_state(5)
+        sym = run.full_state()
         for a, b in zip(st.a_vec, sym.a_vec):
             assert np.array_equal(a.mass, b.mass)
 
@@ -168,6 +168,13 @@ class TestRun:
         spec = CoupledSpec(3, 6, 2, 2)
         fp = coupled_run(ChannelPoint(2.2, 0.5), spec, coarse_grid, max_iters=2000)
         assert fp.decoded
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    def test_zero_iterations_returns_start(self, coarse_grid, ratio):
+        fp = coupled_run(ChannelPoint(1.5, ratio), SPEC, coarse_grid, max_iters=0)
+        assert (fp.halt, fp.iterations, fp.decoded) == ("max_iters", 0, False)
+        assert fp.residual == np.inf
+        assert all(d is fp.state.a_vec[0] for d in fp.state.a_vec + fp.state.b_vec)
 
 
 @pytest.mark.slow

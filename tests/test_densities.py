@@ -1,13 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from macsat.densities import (
     DensityGrid,
     GridMismatchError,
-    LlrDensity,
-    boxplus_scalar,
     conv_cn,
     conv_vn,
     delta_at,
@@ -27,6 +23,7 @@ from macsat.densities import (
 )
 
 from conftest import random_density
+from oracles import boxplus_scalar
 
 
 class TestGrid:
@@ -266,13 +263,3 @@ class TestFunctionals:
             [0.5, 0.3, 0.2],
         )
         assert error_prob(a) == pytest.approx(0.3 + 0.1)
-
-    def test_json_roundtrip(self, tiny_grid):
-        rng = np.random.default_rng(15)
-        a = random_density(tiny_grid, rng)
-        b = LlrDensity.from_json(a.to_json())
-        assert b.grid == a.grid
-        np.testing.assert_allclose(b.mass, a.mass)
-        assert b.mass_pos_inf == pytest.approx(a.mass_pos_inf)
-        obj = json.loads(a.to_json())
-        assert set(obj) == {"grid", "mass", "pos_inf", "neg_inf"}

@@ -11,11 +11,11 @@ from macsat.gexit import (
     bp_gexit_value,
     extrinsic_fixed_point,
     fixed_entropy_de,
-    gexit_kernel,
-    lift,
     map_bound,
 )
 from macsat.jointde import DeFixedPoint, de_iterate, de_run, DeState
+
+from oracles import gexit_kernel, lift
 
 ENS36 = regular(3, 6)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from macsat.channel import ChannelPoint
-from macsat.densities import DensityGrid, entropy, error_prob
+from macsat.densities import DensityGrid, delta_zero, entropy, error_prob
 from macsat.ensembles import regular
 from macsat.jointde import (
     BracketError,
@@ -28,6 +28,22 @@ class TestIteration:
             assert np.array_equal(st.a.mass, st.b.mass)
             assert st.a.mass_pos_inf == st.b.mass_pos_inf
 
+    @pytest.mark.parametrize("genie", [False, True])
+    def test_exchange_reduction_matches_two_user_update(self, coarse_grid, genie):
+        # a shared state takes the one-user path; distinct objects take the
+        # two-user path, which the reduction must reproduce bit for bit
+        ch = ChannelPoint(1.55, 1.0)
+        shared = initial_state(coarse_grid)
+        split = DeState(delta_zero(coarse_grid), delta_zero(coarse_grid))
+        for _ in range(6):
+            shared = de_iterate(shared, ch, ENS36, genie=genie)
+            split = de_iterate(split, ch, ENS36, genie=genie)
+            assert shared.a is shared.b and split.a is not split.b
+            for want in (split.a, split.b):
+                assert np.array_equal(shared.a.mass, want.mass)
+                assert shared.a.mass_pos_inf == want.mass_pos_inf
+                assert shared.a.mass_neg_inf == want.mass_neg_inf
+
     def test_error_prob_monotone_from_erasure(self, coarse_grid):
         ch = ChannelPoint(1.3, 0.8)
         st = initial_state(coarse_grid)
@@ -43,17 +59,6 @@ class TestIteration:
         st = initial_state(coarse_grid)
         st = de_iterate(st, ChannelPoint(1.0, 1.0), ENS36)
         assert st.iteration == 1
-
-    def test_sequential_differs_then_converges_same_side(self, coarse_grid):
-        ch = ChannelPoint(1.9, 1.0)
-        par = initial_state(coarse_grid)
-        seq = initial_state(coarse_grid)
-        for _ in range(4):
-            par = de_iterate(par, ch, ENS36, schedule="parallel")
-            seq = de_iterate(seq, ch, ENS36, schedule="sequential")
-        assert not np.array_equal(par.b.mass, seq.b.mass)
-        # both schedules decode comfortably above threshold
-        assert de_run(ch, ENS36, coarse_grid, schedule="sequential").decoded
 
 
 class TestRun:
