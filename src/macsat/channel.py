@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.special import ndtr, ndtri, roots_hermite
 
 from .densities import DensityGrid, LlrDensity, delta_at, make_density
@@ -88,6 +89,7 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 FN_CENTRAL_STRATA = 256
 FN_TAIL_STRATA = 24
+_FN_CHUNK = 256  # partner bins per block while the operator is assembled
 
 
 def _gaussian_strata(n_central: int = FN_CENTRAL_STRATA, n_tail: int = FN_TAIL_STRATA):
@@ -120,95 +122,105 @@ class FnOperator:
 
     with nu_ab the Gaussian at mean a*h_t + b*h_p.  The channel output is
     integrated over a stratified partition of its Gaussian law (exact stratum
-    masses, one representative quantile each); everything except the partner
-    mass vector only depends on (grid, h_t, h_p), so output bin indices are
-    tabulated once and each application is a weighted scatter.
+    masses, one representative quantile each).  Each (partner bit, stratum)
+    pair moves half the stratum's mass of a partner bin to one output bin, so
+    the transform is linear: a sparse n x (n+2) matrix that depends only on
+    (grid, h_t, h_p).  Its columns are the partner's finite bins, then +inf
+    and -inf; column j holds the summed weights that partner bin j sends to
+    each output bin, and sums to 1.  Each application is one sparse
+    matrix-vector product.  Output LLRs are clipped into the finite bins, so
+    the result has no mass at +-inf.
     """
 
-    def __init__(
-        self, grid: DensityGrid, h_target: float, h_partner: float, n_strata: int = FN_CENTRAL_STRATA
-    ):
+    def __init__(self, grid: DensityGrid, h_target: float, h_partner: float):
         self.grid = grid
         self.h_target = h_target
         self.h_partner = h_partner
-        y_off, w = _gaussian_strata(n_strata)
-        self.weights = w
-        self._half_weights = 0.5 * w
+        # the column-major parts are freed before the row-major copy is made
+        self.matrix = self._columns().tocsr()
 
-        z = grid.centers()
-        self._idx_fin = {}
-        self._idx_inf = {}
-        for s in (+1.0, -1.0):
-            mu_s = h_target + s * h_partner
-            y = mu_s + y_off  # (Q,)
-            gpp = -0.5 * (y - (h_target + h_partner)) ** 2
-            gpm = -0.5 * (y - (h_target - h_partner)) ** 2
-            gmp = -0.5 * (y - (-h_target + h_partner)) ** 2
-            gmm = -0.5 * (y - (-h_target - h_partner)) ** 2
-            m = s * z  # (N,) partner message per bin, sign-flipped when it sent -1
-            out = np.logaddexp(gpp[:, None] + m[None, :], gpm[:, None]) - np.logaddexp(
-                gmp[:, None] + m[None, :], gmm[:, None]
-            )
-            self._idx_fin[s] = self._fold(out)
-            out_pinf = 2.0 * h_target * (y - h_partner) if s > 0 else 2.0 * h_target * (y + h_partner)
-            out_ninf = 2.0 * h_target * (y + h_partner) if s > 0 else 2.0 * h_target * (y - h_partner)
-            self._idx_inf[s] = (self._fold(out_pinf), self._fold(out_ninf))
+    def _columns(self) -> csc_matrix:
+        """The operator assembled column block by column block."""
+        y_off, w = _gaussian_strata()
+        half_w = 0.5 * w
+        n = self.grid.n_bins
+        z = self.grid.centers()
+        h_t, h_p = self.h_target, self.h_partner
+
+        # output samples y, (partner bit, stratum, 1), against the bins
+        sign = np.array([1.0, -1.0])[:, None, None]
+        y = h_t + sign * h_p + y_off[None, :, None]
+        gpp = -0.5 * (y - (h_t + h_p)) ** 2
+        gpm = -0.5 * (y - (h_t - h_p)) ** 2
+        gmp = -0.5 * (y - (-h_t + h_p)) ** 2
+        gmm = -0.5 * (y - (-h_t - h_p)) ** 2
+
+        rows, vals, counts = [], [], []  # nonzeros in column-major order
+        for c0 in range(0, n, _FN_CHUNK):
+            m = sign * z[None, None, c0 : c0 + _FN_CHUNK]  # sign-flipped when the partner sent -1
+            llr = np.logaddexp(gpp + m, gpm) - np.logaddexp(gmp + m, gmm)
+            self._add_columns(self._fold(llr), half_w, rows, vals, counts)
+        # partner messages at +inf and -inf meet the sign of the partner's bit
+        llr = 2.0 * h_t * np.concatenate((y - sign * h_p, y + sign * h_p), axis=2)
+        self._add_columns(self._fold(llr), half_w, rows, vals, counts)
+
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        return csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr), shape=(n, n + 2))
 
     def _fold(self, llr: np.ndarray) -> np.ndarray:
         """Nearest-bin indices, out-of-range values clipped to the extreme
         finite bins (saturated messages must stay finite, as in conv_vn)."""
         g = self.grid
         k = np.floor(llr / g.bin_width + 0.5).astype(np.int64)
-        idx = np.clip(k, -g.k_max, g.k_max) + g.center
-        return idx.astype(np.intp)
+        return np.clip(k, -g.k_max, g.k_max) + g.center
+
+    def _add_columns(self, idx, half_w, rows, vals, counts):
+        """Sum the weights that consecutive columns send to output bins idx
+        (2, Q, columns) in a dense block; append its nonzeros."""
+        n = self.grid.n_bins
+        cols = idx.shape[2]
+        keys = idx + n * np.arange(cols)
+        weights = np.broadcast_to(half_w[None, :, None], idx.shape)
+        block = np.bincount(keys.ravel(), weights=weights.ravel(), minlength=cols * n)
+        at = np.flatnonzero(block != 0).astype(np.int32)  # column * n + row
+        rows.append(at % np.int32(n))
+        vals.append(block[at])
+        counts.append(np.diff(np.searchsorted(at, np.arange(cols + 1) * n)))
 
     def apply(self, partner: LlrDensity) -> LlrDensity:
         if partner.grid != self.grid:
             raise ValueError("partner density on wrong grid")
-        n = self.grid.n_bins
-        acc = np.zeros(n + 2)
-        for s in (+1.0, -1.0):
-            vals = self._half_weights[:, None] * partner.mass[None, :]
-            acc += np.bincount(self._idx_fin[s].ravel(), weights=vals.ravel(), minlength=n + 2)
-            ip, im = self._idx_inf[s]
-            if partner.mass_pos_inf:
-                acc += np.bincount(ip, weights=partner.mass_pos_inf * self._half_weights, minlength=n + 2)
-            if partner.mass_neg_inf:
-                acc += np.bincount(im, weights=partner.mass_neg_inf * self._half_weights, minlength=n + 2)
-        return make_density(self.grid, acc[:n], acc[n], acc[n + 1], symmetric=True)
+        x = np.concatenate((partner.mass, (partner.mass_pos_inf, partner.mass_neg_inf)))
+        return make_density(self.grid, self.matrix @ x, symmetric=True)
 
 
 _FN_CACHE: dict[tuple, FnOperator] = {}
 _FN_CACHE_LIMIT = 6
 
 
-def fn_operator(
-    grid: DensityGrid, to_user: int, ch: ChannelPoint, n_strata: int = FN_CENTRAL_STRATA
-) -> FnOperator:
+def fn_operator(grid: DensityGrid, to_user: int, ch: ChannelPoint) -> FnOperator:
     """Cached transform toward user 1 or 2 (they differ unless h1 = h2)."""
     if to_user not in (1, 2):
         raise ValueError("to_user must be 1 or 2")
     h_t, h_p = (ch.h1, ch.h2) if to_user == 1 else (ch.h2, ch.h1)
-    key = (grid, h_t, h_p, n_strata)
+    key = (grid, h_t, h_p)
     op = _FN_CACHE.get(key)
     if op is None:
         if len(_FN_CACHE) >= _FN_CACHE_LIMIT:
             _FN_CACHE.clear()
-        op = FnOperator(grid, h_t, h_p, n_strata)
+        op = FnOperator(grid, h_t, h_p)
         _FN_CACHE[key] = op
     return op
 
 
-def fn_transform(
-    to_user: int, partner_vf: LlrDensity, ch: ChannelPoint, n_strata: int = FN_CENTRAL_STRATA
-) -> LlrDensity:
+def fn_transform(to_user: int, partner_vf: LlrDensity, ch: ChannelPoint) -> LlrDensity:
     """Function-node output L-density for `to_user`, conditioned on it sending +1.
 
     partner_vf is the partner's variable-to-function L-density (conditioned on
     the partner sending +1); the transform itself averages over the partner's
     actual bit.
     """
-    return fn_operator(partner_vf.grid, to_user, ch, n_strata).apply(partner_vf)
+    return fn_operator(partner_vf.grid, to_user, ch).apply(partner_vf)
 
 
 def bawgn_density(grid: DensityGrid, h: float) -> LlrDensity:

@@ -11,7 +11,6 @@ precomputed output-bin table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,93 +211,97 @@ def conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
 # For x, y > 0 the box-plus output is
 #     z = min(x, y) + ln(1 + e^-(x+y)) - ln(1 + e^-|x-y|),
 # so on the grid (x = i*d, y = j*d) the nearest output bin is
-#     out(i, j) = min(i, j) + round(phi(i+j) - phi(|i-j|)),
-# with phi(m) = ln(1 + e^(-m*d)) / d.  Outside a band |i-j| <= W the rounded
-# correction is exactly 0 and the pair contributes to bin min(i, j); those
-# contributions reduce to prefix sums.  Inside the band the output indices are
-# tabulated once per grid.  Signs factor out of the magnitude computation:
-# with p/n the positive/reflected-negative parts of a density, both signed
-# outputs come from two magnitude passes over (p+n) and (p-n).
+#     out(i, j) = max(min(i, j) + round(phi(i+j) - phi(D)), 0),  D = |i-j|,
+# with phi(m) = ln(1 + e^(-m*d)) / d.  Along a diagonal D the rounded
+# correction is non-increasing in i+j and settles to a constant c_D once i+j
+# is large; c_D is non-decreasing in D (it is 0 for every pair beyond the band
+# where phi(D) < 1/2), so the diagonals sharing a c_D are contiguous.  Within
+# such a group, at a fixed smaller index m, the settled diagonals are a run
+# D_lo..D_top(m), and their pairs (in both orders) land on bin
+# max(m + c_D, 0): one row of suffix sums over the partner's bins
+# m+D_lo..m+D_top(m).  Only the pairs that have not settled, and the
+# diagonal D = 0, are tabulated one by one, each pair with its mirror (j, i)
+# on the same bin.  Signs factor out of the magnitude computation: with p/n
+# the positive/reflected-negative parts of a density, both signed outputs
+# come from two magnitude passes over (p+n) and (p-n).
 
 
 class BoxPlusTable:
-    """Per-grid cache for the quantized box-plus reduction."""
+    """Per-grid index tables of the quantized box-plus magnitude pass: the
+    unsettled pairs and the rows of settled diagonal groups, each a gather
+    from [p, q, suffix sums] and an output bin."""
 
     def __init__(self, grid: DensityGrid):
         self.grid = grid
         k = grid.k_max
         d = grid.bin_width
 
-        loaded = self._load_cached(grid)
-        if loaded is not None:
-            self.band_width, self.ii, self.jj, self.oo = loaded
-            return
-
         m = np.arange(0, 2 * k + 1, dtype=np.float64)
         phi = np.log1p(np.exp(-m * d)) / d
-        # smallest W with phi(W+1) < 1/2: beyond it the correction rounds to 0
-        w = int(np.searchsorted(-phi, -0.5, side="right"))  # first phi < 0.5
-        self.band_width = max(w - 1, 0)
+        # the band is D < W, W the first D with phi(D) < 1/2: beyond it every
+        # pair's correction rounds to exactly 0.  It holds at least D = 0.
+        band = min(max(int(np.searchsorted(-phi, -0.5, side="right")), 1), k)
 
-        ii_parts, jj_parts, oo_parts = [], [], []
-        for dd in range(-self.band_width, self.band_width + 1):
-            i = np.arange(max(1, 1 - dd), min(k, k - dd) + 1, dtype=np.int64)
-            if i.size == 0:
-                continue
-            j = i + dd
-            corr = np.floor(phi[i + j] - phi[abs(dd)] + 0.5).astype(np.int64)
-            out = np.minimum(i, j) + corr
-            ii_parts.append(i)
-            jj_parts.append(j)
-            oo_parts.append(np.maximum(out, 0))
-        self.ii = np.concatenate(ii_parts).astype(np.intp)
-        self.jj = np.concatenate(jj_parts).astype(np.intp)
-        self.oo = np.concatenate(oo_parts).astype(np.intp)
-        self._store_cached(grid)
+        # corrections of the band's diagonals, [D, smaller index - 1]
+        dd = np.arange(band)[:, None]
+        mm = np.arange(1, k + 1)[None, :]
+        valid = mm <= k - dd
+        corr = np.floor(phi[np.where(valid, 2 * mm + dd, 0)] - phi[dd] + 0.5).astype(np.int64)
+        settled = np.zeros(k, dtype=np.int64)  # c_D
+        settled[:band] = corr[np.arange(band), k - 1 - np.arange(band)]
+        # first smaller index from which the diagonal stays at c_D; the
+        # diagonal D = 0 is tabulated whole (it has no mirror pairs to share
+        # a row with)
+        first = np.ones(k, dtype=np.int64)
+        first[:band] = np.where(valid & (corr != settled[:band, None]), mm, 0).max(axis=1) + 1
+        first[0] = k + 1
 
-    @staticmethod
-    def _cache_path(grid: DensityGrid):
-        root = os.environ.get("MACSAT_CACHE_DIR")
-        if not root:
-            return None
-        os.makedirs(root, exist_ok=True)
-        tag = f"boxplus_{grid.bin_width:.12g}_{grid.half_range:.12g}.npz"
-        return os.path.join(root, tag)
+        # The magnitude pass gathers from v = [p, q, sq, 0, sp, 0], with sq/sp
+        # the suffix sums (sq[i] = sum_{j>=i} q[j]) and sq[k+1] = sp[k+1] = 0.
+        n = k + 1
+        at_p, at_q, at_sq, at_sp = 0, n, 2 * n, 3 * n + 1
+        zero = at_sq + n
 
-    def _load_cached(self, grid):
-        path = self._cache_path(grid)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            data = np.load(path)
-            return int(data["band_width"]), data["ii"], data["jj"], data["oo"]
-        except Exception:
-            return None
+        # groups: runs of diagonals D >= 1 with one c_D, the band's apart from
+        # the rest.  A diagonal joins the run of a row at m once it and every
+        # diagonal before it in its group have settled; whatever comes earlier
+        # is tabulated.
+        starts = np.flatnonzero(np.diff(settled[1:])) + 2
+        bounds = np.unique(np.concatenate(([1], starts, [band, k])))
+        rows, row_out = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            first[lo:hi] = np.maximum.accumulate(first[lo:hi])
+            rm = np.arange(first[lo], k - lo + 1)
+            top = lo + np.searchsorted(first[lo:hi], rm, side="right")  # D_top + 1
+            end = np.minimum(rm + top, n)
+            rows.append((at_p + rm, at_sq + rm + lo, at_sq + end, at_q + rm, at_sp + rm + lo, at_sp + end))
+            row_out.append(np.maximum(rm + settled[lo], 0))
+        rows = np.concatenate(rows, axis=1) if rows else np.zeros((6, 0), dtype=np.int64)
 
-    def _store_cached(self, grid):
-        path = self._cache_path(grid)
-        if path is None:
-            return
-        try:
-            np.savez_compressed(
-                path, band_width=self.band_width, ii=self.ii, jj=self.jj, oo=self.oo
-            )
-        except OSError:
-            pass
+        # tabulated pair and mirror, p[m] q[m+D] + q[m] p[m+D], on one bin
+        tab = mm < first[:band, None]
+        di, mi = np.nonzero(tab)
+        m_tab = mi + 1
+        mirror = np.where(di > 0, at_p + m_tab + di, zero)
+        pairs = (at_p + m_tab, at_q + m_tab + di, at_q + m_tab, mirror)
+
+        self.n_pairs = m_tab.size
+        self.idx = np.concatenate((np.ravel(pairs), rows.ravel()))
+        self.out = np.concatenate([np.maximum(m_tab + corr[tab], 0)] + row_out)
 
     def magnitude_op(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Bilinear magnitude combine: inputs indexed 1..k (entry 0 ignored),
         output indexed 0..k."""
-        k = self.grid.k_max
-        out = np.bincount(self.oo, weights=p[self.ii] * q[self.jj], minlength=k + 1)
-        # off-band pairs land exactly on the smaller index
-        w = self.band_width
-        sq = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # sq[i] = sum_{j>=i} q[j]
-        sp = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
-        hi = np.arange(1, k + 1) + w + 1
-        hi = np.minimum(hi, k + 1)
-        out[1:] += p[1:] * sq[hi] + q[1:] * sp[hi]
-        return out
+        sq = np.cumsum(q[::-1])[::-1]
+        sp = np.cumsum(p[::-1])[::-1]
+        g = np.concatenate((p, q, sq, [0.0], sp, [0.0]))[self.idx]
+        t = self.n_pairs
+        pair = g[: 4 * t].reshape(4, t)
+        row = g[4 * t :].reshape(6, -1)
+        weights = np.concatenate(
+            (pair[0] * pair[1] + pair[2] * pair[3], row[0] * (row[1] - row[2]) + row[3] * (row[4] - row[5]))
+        )
+        return np.bincount(self.out, weights=weights, minlength=p.size)
 
 
 _BOXPLUS_TABLES: dict[DensityGrid, BoxPlusTable] = {}

@@ -6,7 +6,8 @@ the most direct form, so they are slow and live here rather than in src/.
 
 import numpy as np
 
-from macsat.channel import ChannelPoint, gauss_hermite
+from macsat.channel import ChannelPoint, _gaussian_strata, gauss_hermite
+from macsat.densities import DensityGrid, LlrDensity, make_density
 from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E
 
 
@@ -21,6 +22,82 @@ def boxplus_scalar(x: float, y: float) -> float:
     s = np.sign(x) * np.sign(y)
     ax, ay = abs(x), abs(y)
     return float(s * (min(ax, ay) + np.log1p(np.exp(-(ax + ay))) - np.log1p(np.exp(-abs(ax - ay)))))
+
+
+class BandBoxPlusTable:
+    """Box-plus magnitude pass with every pair of the band |i-j| <= W
+    tabulated, the oracle for the grouped table of `BoxPlusTable`.
+
+    Outside the band the rounded correction is 0 and a pair lands on
+    min(i, j); those pairs are summed with suffix sums.
+    """
+
+    def __init__(self, grid: DensityGrid):
+        self.grid = grid
+        k = grid.k_max
+        d = grid.bin_width
+        m = np.arange(0, 2 * k + 1, dtype=np.float64)
+        phi = np.log1p(np.exp(-m * d)) / d
+        # smallest W with phi(W+1) < 1/2: beyond it the correction rounds to 0
+        w = int(np.searchsorted(-phi, -0.5, side="right"))  # first phi < 0.5
+        self.band_width = max(w - 1, 0)
+
+        ii_parts, jj_parts, oo_parts = [], [], []
+        for dd in range(-self.band_width, self.band_width + 1):
+            i = np.arange(max(1, 1 - dd), min(k, k - dd) + 1, dtype=np.int64)
+            if i.size == 0:
+                continue
+            j = i + dd
+            corr = np.floor(phi[i + j] - phi[abs(dd)] + 0.5).astype(np.int64)
+            ii_parts.append(i)
+            jj_parts.append(j)
+            oo_parts.append(np.maximum(np.minimum(i, j) + corr, 0))
+        self.ii = np.concatenate(ii_parts)
+        self.jj = np.concatenate(jj_parts)
+        self.oo = np.concatenate(oo_parts)
+
+    def magnitude_op(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        k = self.grid.k_max
+        out = np.bincount(self.oo, weights=p[self.ii] * q[self.jj], minlength=k + 1)
+        sq = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # sq[i] = sum_{j>=i} q[j]
+        sp = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
+        hi = np.minimum(np.arange(1, k + 1) + self.band_width + 1, k + 1)
+        out[1:] += p[1:] * sq[hi] + q[1:] * sp[hi]
+        return out
+
+
+def scatter_fn_apply(grid: DensityGrid, h_target: float, h_partner: float, partner: LlrDensity) -> LlrDensity:
+    """Function-node transform as a weighted scatter of every (partner bit,
+    stratum, partner bin) triple into its output bin, the oracle for the
+    sparse matrix of `FnOperator`."""
+    y_off, w = _gaussian_strata()
+    half_w = 0.5 * w
+    n = grid.n_bins
+
+    def fold(llr):
+        k = np.floor(llr / grid.bin_width + 0.5).astype(np.int64)
+        return np.clip(k, -grid.k_max, grid.k_max) + grid.center
+
+    z = grid.centers()
+    acc = np.zeros(n)
+    for s in (+1.0, -1.0):
+        y = h_target + s * h_partner + y_off
+        gpp = -0.5 * (y - (h_target + h_partner)) ** 2
+        gpm = -0.5 * (y - (h_target - h_partner)) ** 2
+        gmp = -0.5 * (y - (-h_target + h_partner)) ** 2
+        gmm = -0.5 * (y - (-h_target - h_partner)) ** 2
+        m = s * z  # partner message per bin, sign-flipped when it sent -1
+        out = np.logaddexp(gpp[:, None] + m[None, :], gpm[:, None]) - np.logaddexp(
+            gmp[:, None] + m[None, :], gmm[:, None]
+        )
+        vals = half_w[:, None] * partner.mass[None, :]
+        acc += np.bincount(fold(out).ravel(), weights=vals.ravel(), minlength=n)
+        # a partner message at +-inf meets the sign of the partner's bit
+        at_pos = 2.0 * h_target * (y - s * h_partner)
+        at_neg = 2.0 * h_target * (y + s * h_partner)
+        acc += np.bincount(fold(at_pos), weights=partner.mass_pos_inf * half_w, minlength=n)
+        acc += np.bincount(fold(at_neg), weights=partner.mass_neg_inf * half_w, minlength=n)
+    return make_density(grid, acc, symmetric=True)
 
 
 def lift(u: float, v: float) -> np.ndarray:

@@ -17,7 +17,9 @@ from macsat.channel import (
     nu,
 )
 from macsat.densities import (
+    DensityGrid,
     delta_inf,
+    delta_neg_inf,
     delta_zero,
     entropy,
     error_prob,
@@ -29,6 +31,7 @@ from macsat.gexit import map_boundary
 from macsat.jointde import bp_acpr
 
 from conftest import random_density
+from oracles import scatter_fn_apply
 
 
 def kolmogorov(a, b) -> float:
@@ -145,6 +148,34 @@ class TestFnTransform:
         np.testing.assert_allclose(
             op.apply(partner).mass, fn_transform(1, partner, ch).mass, atol=1e-14
         )
+
+
+class TestFnOperator:
+    # A = 2 puts h2 > h1: many strata then map to a decreasing output bin
+    POINTS = (ChannelPoint(1.68, 1.0), ChannelPoint(0.9, 2.0))
+
+    @pytest.mark.parametrize("bins", [513, 2049])
+    def test_matches_scatter(self, bins):
+        grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
+        rng = np.random.default_rng(bins)
+        partners = [random_density(grid, rng, inf_mass=0.3) for _ in range(2)]
+        partners += [delta_inf(grid), delta_neg_inf(grid)]
+        for ch in self.POINTS:
+            for h_t, h_p in ((ch.h1, ch.h2), (ch.h2, ch.h1)):
+                op = FnOperator(grid, h_t, h_p)
+                for partner in partners:
+                    got = op.apply(partner)
+                    ref = scatter_fn_apply(grid, h_t, h_p, partner)
+                    assert np.abs(got.mass - ref.mass).max() <= 1e-12 * np.abs(ref.mass).max()
+                    assert got.mass_pos_inf == got.mass_neg_inf == 0.0
+
+    def test_columns_sum_to_one(self, coarse_grid):
+        for ch in self.POINTS + (ChannelPoint(0.0, 1.0), ChannelPoint(2.5, 0.0)):
+            for h_t, h_p in ((ch.h1, ch.h2), (ch.h2, ch.h1)):
+                op = FnOperator(coarse_grid, h_t, h_p)
+                assert op.matrix.shape == (coarse_grid.n_bins, coarse_grid.n_bins + 2)
+                col_sums = np.asarray(op.matrix.sum(axis=0)).ravel()
+                assert np.abs(col_sums - 1.0).max() <= 1e-14
 
 
 class TestMutualInfos:

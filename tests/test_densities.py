@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from macsat.densities import (
+    BoxPlusTable,
     DensityGrid,
     GridMismatchError,
     conv_cn,
@@ -23,7 +24,7 @@ from macsat.densities import (
 )
 
 from conftest import random_density
-from oracles import boxplus_scalar
+from oracles import BandBoxPlusTable, boxplus_scalar
 
 
 class TestGrid:
@@ -140,6 +141,46 @@ class TestConvCn:
         np.testing.assert_allclose(
             out.mass, ref / (a.mass.sum() * b.mass.sum()), atol=1e-12
         )
+
+
+def max_rel_diff(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestBoxPlusTable:
+    @pytest.mark.parametrize("bins", [513, 2049])
+    def test_matches_band_table(self, bins):
+        # random signed inputs, as in the (p - n) pass
+        grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
+        tab, ref = BoxPlusTable(grid), BandBoxPlusTable(grid)
+        rng = np.random.default_rng(bins)
+        for _ in range(4):
+            p = rng.standard_normal(grid.k_max + 1)
+            q = rng.standard_normal(grid.k_max + 1)
+            assert max_rel_diff(tab.magnitude_op(p, q), ref.magnitude_op(p, q)) <= 1e-12
+        # nonnegative inputs, as in the (p + n) pass
+        p, q = rng.random(grid.k_max + 1), rng.random(grid.k_max + 1)
+        assert max_rel_diff(tab.magnitude_op(p, q), ref.magnitude_op(p, q)) <= 1e-12
+
+    @pytest.mark.parametrize("bin_width", [2.0, 0.25, 30.0 / 256.0, 30.0 / 1024.0])
+    def test_every_pair_counted_once(self, bin_width):
+        grid = DensityGrid(bin_width=bin_width, half_range=30.0)
+        k = grid.k_max
+        ones = np.ones(k + 1)
+        assert BoxPlusTable(grid).magnitude_op(ones, ones).sum() == k * k
+
+    @pytest.mark.parametrize("bin_width, half_range", [(0.25, 8.0), (0.05, 2.0)])
+    def test_pairs_match_scalar_boxplus(self, bin_width, half_range):
+        grid = DensityGrid(bin_width=bin_width, half_range=half_range)
+        tab = BoxPlusTable(grid)
+        k, d = grid.k_max, grid.bin_width
+        eye = np.eye(k + 1)
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                out = tab.magnitude_op(eye[i], eye[j])
+                want = max(int(np.floor(boxplus_scalar(i * d, j * d) / d + 0.5)), 0)
+                assert np.flatnonzero(out).tolist() == [want]
+                assert out[want] == 1.0
 
 
 class TestAlgebraProperties:
