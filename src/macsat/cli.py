@@ -159,6 +159,15 @@ def _nonnegative(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """argparse type of --tol and --step: a float > 0 (a bisection or sweep
+    with a zero or negative step would never end)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
 def _lattice(args, grid: DensityGrid) -> int:
     if args.lattice < 1 or grid.k_max % args.lattice:
         raise ConfigError(f"lattice {args.lattice} must divide the grid half-width {grid.k_max}")
@@ -364,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="BP threshold of an uncoupled ensemble")
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--ratio", type=_nonnegative, default=1.0, help="A = h2/h1")
-    p.add_argument("--tol", type=float, default=5e-3)
+    p.add_argument("--tol", type=_positive, default=5e-3)
     p.add_argument("--genie", action="store_true", help="pin the partner to +inf (single-user)")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("coupled-threshold", help="BP threshold of an (l,r,L,w) ensemble")
     p.add_argument("--ensemble", required=True, help="file or l,r,L,w")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
-    p.add_argument("--tol", type=float, default=5e-3)
+    p.add_argument("--tol", type=_positive, default=5e-3)
     p.add_argument("--profile-out", help="also write a per-position entropy profile CSV")
     p.add_argument(
         "--profile-alpha", type=_nonnegative, default=None, help="alpha for the profile run"
@@ -382,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", default="0.5,0.5")
     p.add_argument("--rays", type=int, default=None, help="number of rays")
     p.add_argument("--ray-list", help="explicit comma-separated ratios")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_positive, default=1e-4)
     p.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
     p.set_defaults(func=cmd_capacity)
 
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--rays", type=int, default=None)
     p.add_argument("--ray-list")
-    p.add_argument("--tol", type=float, default=5e-3)
+    p.add_argument("--tol", type=_positive, default=5e-3)
     p.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
     p.set_defaults(func=cmd_acpr)
 
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--ray-list", help="emit the MAP boundary over these rays as CSV")
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=_positive, default=0.01)
     p.add_argument("--lattice", type=int, default=128)
     p.set_defaults(func=cmd_map_bound)
 

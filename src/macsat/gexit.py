@@ -52,14 +52,87 @@ def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float, fl
     return mass, dens.mass_pos_inf, dens.mass_neg_inf
 
 
+LATTICE_BLOCK_ENTRIES = 1 << 17  # softplus scratch per block of nodes: 1 MB
+
+
+def _symbol_kernel(x: int, vals: np.ndarray, ch: ChannelPoint, order: int) -> np.ndarray:
+    """kappa_x on the lattice `vals` (rows u, columns v), factorized per node.
+
+    With g_j = -(y_q - mu_j)^2 / 2 at node q, the posterior log-sum-exp is
+    LSE(u+v+g0, u+g1, v+g2, g3) = L2(v) + softplus(u + D(v)), where
+    L1(v) = LSE(v+g0, g1), L2(v) = LSE(v+g2, g3) and D = L1 - L2 are 1-D.
+    The node coefficients c_q sum to zero (symmetric nodes), so max(u, 0)
+    and max(v, 0) are subtracted from every term; for u >= 0 the 2-D part
+    softplus(u+D) - u is then D + softplus(-(u+D)), and no term carries the
+    +/-INF_LLR sentinels.  The only n x n work per node is one softplus.
+    """
+    y_off, w = gauss_hermite(order)
+    mu = ch.means()
+    c = w * y_off * ch.slopes()[x] * LOG2E
+    keep = c != 0.0
+    c = c[keep]
+    y = mu[x] + y_off[keep]
+    g = -0.5 * (y[:, None] - mu[None, :]) ** 2  # (Q, 4)
+
+    m = np.maximum(vals, 0.0)
+    v_m = vals - m
+    l1 = np.logaddexp(v_m + g[:, 0:1], g[:, 1:2] - m)  # L1 - max(v, 0), (Q, n)
+    l2 = np.logaddexp(v_m + g[:, 2:3], g[:, 3:4] - m)
+    d = l1 - l2
+
+    # rows in sign order: u < 0 first (softplus(u + D)), then u >= 0
+    # (softplus(-u - D) plus the 1-D term D)
+    nonneg = vals >= 0.0
+    perm = np.concatenate((np.flatnonzero(~nonneg), np.flatnonzero(nonneg)))
+    n_neg = int(np.count_nonzero(~nonneg))
+    u_neg = vals[perm[:n_neg]][None, :, None]
+    u_pos = -vals[perm[n_neg:]][None, :, None]
+
+    n = vals.size
+    acc = np.zeros(n * n)
+    block = max(1, LATTICE_BLOCK_ENTRIES // (n * n))
+    z = np.empty((block, n, n))
+    t = np.empty_like(z)
+    for q0 in range(0, c.size, block):
+        dq = d[q0 : q0 + block, None, :]
+        zb, tb = z[: dq.shape[0]], t[: dq.shape[0]]
+        np.add(u_neg, dq, out=zb[:, :n_neg])
+        np.subtract(u_pos, dq, out=zb[:, n_neg:])
+        # softplus(z) = max(z, 0) + log1p(exp(-|z|)); these vectorised passes
+        # run several times faster than np.logaddexp(0, z)
+        np.abs(zb, out=tb)
+        np.negative(tb, out=tb)
+        np.exp(tb, out=tb)
+        np.log1p(tb, out=tb)
+        np.maximum(zb, 0.0, out=zb)
+        zb += tb
+        acc += c[q0 : q0 + block] @ zb.reshape(-1, n * n)
+
+    kappa = np.empty((n, n))
+    kappa[perm] = acc.reshape(n, n)
+    kappa += c @ (l2 - g[:, x : x + 1])
+    kappa[nonneg] += c @ d
+    return kappa
+
+
 class KernelLattice:
     """kappa_x tabulated on a coarse (u, v) lattice for one channel point.
 
     The lattice is the density grid decimated to `bins` half-width plus two
-    sentinel rows/columns for the +/-inf point masses.  Building costs
-    order * (bins+2)^2 per symbol; evaluating a fixed point is then a single
-    bilinear form per symbol, so tracing many fixed points at one channel
-    (fixed-entropy DE, curve refinement) reuses the expensive part.
+    sentinel rows/columns for the +/-inf point masses.  Per symbol the build
+    costs one softplus per lattice entry and Gauss-Hermite node, summed over
+    the nodes in blocks by a matrix product (`_symbol_kernel`); everything
+    else is 1-D in v.  Evaluating a fixed point is then a bilinear form, so
+    tracing many fixed points at one channel (fixed-entropy DE, curve
+    refinement) reuses the expensive part.
+
+    Only two symbols are built.  Negating both bits negates every channel
+    mean and slope, so with R the reflection (finite bins reversed, +inf and
+    -inf swapped) kappa_3 = R kappa_0 R and kappa_2 = R kappa_1 R.  The
+    reflections of the densities for those symbols cancel against them, and
+    the four-symbol average is 0.5 (a' kappa_0 b + a' kappa_1 R b).  On the
+    symmetric ray (ratio 1) the slope of symbol 1 and so kappa_1 vanish, and
+    kappa_1 is None.
     """
 
     def __init__(
@@ -76,45 +149,22 @@ class KernelLattice:
         self.coarse = DensityGrid(grid.bin_width * (grid.k_max // bins), grid.half_range)
         vals = np.concatenate((self.coarse.centers(), [INF_LLR, -INF_LLR]))
         self.n = vals.size
+        self.kappa0 = _symbol_kernel(0, vals, ch, order)
+        self.kappa1 = _symbol_kernel(1, vals, ch, order) if ch.slopes()[1] != 0.0 else None
 
-        y_off, w = gauss_hermite(order)
-        mu = ch.means()
-        s = ch.slopes()
-        self.kappa = np.zeros((4, self.n, self.n))
-        uu = vals[:, None]
-        vv = vals[None, :]
-        for x in range(4):
-            y = mu[x] + y_off
-            g = -0.5 * (y[:, None] - mu[None, :]) ** 2  # (Q, 4)
-            acc = np.zeros((self.n, self.n))
-            cq = w * y_off * s[x] * LOG2E
-            for q in range(y.size):
-                if cq[q] == 0.0:
-                    continue
-                lse = np.logaddexp(
-                    np.logaddexp(uu + vv + g[q, 0], uu + g[q, 1]),
-                    np.logaddexp(vv + g[q, 2], g[q, 3]),
-                )
-                acc += cq[q] * (lse - g[q, x])
-            self.kappa[x] = acc
-
-    def _vector(self, dens: LlrDensity, reflect: bool) -> np.ndarray:
+    def _vector(self, dens: LlrDensity) -> np.ndarray:
         mass, pinf, ninf = _rebin(dens, self.coarse)
-        if reflect:
-            mass = mass[::-1]
-            pinf, ninf = ninf, pinf
         return np.concatenate((mass, [pinf, ninf]))
 
     def value(self, u_dens: LlrDensity, v_dens: LlrDensity) -> float:
         """BP-GEXIT value for extrinsic variable-to-function densities."""
-        from .channel import PI1, PI2
-
-        total = 0.0
-        for x in range(4):
-            au = self._vector(u_dens, PI1[x] < 0)
-            bv = self._vector(v_dens, PI2[x] < 0)
-            total += 0.25 * float(au @ self.kappa[x] @ bv)
-        return total
+        a = self._vector(u_dens)
+        b = self._vector(v_dens)
+        total = a @ self.kappa0 @ b
+        if self.kappa1 is not None:
+            rb = np.concatenate((b[-3::-1], b[:-3:-1]))  # R b
+            total += a @ self.kappa1 @ rb
+        return 0.5 * float(total)
 
 
 _LATTICE_CACHE: dict[tuple, KernelLattice] = {}

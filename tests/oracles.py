@@ -6,9 +6,9 @@ the most direct form, so they are slow and live here rather than in src/.
 
 import numpy as np
 
-from macsat.channel import ChannelPoint, _gaussian_strata, gauss_hermite
+from macsat.channel import PI1, PI2, ChannelPoint, _gaussian_strata, gauss_hermite
 from macsat.densities import DensityGrid, LlrDensity, make_density
-from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E
+from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E, _rebin
 
 
 def boxplus_scalar(x: float, y: float) -> float:
@@ -130,3 +130,49 @@ def gexit_kernel(x: int, u: float, v: float, ch: ChannelPoint, order: int = KERN
     log_z = np.logaddexp(0.0, uu) + np.logaddexp(0.0, vv)
     integrand = (lse - log_z - g[:, x]) * LOG2E
     return float((w * y_off * s[x]) @ integrand)
+
+
+def loop_kernel_lattice(ch: ChannelPoint, grid: DensityGrid, bins: int, order: int = KERNEL_ORDER):
+    """kappa_x for all four symbols on the lattice of `KernelLattice`, one
+    Gauss-Hermite node at a time with the log-sum-exp written out, the oracle
+    for the factorized build.  Returns the (4, n, n) array and the coarse grid."""
+    coarse = DensityGrid(grid.bin_width * (grid.k_max // bins), grid.half_range)
+    vals = np.concatenate((coarse.centers(), [INF_LLR, -INF_LLR]))
+    n = vals.size
+    y_off, w = gauss_hermite(order)
+    mu = ch.means()
+    s = ch.slopes()
+    kappa = np.zeros((4, n, n))
+    uu = vals[:, None]
+    vv = vals[None, :]
+    for x in range(4):
+        y = mu[x] + y_off
+        g = -0.5 * (y[:, None] - mu[None, :]) ** 2  # (Q, 4)
+        cq = w * y_off * s[x] * LOG2E
+        for q in range(y.size):
+            if cq[q] == 0.0:
+                continue
+            lse = np.logaddexp(
+                np.logaddexp(uu + vv + g[q, 0], uu + g[q, 1]),
+                np.logaddexp(vv + g[q, 2], g[q, 3]),
+            )
+            kappa[x] += cq[q] * (lse - g[q, x])
+    return kappa, coarse
+
+
+def four_symbol_value(kappa, coarse: DensityGrid, u_dens: LlrDensity, v_dens: LlrDensity) -> float:
+    """GEXIT value as the average of the four per-symbol bilinear forms, each
+    density rebinned and reflected (finite bins reversed, +-inf swapped) where
+    the symbol's bit is -1."""
+
+    def vector(dens, reflect):
+        mass, pinf, ninf = _rebin(dens, coarse)
+        if reflect:
+            mass = mass[::-1]
+            pinf, ninf = ninf, pinf
+        return np.concatenate((mass, [pinf, ninf]))
+
+    total = 0.0
+    for x in range(4):
+        total += 0.25 * float(vector(u_dens, PI1[x] < 0) @ kappa[x] @ vector(v_dens, PI2[x] < 0))
+    return total

@@ -240,7 +240,8 @@ class TestCriterion6:
         # capacity boundary mirrors across the diagonal for the equal-rate pair
         a = mac_acpr_point((0.5, 0.5), 0.6)
         b = mac_acpr_point((0.5, 0.5), 1 / 0.6)
-        mac_ok = abs(a - 0.6 * b) <= 2e-3  # (h1,h2) of one ray = (h2,h1) of the other
+        # mirrored points: (a, 0.6 a) vs (b, b/0.6) -> b = 0.6 a
+        mac_ok = abs(b - 0.6 * a) <= 2e-3
 
         res1 = bp_threshold(regular(3, 6), 0.7, tol=8e-3, grid=GRID_SMALL, bracket=(1.0, 3.2))
         res2 = bp_threshold(regular(3, 6), 1 / 0.7, tol=8e-3, grid=GRID_SMALL, bracket=(1.0, 3.2))
@@ -250,7 +251,7 @@ class TestCriterion6:
         announce(
             "6c (mirror symmetry)",
             ok,
-            f"mac |{a:.4f} - 0.6*{b:.4f}| <= 2e-3; "
+            f"mac |{b:.4f} - 0.6*{a:.4f}| <= 2e-3; "
             f"bp |{res1.alpha:.4f} - {res2.alpha:.4f}/0.7| <= 0.03",
         )
 

@@ -217,8 +217,24 @@ class TestExitCodes:
             ["coupled-threshold", "--ensemble", "3,6,4,2", "--ratio", "-1"],
             ["simulate", "--alpha", "1.9", "--ratio", "-1"],
             ["capacity", "--rates", "1.5,0.5"],
+            # a bisection or sweep step <= 0 would never end (or raise)
+            ["threshold", "--tol", "0"],
+            ["threshold", "--tol", "-1"],
+            ["threshold", "--tol", "nan"],
+            ["coupled-threshold", "--ensemble", "3,6,4,2", "--tol", "0"],
+            ["capacity", "--tol", "0"],
+            ["acpr", "--tol", "-0.5"],
+            ["map-bound", "--step", "0"],
+            ["map-bound", "--step", "-0.1"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):
         assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [("threshold", "tol"), ("map-bound", "step")])
+    def test_nonpositive_step_in_config_is_config_error(self, command, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}=0\n")
+        assert main([command, "--config", str(cfg)]) == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -5,6 +5,9 @@ from macsat.channel import ChannelPoint, gauss_hermite, nu
 from macsat.densities import DensityGrid, delta_zero, entropy, make_density
 from macsat.ensembles import regular
 from macsat.gexit import (
+    INF_LLR,
+    KERNEL_ORDER,
+    LOG2E,
     GexitCurve,
     KernelLattice,
     MapBoundError,
@@ -15,7 +18,8 @@ from macsat.gexit import (
 )
 from macsat.jointde import DeFixedPoint, de_iterate, de_run, DeState
 
-from oracles import gexit_kernel, lift
+from conftest import random_density
+from oracles import four_symbol_value, gexit_kernel, lift, loop_kernel_lattice
 
 ENS36 = regular(3, 6)
 
@@ -66,6 +70,118 @@ class TestKernel:
             b = gexit_kernel(swap[x], -0.4, 1.3, ch_swap)
             # alpha' = 0.7 alpha along the same ray, so kappa = 0.7 kappa'
             assert a == pytest.approx(0.7 * b, rel=1e-5, abs=1e-9)
+
+
+def _lattice_grid(n_bins: int) -> DensityGrid:
+    return DensityGrid(60.0 / (n_bins - 1), 30.0)
+
+
+def _reflection(n: int) -> np.ndarray:
+    """Index map of R: finite lattice bins reversed, +inf and -inf swapped."""
+    return np.concatenate((np.arange(n - 3, -1, -1), [n - 1, n - 2]))
+
+
+def _loop_rounding(ch: ChannelPoint, x: int) -> float:
+    """Rounding the loop oracle carries into its sentinel rows and columns:
+    it sums terms as large as 2 INF_LLR with weights c_q, so each loses up to
+    2 INF_LLR eps |c_q| (the factorized build keeps them O(1))."""
+    y_off, w = gauss_hermite(KERNEL_ORDER)
+    return 2.0 * INF_LLR * np.finfo(float).eps * LOG2E * float(np.abs(w * y_off * ch.slopes()[x]).sum())
+
+
+def _assert_matches_loop(got, ref, scale: float, rounding: float):
+    """Finite block within 1e-12 * scale; the sentinel rows and columns, where
+    the reference itself is off by up to `rounding`, within that more."""
+    err = np.abs(got - ref)
+    assert err[:-2, :-2].max() <= 1e-12 * scale
+    assert err.max() <= 1e-12 * scale + rounding
+
+
+LATTICE_CHANNELS = [(a, alpha) for a in (0.5, 1.0, 2.0) for alpha in (0.05, 1.3, 4.0)]
+
+
+class TestKernelLattice:
+    """The factorized two-symbol lattice against the four-symbol loop."""
+
+    @pytest.mark.parametrize("n_bins,bins", [(129, 16), (513, 64)])
+    @pytest.mark.parametrize("ratio,alpha", LATTICE_CHANNELS)
+    def test_matches_loop_oracle(self, n_bins, bins, ratio, alpha):
+        ch = ChannelPoint(alpha, ratio)
+        grid = _lattice_grid(n_bins)
+        lat = KernelLattice(ch, grid, bins)
+        ref, _ = loop_kernel_lattice(ch, grid, bins)
+        scale = np.abs(ref).max()
+        _assert_matches_loop(lat.kappa0, ref[0], scale, _loop_rounding(ch, 0))
+        if ratio == 1.0:
+            assert lat.kappa1 is None and not ref[1].any()
+        else:
+            _assert_matches_loop(lat.kappa1, ref[1], scale, _loop_rounding(ch, 1))
+
+    @pytest.mark.parametrize("ratio,alpha", LATTICE_CHANNELS)
+    def test_flip_identity_on_oracle(self, ratio, alpha):
+        # negating both bits negates every mean and slope: kappa_3 = R kappa_0 R
+        # and kappa_2 = R kappa_1 R, which lets the lattice build two symbols
+        ch = ChannelPoint(alpha, ratio)
+        ref, _ = loop_kernel_lattice(ch, _lattice_grid(129), 16)
+        r = _reflection(ref.shape[1])
+        scale = np.abs(ref).max()
+        for x, y in ((3, 0), (2, 1)):
+            rounding = _loop_rounding(ch, x) + _loop_rounding(ch, y)
+            _assert_matches_loop(ref[x], ref[y][np.ix_(r, r)], scale, rounding)
+
+    @pytest.mark.parametrize("ratio,alpha", LATTICE_CHANNELS)
+    def test_value_matches_four_symbol_sum(self, ratio, alpha):
+        rng = np.random.default_rng(11)
+        ch = ChannelPoint(alpha, ratio)
+        grid = _lattice_grid(129)
+        lat = KernelLattice(ch, grid, 16)
+        ref, coarse = loop_kernel_lattice(ch, grid, 16)
+        for _ in range(4):
+            a = random_density(grid, rng, inf_mass=0.3)
+            b = random_density(grid, rng, inf_mass=0.3)
+            assert abs(lat.value(a, b) - four_symbol_value(ref, coarse, a, b)) <= 1e-13
+
+    @pytest.mark.parametrize("ratio,alpha", LATTICE_CHANNELS)
+    def test_perfect_knowledge_corner(self, ratio, alpha):
+        lat = KernelLattice(ChannelPoint(alpha, ratio), _lattice_grid(129), 16)
+        n = lat.n
+        assert abs(lat.kappa0[n - 2, n - 2]) <= 1e-14  # kappa_0(+inf, +inf)
+
+    def test_sentinel_entries_against_extended_precision(self):
+        # the loop oracle is off by ~1e-13 on the sentinel lines; 50-digit
+        # arithmetic on the same nodes pins the factorized entries to ~1e-16
+        mp = pytest.importorskip("mpmath")
+        ch = ChannelPoint(0.05, 0.5)
+        lat = KernelLattice(ch, _lattice_grid(129), 16)
+        vals = np.concatenate((lat.coarse.centers(), [INF_LLR, -INF_LLR]))
+        y_off, w = gauss_hermite(KERNEL_ORDER)
+        mu = [mp.mpf(m) for m in ch.means()]
+
+        def exact(x, u, v):
+            total = mp.mpf(0)
+            for yq, wq in zip(y_off, w):
+                y = mu[x] + mp.mpf(yq)
+                g = [-((y - m) ** 2) / 2 for m in mu]
+                lse = mp.log(mp.exp(u + v + g[0]) + mp.exp(u + g[1]) + mp.exp(v + g[2]) + mp.exp(g[3]))
+                total += mp.mpf(wq) * mp.mpf(yq) * (lse - g[x])
+            return float(total * mp.mpf(ch.slopes()[x]) / mp.log(2))
+
+        n = lat.n
+        with mp.workdps(50):
+            for i, j in ((n - 2, n - 2), (n - 1, n - 1), (n - 2, n - 1), (0, n - 2), (n - 1, 5), (7, 9)):
+                for x, kappa in ((0, lat.kappa0), (1, lat.kappa1)):
+                    ref = exact(x, mp.mpf(vals[i]), mp.mpf(vals[j]))
+                    assert abs(kappa[i, j] - ref) <= 1e-14
+
+    @pytest.mark.slow
+    def test_matches_loop_oracle_default_lattice(self):
+        ch = ChannelPoint(1.3, 2.0)
+        grid = _lattice_grid(2049)
+        lat = KernelLattice(ch, grid, 128)
+        ref, _ = loop_kernel_lattice(ch, grid, 128)
+        scale = np.abs(ref).max()
+        _assert_matches_loop(lat.kappa0, ref[0], scale, _loop_rounding(ch, 0))
+        _assert_matches_loop(lat.kappa1, ref[1], scale, _loop_rounding(ch, 1))
 
 
 class TestGexitValue:

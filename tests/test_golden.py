@@ -3,11 +3,14 @@ reproduce the committed bytes under tests/golden/ exactly.
 
 The files hold serial (--jobs 1) output, so the --jobs 2 sweeps are compared
 against the same bytes.  Regenerate them only when a change of output is
-intended, with
+intended, and only the cases whose output changed, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
+
+(no names regenerates every case).
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,8 +80,24 @@ def test_two_jobs_match_serial(name, tmp_path):
     assert run_case(name, tmp_path / name, ["--jobs", "2"]) == (GOLDEN / name).read_bytes()
 
 
-if __name__ == "__main__":
+def regenerate(names) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
+        print(f"valid cases: {', '.join(CASES)}", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
-        run_case(case, GOLDEN / case)
-        print("wrote", GOLDEN / case)
+    for name in names or CASES:
+        run_case(name, GOLDEN / name)
+        print("wrote", GOLDEN / name)
+    return 0
+
+
+def test_regenerate_rejects_unknown_name(capsys):
+    assert regenerate(["no_such_case.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "no_such_case.csv" in err and "threshold_A1.json" in err
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))
