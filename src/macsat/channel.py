@@ -110,19 +110,26 @@ def _gaussian_strata(n_central: int = FN_CENTRAL_STRATA, n_tail: int = FN_TAIL_S
     return ndtri(mid), np.diff(bounds)
 
 
+def fn_llr(y, m, h_t: float, h_p: float):
+    """Function-node output LLR toward the target user for channel output y
+    and partner message m: log[(nu_pp e^m + nu_pm) / (nu_mp e^m + nu_mm)],
+    nu_ab the Gaussian at mean a*h_t + b*h_p (its common factor cancels)."""
+    gpp = -0.5 * (y - (h_t + h_p)) ** 2
+    gpm = -0.5 * (y - (h_t - h_p)) ** 2
+    gmp = -0.5 * (y - (-h_t + h_p)) ** 2
+    gmm = -0.5 * (y - (-h_t - h_p)) ** 2
+    return np.logaddexp(gpp + m, gpm) - np.logaddexp(gmp + m, gmm)
+
+
 class FnOperator:
     """Precomputed function-node transform toward one user at a fixed channel.
 
     The transform maps the partner's variable-to-function L-density to the
     L-density of the function-to-variable message for the target user,
     averaging over the partner's bit (type one-half) and the channel output.
-    The output LLR for partner message m and output y is
-
-        log[(nu_pp(y) e^m + nu_pm(y)) / (nu_mp(y) e^m + nu_mm(y))]
-
-    with nu_ab the Gaussian at mean a*h_t + b*h_p.  The channel output is
-    integrated over a stratified partition of its Gaussian law (exact stratum
-    masses, one representative quantile each).  Each (partner bit, stratum)
+    The output LLR for partner message m and output y is `fn_llr`.  The
+    channel output is integrated over a stratified partition of its Gaussian
+    law (exact stratum masses, one representative quantile each).  Each (partner bit, stratum)
     pair moves half the stratum's mass of a partner bin to one output bin, so
     the transform is linear: a sparse n x (n+2) matrix that depends only on
     (grid, h_t, h_p).  Its columns are the partner's finite bins, then +inf
@@ -136,8 +143,10 @@ class FnOperator:
         self.grid = grid
         self.h_target = h_target
         self.h_partner = h_partner
-        # the column-major parts are freed before the row-major copy is made
-        self.matrix = self._columns().tocsr()
+        # kept column-major as assembled: a row-major copy briefly holds the
+        # matrix twice, and where those copies land moved the peak memory of
+        # a threshold search from run to run; both sum in column order
+        self.matrix = self._columns()
 
     def _columns(self) -> csc_matrix:
         """The operator assembled column block by column block."""
@@ -150,16 +159,11 @@ class FnOperator:
         # output samples y, (partner bit, stratum, 1), against the bins
         sign = np.array([1.0, -1.0])[:, None, None]
         y = h_t + sign * h_p + y_off[None, :, None]
-        gpp = -0.5 * (y - (h_t + h_p)) ** 2
-        gpm = -0.5 * (y - (h_t - h_p)) ** 2
-        gmp = -0.5 * (y - (-h_t + h_p)) ** 2
-        gmm = -0.5 * (y - (-h_t - h_p)) ** 2
 
         rows, vals, counts = [], [], []  # nonzeros in column-major order
         for c0 in range(0, n, _FN_CHUNK):
             m = sign * z[None, None, c0 : c0 + _FN_CHUNK]  # sign-flipped when the partner sent -1
-            llr = np.logaddexp(gpp + m, gpm) - np.logaddexp(gmp + m, gmm)
-            self._add_columns(self._fold(llr), half_w, rows, vals, counts)
+            self._add_columns(self._fold(fn_llr(y, m, h_t, h_p)), half_w, rows, vals, counts)
         # partner messages at +inf and -inf meet the sign of the partner's bit
         llr = 2.0 * h_t * np.concatenate((y - sign * h_p, y + sign * h_p), axis=2)
         self._add_columns(self._fold(llr), half_w, rows, vals, counts)
@@ -191,7 +195,7 @@ class FnOperator:
         if partner.grid != self.grid:
             raise ValueError("partner density on wrong grid")
         x = np.concatenate((partner.mass, (partner.mass_pos_inf, partner.mass_neg_inf)))
-        return make_density(self.grid, self.matrix @ x, symmetric=True)
+        return make_density(self.grid, self.matrix @ x)
 
 
 _FN_CACHE: dict[tuple, FnOperator] = {}
@@ -237,7 +241,7 @@ def bawgn_density(grid: DensityGrid, h: float) -> LlrDensity:
     mass = np.diff(cdf)
     mass[-1] += 1.0 - cdf[-1]  # clip tails into the extreme bins
     mass[0] += cdf[0]
-    return make_density(grid, mass, symmetric=True)
+    return make_density(grid, mass)
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,24 @@ Positions run over [-L, L]; densities outside are pinned to the +inf delta
 
 with the double-window operators
 
-    g     = ( (1/w) sum_j ( (1/w) sum_k x_{i+j-k} )^{boxplus(r-1)} )^{*(l-1)}
-    Gamma = same inner part, outer power l,
+    t_i   = (1/w) sum_j ( (1/w) sum_k x_{i+j-k} )^{boxplus(r-1)}
+    g     = t_i^{*(l-1)},   Gamma = t_i^{*l}
 
 and symmetrically for b.  All positions update from the previous state
 (Jacobi), matching the displayed recursion.
 
-The per-position updates are pure functions of their input windows, so the
+One engine runs the recursion over a fold of the chain: positions -L..L of
+both users or, on the symmetric ray (A = 1, equal codes, symmetric start),
+positions 0..L of user 1 read through p -> |p| with the user as its own
+partner, since b = a and a_{-i} = a_i hold there (the user-exchange
+reduction of uncoupled DE together with spatial mirror symmetry).  The
+per-position updates are pure functions of their input windows, so the
 engine memoizes them: positions whose windows did not change since the last
-iteration (the decoded region behind the wave and the inert bulk ahead of it)
-are skipped bit-exactly.  On the symmetric ray (A = 1, equal codes, symmetric
-start) the user-exchange reduction of uncoupled DE applies here too, together
-with spatial mirror symmetry, so the engine evolves only positions 0..L of one
-user.  Runs and thresholds use the halting rule and threshold search of
-`jointde`.
+iteration (the decoded region behind the wave and the inert bulk ahead of
+it) are skipped bit-exactly, and each user's check-window densities sit in
+one memo that both users' updates read.  The GEXIT extrinsic profile takes
+its window averages t_i from the same engine.  Runs and thresholds use the
+halting rule and threshold search of `jointde`.
 """
 
 from __future__ import annotations
@@ -70,53 +74,57 @@ class CoupledState:
         if len(self.a_vec) != 2 * self.L + 1 or len(self.b_vec) != 2 * self.L + 1:
             raise ValueError("need one density per position in [-L, L]")
 
-    def at(self, vec, i: int) -> LlrDensity:
-        return vec[i + self.L]
 
-
-def coupled_initial_state(grid: DensityGrid, spec: CoupledSpec) -> CoupledState:
-    d0 = delta_zero(grid)
-    n = spec.n_positions
-    return CoupledState((d0,) * n, (d0,) * n, spec.L)
-
-
-def window_g(xs, l: int, r: int, w: int) -> LlrDensity:
-    """Double-window check-then-variable operator on 2w-1 densities around a
-    position (ascending positions), with outer variable power l-1."""
-    return power_vn(_window_inner(xs, r, w), l - 1)
-
-
-def window_gamma(xs, l: int, r: int, w: int) -> LlrDensity:
-    """Same inner window average, outer power l: the density toward the
-    function node (all check edges aggregated)."""
-    return power_vn(_window_inner(xs, r, w), l)
-
-
-def _window_inner(xs, r: int, w: int) -> LlrDensity:
-    if len(xs) != 2 * w - 1:
-        raise ValueError(f"need 2w-1 = {2 * w - 1} densities")
-    weights = np.full(w, 1.0 / w)
-    parts = []
-    for j in range(w):
-        m_j = mix(list(xs[j : j + w]), weights)
-        parts.append(power_cn(m_j, r - 1))
-    return mix(parts, weights)
+def _is_symmetric_state(st: CoupledState) -> bool:
+    n = len(st.a_vec)
+    return all(st.a_vec[i] is st.b_vec[i] for i in range(n)) and all(
+        st.a_vec[i] is st.a_vec[n - 1 - i] for i in range(n // 2)
+    )
 
 
 class _Engine:
-    """Memoizing per-position updater over a fetch-by-position view."""
+    """The coupled recursion over one fold of the chain, with per-user memos.
 
-    def __init__(self, grid: DensityGrid, spec: CoupledSpec, freeze: bool):
-        self.grid = grid
+    `vecs` holds one tuple of densities per evolving user over positions
+    lo..L: -L..L of both users, or 0..L of user 1 on the symmetric fold,
+    where positions are read through p -> |p| and user 1 is its own partner.
+    The symmetric fold serves a start whose users and mirror positions share
+    their density objects, on the symmetric ray; without a channel point the
+    engine only reads windows (no updates), so the start alone decides.
+    """
+
+    def __init__(self, spec: CoupledSpec, start: CoupledState, ch=None, freeze=False):
+        grid = start.a_vec[0].grid
+        self.symmetric = _is_symmetric_state(start) and (ch is None or ch.ratio == 1.0)
         self.spec = spec
         self.freeze = freeze
         self.dinf = delta_inf(grid)
-        self._z_memo = {}  # check pos -> (window, z)
-        self._z_memo_partner = {}
-        self._pos_memo = {}  # var pos -> (own window + partner window, result)
+        users = (1,) if self.symmetric else (1, 2)
+        # fns[u]: the function-node operator toward user u
+        self.fns = () if ch is None else tuple(fn_operator(grid, u, ch) for u in users)
+        self.lo = 0 if self.symmetric else -spec.L
+        self.positions = range(self.lo, spec.L + 1)
+        self.vecs = [start.a_vec[spec.L :]] if self.symmetric else [start.a_vec, start.b_vec]
+        self.partner = (0,) if self.symmetric else (1, 0)
+        self.iteration = start.iteration
+        self._weights = np.full(spec.w, 1.0 / spec.w)
+        self._z_memo = [{} for _ in self.vecs]  # per user: check pos -> (window, z)
+        self._pos_memo = [{} for _ in self.vecs]  # per user: var pos -> (windows, result)
 
-    def _fetch_window(self, fetch, lo: int, hi: int):
-        return [fetch(p) for p in range(lo, hi + 1)]
+    def _at(self, vec, p: int) -> LlrDensity:
+        if self.symmetric:
+            p = abs(p)
+        return vec[p - self.lo] if self.lo <= p <= self.spec.L else self.dinf
+
+    def _window(self, u: int, lo: int, hi: int) -> list:
+        return [self._at(self.vecs[u], p) for p in range(lo, hi + 1)]
+
+    def unfold(self, vecs) -> tuple:
+        """(a, b) over positions -L..L from per-user lists over the fold; on
+        the symmetric fold both are user 1's chain."""
+        L = self.spec.L
+        full = [tuple(self._at(vec, p) for p in range(-L, L + 1)) for vec in vecs]
+        return full[0], full[-1]
 
     @staticmethod
     def _same(xs, ys) -> bool:
@@ -124,43 +132,41 @@ class _Engine:
         # identity is stable across iterations
         return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
-    def _z_cached(self, memo: dict, fetch, c: int) -> LlrDensity:
-        xs = self._fetch_window(fetch, c - self.spec.w + 1, c)
-        hit = memo.get(c)
+    def _z(self, u: int, c: int) -> LlrDensity:
+        """Check-node output of user u's window ending at check position c."""
+        xs = self._window(u, c - self.spec.w + 1, c)
+        hit = self._z_memo[u].get(c)
         if hit is not None and self._same(hit[0], xs):
             return hit[1]
-        m = mix(xs, np.full(self.spec.w, 1.0 / self.spec.w))
-        z = power_cn(m, self.spec.r - 1)
-        memo[c] = (xs, z)
+        z = power_cn(mix(xs, self._weights), self.spec.r - 1)
+        self._z_memo[u][c] = (xs, z)
         return z
 
-    def update_position(self, i: int, fetch_own, fetch_partner, fn_op) -> LlrDensity:
-        """New variable-to-check density at position i; bit-exact memo reuse
-        when the (own, partner) windows are unchanged."""
+    def inner(self, u: int, i: int) -> LlrDensity:
+        """The window average t_i of user u at position i."""
+        return mix([self._z(u, i + j) for j in range(self.spec.w)], self._weights)
+
+    def update_position(self, u: int, i: int) -> LlrDensity:
+        """New variable-to-check density of user u at position i; bit-exact
+        memo reuse when the (own, partner) windows are unchanged."""
         w, l = self.spec.w, self.spec.l
-        own = self._fetch_window(fetch_own, i - w + 1, i + w - 1)
-        partner = self._fetch_window(fetch_partner, i - w + 1, i + w - 1)
-        hit = self._pos_memo.get(i)
-        if hit is not None and self._same(hit[0], own + partner):
+        v = self.partner[u]
+        own = self._window(u, i - w + 1, i + w - 1)
+        windows = own + (own if v == u else self._window(v, i - w + 1, i + w - 1))
+        hit = self._pos_memo[u].get(i)
+        if hit is not None and self._same(hit[0], windows):
             return hit[1]
 
-        weights = np.full(w, 1.0 / w)
-        t_own = mix([self._z_cached(self._z_memo, fetch_own, i + j) for j in range(w)], weights)
+        t_own = self.inner(u, i)
         g_own = power_vn(t_own, l - 1)
-        if fetch_partner is fetch_own:
-            t_par = t_own
-        else:
-            t_par = mix(
-                [self._z_cached(self._z_memo_partner, fetch_partner, i + j) for j in range(w)],
-                weights,
-            )
+        t_par = t_own if v == u else self.inner(v, i)
         gamma_par = conv_vn(power_vn(t_par, l - 1), t_par)
-        out = conv_vn(fn_op.apply(gamma_par), g_own)
+        out = conv_vn(self.fns[u].apply(gamma_par), g_own)
         if self.freeze and error_prob(out) < FREEZE_ERROR_PROB:
             out = self.dinf
         # hand back the previous object when the update reproduced it
         # bit-exactly, so neighbours' window-identity checks keep hitting
-        prev = fetch_own(i)
+        prev = self._at(self.vecs[u], i)
         if (
             out is not prev
             and out.mass_pos_inf == prev.mass_pos_inf
@@ -168,40 +174,24 @@ class _Engine:
             and np.array_equal(out.mass, prev.mass)
         ):
             out = prev
-        self._pos_memo[i] = (own + partner, out)
+        self._pos_memo[u][i] = (windows, out)
         return out
 
+    def iterate(self) -> "_Engine":
+        """One Jacobi sweep in place; returns self, the state run_to_halt steps."""
+        self.vecs = [
+            tuple(self.update_position(u, i) for i in self.positions) for u in range(len(self.vecs))
+        ]
+        self.iteration += 1
+        return self
 
-def coupled_de_iterate(
-    state: CoupledState, ch: ChannelPoint, spec: CoupledSpec, freeze: bool = True
-) -> CoupledState:
-    """One Jacobi update of every position of both users."""
-    grid = state.a_vec[0].grid
-    engine_a = _Engine(grid, spec, freeze)
-    engine_b = _Engine(grid, spec, freeze)
-    return _iterate_general(state, ch, spec, engine_a, engine_b)
+    def measure(self) -> tuple[float, float]:
+        """Mean entropy over the evolving positions, largest error probability."""
+        ds = [d for vec in self.vecs for d in vec]
+        return float(np.mean(_entropies(ds))), max(error_prob(d) for d in ds)
 
-
-def _iterate_general(state, ch, spec, engine_a, engine_b) -> CoupledState:
-    grid = state.a_vec[0].grid
-    dinf = engine_a.dinf
-    fn1 = fn_operator(grid, 1, ch)
-    fn2 = fn_operator(grid, 2, ch)
-    L = spec.L
-
-    def fetch_a(p):
-        return state.a_vec[p + L] if -L <= p <= L else dinf
-
-    def fetch_b(p):
-        return state.b_vec[p + L] if -L <= p <= L else dinf
-
-    a_new = tuple(
-        engine_a.update_position(i, fetch_a, fetch_b, fn1) for i in range(-L, L + 1)
-    )
-    b_new = tuple(
-        engine_b.update_position(i, fetch_b, fetch_a, fn2) for i in range(-L, L + 1)
-    )
-    return CoupledState(a_new, b_new, L, state.iteration + 1)
+    def full_state(self) -> CoupledState:
+        return CoupledState(*self.unfold(self.vecs), self.spec.L, self.iteration)
 
 
 @dataclass(frozen=True)
@@ -221,64 +211,6 @@ def _entropies(vec) -> np.ndarray:
     return np.array([entropy(d) for d in vec])
 
 
-def _measure_full(state: CoupledState) -> tuple[float, float]:
-    """Mean entropy over every position of both users, largest error probability."""
-    vecs = (state.a_vec, state.b_vec)
-    h = float(np.mean([entropy(d) for vec in vecs for d in vec]))
-    return h, max(error_prob(d) for vec in vecs for d in vec)
-
-
-class _SymmetricRun:
-    """Half-domain engine for A = 1 with identical codes: b = a and
-    a_{-i} = a_i hold exactly, so only positions 0..L of user 1 evolve."""
-
-    def __init__(
-        self,
-        grid: DensityGrid,
-        spec: CoupledSpec,
-        ch: ChannelPoint,
-        freeze: bool,
-        start: "CoupledState | None" = None,
-    ):
-        self.spec = spec
-        self.engine = _Engine(grid, spec, freeze)
-        self.fn = fn_operator(grid, 1, ch)
-        self.iteration = 0
-        if start is None:
-            self.half = [delta_zero(grid)] * (spec.L + 1)
-        else:
-            self.half = [start.a_vec[spec.L + i] for i in range(spec.L + 1)]
-
-    def fetch(self, p: int) -> LlrDensity:
-        p = abs(p)
-        return self.half[p] if p <= self.spec.L else self.engine.dinf
-
-    def iterate(self) -> "_SymmetricRun":
-        """One Jacobi sweep in place; returns self, the state run_to_halt steps."""
-        fetch = self.fetch  # one bound-method object so identity checks hold
-        self.half = [
-            self.engine.update_position(i, fetch, fetch, self.fn)
-            for i in range(self.spec.L + 1)
-        ]
-        self.iteration += 1
-        return self
-
-    def measure(self) -> tuple[float, float]:
-        """Mean entropy over positions 0..L, largest error probability."""
-        return float(np.mean(_entropies(self.half))), max(error_prob(d) for d in self.half)
-
-    def full_state(self) -> CoupledState:
-        full = tuple(self.half[abs(i)] for i in range(-self.spec.L, self.spec.L + 1))
-        return CoupledState(full, full, self.spec.L, self.iteration)
-
-
-def _is_symmetric_state(st: CoupledState) -> bool:
-    n = len(st.a_vec)
-    return all(st.a_vec[i] is st.b_vec[i] for i in range(n)) and all(
-        st.a_vec[i] is st.a_vec[n - 1 - i] for i in range(n // 2)
-    )
-
-
 def coupled_run(
     ch: ChannelPoint,
     spec: CoupledSpec,
@@ -291,35 +223,31 @@ def coupled_run(
     profile=None,
     start: CoupledState | None = None,
 ) -> CoupledFixedPoint:
-    """Run coupled DE from the no-knowledge start until success or stall.
+    """Run coupled DE from the no-knowledge start (or `start`) until success
+    or stall.
 
     `profile(iteration, entropies_a, entropies_b)` is invoked per iteration
-    when given (wave visualization).  On the symmetric ray the half-domain
-    fast path is used; it is exact, not an approximation.
+    when given (wave visualization).  On the symmetric ray, from a start
+    whose users and mirror positions share their density objects, the engine
+    evolves half the chain of one user; it is exact, not an approximation.
     """
-    if ch.ratio == 1.0 and (start is None or _is_symmetric_state(start)):
-        init = _SymmetricRun(grid, spec, ch, freeze, start=start)
-        step, measure = _SymmetricRun.iterate, _SymmetricRun.measure
-        full_state = _SymmetricRun.full_state
-    else:
-        engine_a = _Engine(grid, spec, freeze)
-        engine_b = _Engine(grid, spec, freeze)
-        init = start if start is not None else coupled_initial_state(grid, spec)
-        step = lambda st: _iterate_general(st, ch, spec, engine_a, engine_b)
-        measure = _measure_full
-        full_state = lambda st: st
+    if start is None:
+        d0 = delta_zero(grid)
+        start = CoupledState((d0,) * spec.n_positions, (d0,) * spec.n_positions, spec.L)
+    engine = _Engine(spec, start, ch, freeze)
 
     observe = None
     if profile is not None:
 
-        def observe(st, _entropy):
-            full = full_state(st)
+        def observe(eng, _entropy):
+            full = eng.full_state()
             profile(full.iteration, _entropies(full.a_vec), _entropies(full.b_vec))
 
-    final, residual, halt = run_to_halt(
-        init, step, measure, max_iters, success_error, stall_delta, stall_patience, observe
+    _, residual, halt = run_to_halt(
+        engine, _Engine.iterate, _Engine.measure, max_iters, success_error, stall_delta,
+        stall_patience, observe,
     )
-    state = full_state(final)
+    state = engine.full_state()
     return CoupledFixedPoint(ch, state, residual, halt == "success", state.iteration, halt)
 
 
@@ -346,27 +274,13 @@ def coupled_threshold(
 
 
 def extrinsic_profile(state: CoupledState, spec: CoupledSpec):
-    """Per-position variable-to-function densities (Gamma of each window),
-    for the position-averaged GEXIT value."""
-    grid = state.a_vec[0].grid
-    dinf = delta_inf(grid)
-    L = spec.L
-
-    def fetch(vec):
-        def f(p):
-            return vec[p + L] if -L <= p <= L else dinf
-
-        return f
-
-    fa, fb = fetch(state.a_vec), fetch(state.b_vec)
-    out = []
-    for i in range(-L, L + 1):
-        xs_a = [fa(p) for p in range(i - spec.w + 1, i + spec.w)]
-        xs_b = [fb(p) for p in range(i - spec.w + 1, i + spec.w)]
-        out.append(
-            (window_gamma(xs_a, spec.l, spec.r, spec.w), window_gamma(xs_b, spec.l, spec.r, spec.w))
-        )
-    return out
+    """Per-position variable-to-function densities (Gamma = t_i^{*l} of each
+    window) of both users, for the position-averaged GEXIT value."""
+    eng = _Engine(spec, state)
+    gammas = [
+        tuple(power_vn(eng.inner(u, i), spec.l) for i in eng.positions) for u in range(len(eng.vecs))
+    ]
+    return list(zip(*eng.unfold(gammas)))
 
 
 def profile_csv_rows(profiles):

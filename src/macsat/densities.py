@@ -11,7 +11,7 @@ precomputed output-bin table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -82,7 +82,6 @@ class LlrDensity:
     mass: np.ndarray
     mass_pos_inf: float = 0.0
     mass_neg_inf: float = 0.0
-    symmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=np.float64)
@@ -106,7 +105,6 @@ def make_density(
     mass: np.ndarray,
     pos_inf: float = 0.0,
     neg_inf: float = 0.0,
-    symmetric: bool = False,
 ) -> LlrDensity:
     """Validate and normalize raw masses into a density.
 
@@ -124,23 +122,23 @@ def make_density(
     total = mass.sum() + pos_inf + neg_inf
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"total mass {total} too far from 1")
-    return LlrDensity(grid, mass / total, pos_inf / total, neg_inf / total, symmetric)
+    return LlrDensity(grid, mass / total, pos_inf / total, neg_inf / total)
 
 
 def delta_inf(grid: DensityGrid) -> LlrDensity:
     """All mass at +inf (perfect knowledge of a transmitted +1)."""
-    return LlrDensity(grid, np.zeros(grid.n_bins), 1.0, 0.0, symmetric=True)
+    return LlrDensity(grid, np.zeros(grid.n_bins), 1.0, 0.0)
 
 
 def delta_neg_inf(grid: DensityGrid) -> LlrDensity:
-    return LlrDensity(grid, np.zeros(grid.n_bins), 0.0, 1.0, symmetric=False)
+    return LlrDensity(grid, np.zeros(grid.n_bins), 0.0, 1.0)
 
 
 def delta_zero(grid: DensityGrid) -> LlrDensity:
     """All mass at LLR 0 (erasure / no knowledge)."""
     m = np.zeros(grid.n_bins)
     m[grid.center] = 1.0
-    return LlrDensity(grid, m, 0.0, 0.0, symmetric=True)
+    return LlrDensity(grid, m, 0.0, 0.0)
 
 
 def delta_at(grid: DensityGrid, llr: float) -> LlrDensity:
@@ -152,7 +150,7 @@ def delta_at(grid: DensityGrid, llr: float) -> LlrDensity:
         return delta_inf(grid) if llr > 0 else delta_neg_inf(grid)
     m = np.zeros(grid.n_bins)
     m[grid.center + k] = 1.0
-    return LlrDensity(grid, m, 0.0, 0.0, symmetric=(k == 0))
+    return LlrDensity(grid, m, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     neg = a.mass_neg_inf * (b_fin + b.mass_neg_inf) + b.mass_neg_inf * a_fin
     core[k] += a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf
 
-    return make_density(g, core, pos, neg, symmetric=a.symmetric and b.symmetric)
+    return make_density(g, core, pos, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,7 @@ def conv_cn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     pos = a.mass_pos_inf * b.mass_pos_inf + a.mass_neg_inf * b.mass_neg_inf
     neg = a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf
 
-    return make_density(g, mass, pos, neg, symmetric=a.symmetric and b.symmetric)
+    return make_density(g, mass, pos, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +385,7 @@ def mix(densities: list[LlrDensity], weights) -> LlrDensity:
         mass += wgt * d.mass
         pos += wgt * d.mass_pos_inf
         neg += wgt * d.mass_neg_inf
-    return make_density(g, mass, pos, neg, symmetric=all(d.symmetric for d in densities))
+    return make_density(g, mass, pos, neg)
 
 
 def power_vn(a: LlrDensity, n: int) -> LlrDensity:

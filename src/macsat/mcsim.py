@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import ChannelPoint
+from .channel import ChannelPoint, fn_llr
 from .densities import LlrDensity
 from .ensembles import CoupledSpec
 
@@ -288,12 +288,7 @@ class _CodeSide:
 def _fn_outputs(y, m_partner, ch: ChannelPoint, to_user: int):
     """Function-node output LLR for `to_user` given partner v->f messages."""
     h_t, h_p = (ch.h1, ch.h2) if to_user == 1 else (ch.h2, ch.h1)
-    gpp = -0.5 * (y - (h_t + h_p)) ** 2
-    gpm = -0.5 * (y - (h_t - h_p)) ** 2
-    gmp = -0.5 * (y - (-h_t + h_p)) ** 2
-    gmm = -0.5 * (y - (-h_t - h_p)) ** 2
-    out = np.logaddexp(gpp + m_partner, gpm) - np.logaddexp(gmp + m_partner, gmm)
-    return np.clip(out, -LLR_CLIP, LLR_CLIP)
+    return np.clip(fn_llr(y, m_partner, h_t, h_p), -LLR_CLIP, LLR_CLIP)
 
 
 def _syndrome_ok(graph: LdpcGraph, hard_pm1: np.ndarray) -> bool:
@@ -337,13 +332,16 @@ def _decode_frame(
     y: np.ndarray,
     max_iters: int,
     collect_iteration: int | None = None,
-    return_hard: bool = False,
 ):
     """Joint BP with the DE schedule: function nodes fire from the previous
     round's v->f messages, then checks, then variables, for both users.
 
     Function node i joins code-1 variable i and code-2 variable matching[i];
-    y is indexed by function node.  Early exit on clean syndromes.
+    y is indexed by function node.  Early exit on clean syndromes, except in
+    a collection run, which does exactly `collect_iteration` rounds and keeps
+    that round's (v->c 1, v->c 2, f->v 1, f->v 2) messages.  Returns (bit
+    errors of user 1, of user 2, rounds, collected messages or None, user-1
+    hard decisions).
     """
     side1 = _CodeSide(inst.graph1)
     side2 = _CodeSide(inst.graph2)
@@ -369,22 +367,21 @@ def _decode_frame(
         cv2 = side2.check_update(vc2)
         vc2, vf2 = side2.var_update(cv2, ch2_by_var)
 
-        if collect_iteration is not None and it == collect_iteration:
-            collected = (vc1.copy(), vc2.copy(), ch1.copy(), ch2_by_var.copy())
-            return (0, 0, it, collected, hard1) if return_hard else (0, 0, it, collected)
-
         tot1 = ch1 + np.bincount(inst.graph1.edge_var, weights=cv1, minlength=n)
         tot2 = ch2_by_var + np.bincount(inst.graph2.edge_var, weights=cv2, minlength=n)
         hard1 = np.where(tot1 >= 0, 1.0, -1.0)
         hard2 = np.where(tot2 >= 0, 1.0, -1.0)
-        if _syndrome_ok(inst.graph1, hard1) and _syndrome_ok(inst.graph2, hard2):
+        if it == collect_iteration:
+            collected = (vc1, vc2, ch1, ch2_by_var)
+            break
+        if collect_iteration is None and _syndrome_ok(inst.graph1, hard1) and _syndrome_ok(
+            inst.graph2, hard2
+        ):
             break
 
     err1 = int(np.count_nonzero(hard1 != x1))
     err2 = int(np.count_nonzero(hard2 != x2))
-    if return_hard:
-        return err1, err2, it, collected, hard1
-    return err1, err2, it, collected
+    return err1, err2, it, collected, hard1
 
 
 def _transmit(inst: JointInstance, ch: ChannelPoint, mode: str, rng) -> tuple:
@@ -411,7 +408,7 @@ def _run_frame(
 ) -> FrameResult:
     """One frame of simulate_joint; its randomness is keyed by (seed, frame)."""
     x1, x2, y = _transmit(inst, ch, mode, _rng_for(seed, stream=1000 + frame))
-    e1, e2, iters, _ = _decode_frame(inst, ch, x1, x2, y, max_iters)
+    e1, e2, iters, _, _ = _decode_frame(inst, ch, x1, x2, y, max_iters)
     return FrameResult(frame, (e1, e2), iters, e1 == 0 and e2 == 0)
 
 
@@ -451,7 +448,7 @@ def positional_errors(
     if inst.graph1.var_pos is None:
         raise ValueError("positional error traces need a coupled instance")
     x1, x2, y = _transmit(inst, ch, "random", _rng_for(seed, stream=3000))
-    _, _, _, _, hard1 = _decode_frame(inst, ch, x1, x2, y, max_iters, return_hard=True)
+    hard1 = _decode_frame(inst, ch, x1, x2, y, max_iters)[4]
     wrong = hard1 != x1
     positions = np.unique(inst.graph1.var_pos)
     return np.array(
@@ -490,9 +487,7 @@ def de_mc_crosscheck(
             out = _fn_outputs(y, np.zeros(y.size), ch, 1)
             samples.append(out * x1)
         else:
-            _, _, _, collected = _decode_frame(
-                inst, ch, x1, x2, y, iteration, collect_iteration=iteration
-            )
+            collected = _decode_frame(inst, ch, x1, x2, y, iteration, collect_iteration=iteration)[3]
             samples.append(collected[0] * x1[inst.graph1.edge_var])
     msgs = np.concatenate(samples)
 

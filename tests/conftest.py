@@ -28,7 +28,7 @@ def random_density(grid, rng, inf_mass=0.1, symmetric=False):
         z = grid.centers()
         m = rng.uniform(0.5, 4.0)
         raw = np.exp(-0.25 * (z - m) ** 2 / m)
-        return make_density(grid, raw / raw.sum(), 0.0, 0.0, symmetric=True)
+        return make_density(grid, raw / raw.sum(), 0.0, 0.0)
     raw = rng.random(grid.n_bins)
     pinf = rng.random() * inf_mass
     ninf = rng.random() * inf_mass

@@ -7,7 +7,7 @@ the most direct form, so they are slow and live here rather than in src/.
 import numpy as np
 
 from macsat.channel import PI1, PI2, ChannelPoint, _gaussian_strata, gauss_hermite
-from macsat.densities import DensityGrid, LlrDensity, make_density
+from macsat.densities import DensityGrid, LlrDensity, make_density, mix, power_cn, power_vn
 from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E, _rebin
 
 
@@ -97,7 +97,32 @@ def scatter_fn_apply(grid: DensityGrid, h_target: float, h_partner: float, partn
         at_neg = 2.0 * h_target * (y + s * h_partner)
         acc += np.bincount(fold(at_pos), weights=partner.mass_pos_inf * half_w, minlength=n)
         acc += np.bincount(fold(at_neg), weights=partner.mass_neg_inf * half_w, minlength=n)
-    return make_density(grid, acc, symmetric=True)
+    return make_density(grid, acc)
+
+
+def window_g(xs, l: int, r: int, w: int) -> LlrDensity:
+    """Double-window check-then-variable operator on 2w-1 densities around a
+    position (ascending positions), with outer variable power l-1: the
+    coupled recursion's own-user term written out, the oracle for the
+    coupled engine."""
+    return power_vn(_window_inner(xs, r, w), l - 1)
+
+
+def window_gamma(xs, l: int, r: int, w: int) -> LlrDensity:
+    """Same inner window average, outer power l: the density toward the
+    function node (all check edges aggregated)."""
+    return power_vn(_window_inner(xs, r, w), l)
+
+
+def _window_inner(xs, r: int, w: int) -> LlrDensity:
+    if len(xs) != 2 * w - 1:
+        raise ValueError(f"need 2w-1 = {2 * w - 1} densities")
+    weights = np.full(w, 1.0 / w)
+    parts = []
+    for j in range(w):
+        m_j = mix(list(xs[j : j + w]), weights)
+        parts.append(power_cn(m_j, r - 1))
+    return mix(parts, weights)
 
 
 def lift(u: float, v: float) -> np.ndarray:

@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from macsat.channel import ChannelPoint
+from macsat.channel import ChannelPoint, fn_operator
 from macsat.coupled import (
     CoupledState,
-    _SymmetricRun,
-    coupled_de_iterate,
-    coupled_initial_state,
+    _Engine,
     coupled_run,
     coupled_threshold,
     extrinsic_profile,
     profile_csv_rows,
-    window_g,
-    window_gamma,
 )
 from macsat.densities import (
     DensityGrid,
@@ -28,8 +24,28 @@ from macsat.ensembles import CoupledSpec, regular
 from macsat.jointde import de_iterate, initial_state
 
 from conftest import random_density
+from oracles import window_g, window_gamma
 
 SPEC = CoupledSpec(3, 6, 4, 2)
+
+
+def zero_start(grid, spec, shared=True):
+    """The no-knowledge start; with shared=False every position of each user
+    is its own object, so coupled DE runs the full chain even at A = 1."""
+    n = spec.n_positions
+    if shared:
+        d0 = delta_zero(grid)
+        return CoupledState((d0,) * n, (d0,) * n, spec.L)
+    a, b = (tuple(delta_zero(grid) for _ in range(n)) for _ in range(2))
+    return CoupledState(a, b, spec.L)
+
+
+def iterate(spec, ch, start, n, freeze=False) -> CoupledState:
+    """n Jacobi sweeps of the engine coupled_run builds for this start."""
+    eng = _Engine(spec, start, ch, freeze)
+    for _ in range(n):
+        eng.iterate()
+    return eng.full_state()
 
 
 class TestWindows:
@@ -68,10 +84,9 @@ class TestWindows:
 
 class TestIterate:
     def test_symmetries_at_unit_ratio(self, coarse_grid):
-        ch = ChannelPoint(1.5, 1.0)
-        st = coupled_initial_state(coarse_grid, SPEC)
-        for _ in range(5):
-            st = coupled_de_iterate(st, ch, SPEC, freeze=False)
+        # the full chain at A = 1 keeps b = a and the mirror symmetry exactly
+        start = zero_start(coarse_grid, SPEC, shared=False)
+        st = iterate(SPEC, ChannelPoint(1.5, 1.0), start, 5)
         n = len(st.a_vec)
         for i in range(n):
             assert np.array_equal(st.a_vec[i].mass, st.b_vec[i].mass)
@@ -79,42 +94,60 @@ class TestIterate:
 
     def test_symmetric_engine_matches_general(self, coarse_grid):
         ch = ChannelPoint(1.5, 1.0)
-        st = coupled_initial_state(coarse_grid, SPEC)
-        for _ in range(5):
-            st = coupled_de_iterate(st, ch, SPEC, freeze=False)
-        run = _SymmetricRun(coarse_grid, SPEC, ch, freeze=False)
-        for _ in range(5):
-            run.iterate()
-        sym = run.full_state()
-        for a, b in zip(st.a_vec, sym.a_vec):
+        full_start = zero_start(coarse_grid, SPEC, shared=False)
+        assert _Engine(SPEC, zero_start(coarse_grid, SPEC), ch).symmetric
+        assert not _Engine(SPEC, full_start, ch).symmetric
+        full = iterate(SPEC, ch, full_start, 5)
+        sym = iterate(SPEC, ch, zero_start(coarse_grid, SPEC), 5)
+        for a, b in zip(full.a_vec + full.b_vec, sym.a_vec + sym.b_vec):
             assert np.array_equal(a.mass, b.mass)
 
     def test_w1_positions_decouple(self, coarse_grid):
         spec1 = CoupledSpec(3, 6, 2, 1)
         ch = ChannelPoint(1.5, 1.0)
-        st = coupled_initial_state(coarse_grid, spec1)
+        st = iterate(spec1, ch, zero_start(coarse_grid, spec1), 4)
         ust = initial_state(coarse_grid)
         for _ in range(4):
-            st = coupled_de_iterate(st, ch, spec1, freeze=False)
             ust = de_iterate(ust, ch, regular(3, 6))
         for d in st.a_vec:
             assert np.abs(d.mass - ust.a.mass).max() < 1e-13
 
     def test_update_matches_window_ops(self, coarse_grid):
-        # one full update equals the displayed equation evaluated directly
-        from macsat.channel import fn_operator
-
-        ch = ChannelPoint(1.4, 1.0)
+        # one engine step equals the displayed equation evaluated directly,
+        # for both users at every position, off the symmetric ray
+        ch = ChannelPoint(1.4, 0.7)
         rng = np.random.default_rng(2)
-        vecs = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
-        state = CoupledState(vecs, vecs, 4)
-        new = coupled_de_iterate(state, ch, SPEC, freeze=False)
+        a = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
+        b = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
+        new = iterate(SPEC, ch, CoupledState(a, b, 4), 1)
         dinf = delta_inf(coarse_grid)
-        fn = fn_operator(coarse_grid, 1, ch)
-        i = 0  # center position
-        xs = [state.at(state.a_vec, p) if abs(p) <= 4 else dinf for p in range(i - 1, i + 2)]
-        expect = conv_vn(fn.apply(window_gamma(xs, 3, 6, 2)), window_g(xs, 3, 6, 2))
-        np.testing.assert_allclose(new.at(new.a_vec, 0).mass, expect.mass, atol=1e-12)
+
+        def window(vec, i):
+            return [vec[p + 4] if abs(p) <= 4 else dinf for p in range(i - 1, i + 2)]
+
+        for user, own, partner, got in ((1, a, b, new.a_vec), (2, b, a, new.b_vec)):
+            fn = fn_operator(coarse_grid, user, ch)
+            for i in range(-4, 5):
+                expect = conv_vn(
+                    fn.apply(window_gamma(window(partner, i), 3, 6, 2)),
+                    window_g(window(own, i), 3, 6, 2),
+                )
+                np.testing.assert_allclose(got[i + 4].mass, expect.mass, rtol=0, atol=1e-12)
+                assert got[i + 4].mass_pos_inf == pytest.approx(expect.mass_pos_inf, abs=1e-12)
+                assert got[i + 4].mass_neg_inf == pytest.approx(expect.mass_neg_inf, abs=1e-12)
+
+
+    def test_check_windows_computed_once_per_user(self, coarse_grid, monkeypatch):
+        # both users' updates read each user's check windows from one memo,
+        # so a sweep box-plus'es each window c in [-L, L + w - 1] once
+        import macsat.coupled as coupled
+
+        calls = []
+        monkeypatch.setattr(coupled, "power_cn", lambda *args: calls.append(1) or power_cn(*args))
+        rng = np.random.default_rng(3)
+        a, b = (tuple(random_density(coarse_grid, rng) for _ in range(9)) for _ in range(2))
+        iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
+        assert len(calls) == 2 * (2 * SPEC.L + SPEC.w)
 
 
 class TestRun:
@@ -169,6 +202,18 @@ class TestRun:
         fp = coupled_run(ChannelPoint(2.2, 0.5), spec, coarse_grid, max_iters=2000)
         assert fp.decoded
 
+    @pytest.mark.parametrize("alpha", [1.6, 1.1])
+    def test_symmetric_fold_matches_full_chain_run(self, coarse_grid, alpha):
+        # a start of distinct objects runs the full chain at A = 1; the
+        # half-chain fold must halt alike on the same densities
+        ch = ChannelPoint(alpha, 1.0)
+        half = coupled_run(ch, SPEC, coarse_grid)
+        full = coupled_run(ch, SPEC, coarse_grid, start=zero_start(coarse_grid, SPEC, shared=False))
+        assert (half.halt, half.iterations) == (full.halt, full.iterations)
+        for x, y in zip(half.state.a_vec + half.state.b_vec, full.state.a_vec + full.state.b_vec):
+            assert x.mass.tobytes() == y.mass.tobytes()
+            assert (x.mass_pos_inf, x.mass_neg_inf) == (y.mass_pos_inf, y.mass_neg_inf)
+
     @pytest.mark.parametrize("ratio", [1.0, 0.5])
     def test_zero_iterations_returns_start(self, coarse_grid, ratio):
         fp = coupled_run(ChannelPoint(1.5, ratio), SPEC, coarse_grid, max_iters=0)
@@ -184,12 +229,10 @@ class TestWaveStability:
         # wrong-certainty at the front and collapse the wave periodically
         spec = CoupledSpec(3, 6, 16, 2)
         prev = None
-        st = coupled_initial_state(coarse_grid, spec)
-        ch = ChannelPoint(1.35, 1.0)
+        eng = _Engine(spec, zero_start(coarse_grid, spec), ChannelPoint(1.35, 1.0), freeze=True)
         decoded = False
         for _ in range(2500):
-            st = coupled_de_iterate(st, ch, spec)
-            errs = np.array([error_prob(d) for d in st.a_vec])
+            errs = np.array([error_prob(d) for d in eng.iterate().full_state().a_vec])
             if prev is not None:
                 assert np.all(errs <= prev + 1e-9)
             prev = errs
@@ -221,10 +264,32 @@ class TestThreshold:
 
 class TestExtrinsic:
     def test_profile_shapes(self, coarse_grid):
-        st = coupled_initial_state(coarse_grid, SPEC)
-        ch = ChannelPoint(1.4, 1.0)
-        st = coupled_de_iterate(st, ch, SPEC)
-        prof = extrinsic_profile(st, SPEC)
+        fp = coupled_run(ChannelPoint(1.4, 1.0), SPEC, coarse_grid, max_iters=1)
+        prof = extrinsic_profile(fp.state, SPEC)
         assert len(prof) == SPEC.n_positions
         ga, gb = prof[SPEC.L]  # center
         assert abs(ga.total_mass - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_profile_matches_window_gamma(self, coarse_grid, symmetric):
+        # Gamma of every window, bit for bit; a symmetric state is read on
+        # half the chain of one user and the objects are shared
+        rng = np.random.default_rng(4)
+        a = [random_density(coarse_grid, rng, symmetric=True) for _ in range(9)]
+        if symmetric:
+            a = a[:4] + a[4::-1]
+            state = CoupledState(tuple(a), tuple(a), 4)
+        else:
+            b = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
+            state = CoupledState(tuple(a), b, 4)
+        dinf = delta_inf(coarse_grid)
+        prof = extrinsic_profile(state, SPEC)
+        for i in range(-4, 5):
+            for user, vec in enumerate((state.a_vec, state.b_vec)):
+                xs = [vec[p + 4] if abs(p) <= 4 else dinf for p in range(i - 1, i + 2)]
+                expect = window_gamma(xs, 3, 6, 2)
+                assert prof[i + 4][user].mass.tobytes() == expect.mass.tobytes()
+                assert prof[i + 4][user].mass_pos_inf == expect.mass_pos_inf
+        if symmetric:
+            assert all(ga is gb for ga, gb in prof)
+            assert all(prof[4 - i][0] is prof[4 + i][0] for i in range(5))

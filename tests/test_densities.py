@@ -233,7 +233,6 @@ class TestAlgebraProperties:
         tol = 10 * tiny_grid.bin_width
         for op in (conv_vn, conv_cn):
             out = op(a, b)
-            assert out.symmetric
             assert symmetry_residual(out) < tol
 
     def test_entropy_decreases_under_symmetric_conv(self, tiny_grid):

@@ -271,7 +271,7 @@ class TestCoupledGexit:
     def test_identical_positions_match_uncoupled_value(self, coarse_grid):
         # w = 1 windows collapse, so a chain of identical densities carries
         # exactly the uncoupled GEXIT value
-        from macsat.coupled import CoupledState, coupled_initial_state, coupled_run
+        from macsat.coupled import CoupledState
         from macsat.ensembles import CoupledSpec
         from macsat.gexit import coupled_gexit_value
         from macsat.jointde import de_run, vf_density

@@ -32,6 +32,10 @@ FAST = {
         "gexit", "--ensemble", "3,6,4,2", "--ratio", "0.9", "--alphas", "0:1.6:0.8",
         "--grid-bins", "65", "--lattice", "8",
     ],
+    "gexit_3642_A1.csv": [
+        "gexit", "--ensemble", "3,6,4,2", "--ratio", "1", "--alphas", "0:1.6:0.4",
+        "--grid-bins", "65", "--lattice", "8",
+    ],
     "capacity.csv": ["capacity", "--ray-list", "0.5,1,2"],
     "acpr.csv": ["acpr", "--ray-list", "0.8,1", "--grid-bins", "65", "--tol", "0.1"],
     "simulate.jsonl": ["simulate", "--n", "600", "--frames", "4", "--alpha", "1.9"],

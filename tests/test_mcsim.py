@@ -7,6 +7,9 @@ from macsat.ensembles import CoupledSpec, coupled_design_rate
 from macsat.mcsim import (
     Gf2Encoder,
     JointInstance,
+    _decode_frame,
+    _rng_for,
+    _transmit,
     build_coupled,
     build_joint,
     build_regular,
@@ -149,6 +152,20 @@ class TestCrosscheck:
         de1 = fn_transform(1, delta_zero(work_grid), ch)
         rep = de_mc_crosscheck(inst, ch, de1, iteration=3, seed=30, mode="random")
         assert rep["cycles_warning"]
+
+    def test_collection_runs_past_early_decoding(self):
+        # regression: this frame decodes in 3 rounds, and collecting at round
+        # 5 used to stop on the clean syndromes and crash on missing messages
+        grid = DensityGrid(30.0 / 256.0, 30.0)
+        inst = build_joint(build_regular(600, 3, 6, 0), build_regular(600, 3, 6, 1), 2)
+        ch = ChannelPoint(4.0, 0.5)
+        x1, x2, y = _transmit(inst, ch, "random", _rng_for(0, stream=2000))
+        assert _decode_frame(inst, ch, x1, x2, y, 5)[2] == 3
+        e1, e2, rounds, collected, _ = _decode_frame(inst, ch, x1, x2, y, 5, collect_iteration=5)
+        assert (e1, e2, rounds) == (0, 0, 5)
+        assert collected[0].size == inst.graph1.n_edges
+        rep = de_mc_crosscheck(inst, ch, delta_zero(grid), iteration=5, mode="random")
+        assert rep["edges_sampled"] == inst.graph1.n_edges
 
 
 @pytest.mark.slow
