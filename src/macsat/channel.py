@@ -19,9 +19,9 @@ from .densities import DensityGrid, LlrDensity, delta_at, make_density
 
 PI1 = np.array([1.0, 1.0, -1.0, -1.0])
 PI2 = np.array([1.0, -1.0, 1.0, -1.0])
-SYMBOLS = (0, 1, 2, 3)
 
 GH_ORDERS = (129, 257, 513)
+GH_TOL = 1e-7  # mac_mutual_infos escalates the order until I_sum moves less
 
 
 class QuadratureError(RuntimeError):
@@ -56,20 +56,6 @@ class ChannelPoint:
         return PI1 + self.ratio * PI2
 
 
-def nu(x: int, y, ch: ChannelPoint):
-    """Gaussian output density p(y | symbol x)."""
-    mean = ch.means()[x]
-    y = np.asarray(y, dtype=np.float64)
-    return np.exp(-0.5 * (y - mean) ** 2) / np.sqrt(2.0 * np.pi)
-
-
-def dp_dalpha(x: int, y, ch: ChannelPoint):
-    """Analytic d p(y|x) / d alpha at fixed ratio."""
-    s = ch.slopes()[x]
-    y = np.asarray(y, dtype=np.float64)
-    return nu(x, y, ch) * (y - ch.alpha * s) * s
-
-
 _GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -92,18 +78,18 @@ FN_TAIL_STRATA = 24
 _FN_CHUNK = 256  # partner bins per block while the operator is assembled
 
 
-def _gaussian_strata(n_central: int = FN_CENTRAL_STRATA, n_tail: int = FN_TAIL_STRATA):
+def _gaussian_strata():
     """Partition of a unit Gaussian into probability strata.
 
-    Equal-probability central strata bound the CDF staircase error by
-    1/(2 n_central); geometrically refined tail strata keep tail mass placed
-    down to ~2^-n_tail / n_central.  Returns (quantile nodes, exact masses).
+    FN_CENTRAL_STRATA (even) equal-probability central strata bound the CDF
+    staircase error by 1/(2 FN_CENTRAL_STRATA); FN_TAIL_STRATA geometrically
+    refined tail strata keep tail mass placed down to
+    ~2^-FN_TAIL_STRATA / FN_CENTRAL_STRATA.  Returns (quantile nodes, exact
+    masses).
     """
-    if n_central % 2:
-        raise ValueError("n_central must be even")
-    base = 1.0 / n_central
-    tail = base * 2.0 ** (-np.arange(n_tail, 0, -1))
-    lower = np.concatenate(([0.0], tail, np.arange(1, n_central // 2 + 1) * base))
+    base = 1.0 / FN_CENTRAL_STRATA
+    tail = base * 2.0 ** (-np.arange(FN_TAIL_STRATA, 0, -1))
+    lower = np.concatenate(([0.0], tail, np.arange(1, FN_CENTRAL_STRATA // 2 + 1) * base))
     bounds = np.concatenate((lower, (1.0 - lower[::-1])[1:]))
     # the outermost strata get a midpoint quantile too; it is finite
     mid = 0.5 * (bounds[:-1] + bounds[1:])
@@ -272,15 +258,16 @@ def _sum_information(ch: ChannelPoint, order: int) -> float:
     return h_y - h_n
 
 
-def mac_mutual_infos(ch: ChannelPoint, tol: float = 1e-7) -> tuple[float, float, float]:
+def mac_mutual_infos(ch: ChannelPoint) -> tuple[float, float, float]:
     """(I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) in bits, uniform inputs.
 
-    Gauss-Hermite order escalates until the sum information stabilizes.
+    Gauss-Hermite order escalates until the sum information moves by less
+    than GH_TOL.
     """
     prev = None
     for order in GH_ORDERS:
         i_sum = _sum_information(ch, order)
-        if prev is not None and abs(i_sum - prev) < tol:
+        if prev is not None and abs(i_sum - prev) < GH_TOL:
             return (
                 _bawgn_capacity(ch.h1, order),
                 _bawgn_capacity(ch.h2, order),

@@ -102,8 +102,10 @@ def _ensemble(spec_str: str):
     except KeyError:
         pass
     if spec_str.count(",") == 3:
-        l, r, L, w = (int(t) for t in spec_str.split(","))
-        return CoupledSpec(l, r, L, w)
+        try:
+            return CoupledSpec(*(int(t) for t in spec_str.split(",")))
+        except ValueError as exc:
+            raise ConfigError(f"bad ensemble {spec_str!r}: {exc}") from exc
     raise ConfigError(f"cannot resolve ensemble {spec_str!r}")
 
 
@@ -114,7 +116,10 @@ def _grid(args) -> DensityGrid:
     bins = args.grid_bins if args.grid_bins is not None else 4097
     if bins < 3 or bins % 2 == 0:
         raise ConfigError("grid-bins must be an odd integer >= 3")
-    return DensityGrid(bin_width=2.0 * half / (bins - 1), half_range=half)
+    try:
+        return DensityGrid(bin_width=2.0 * half / (bins - 1), half_range=half)
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
 
 
 def _rays(args) -> list[float]:
@@ -165,6 +170,14 @@ def _positive(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the sizes and counts (--n, --frames, --rays, ...)."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -298,17 +311,20 @@ def cmd_map_bound(args, config) -> int:
 def cmd_simulate(args, config) -> int:
     ens = _ensemble(args.ensemble)
     ch = ChannelPoint(args.alpha, args.ratio)
-    if isinstance(ens, CoupledSpec):
-        spec = CoupledSpec(ens.l, ens.r, ens.L, ens.w, M=args.m_per_position or 60)
-        g1 = build_coupled(spec, args.seed)
-        g2 = build_coupled(spec, args.seed + 1)
-    else:
-        lam = np.nonzero(ens.lambda_coeffs)[0]
-        rho = np.nonzero(ens.rho_coeffs)[0]
-        if lam.size != 1 or rho.size != 1:
-            raise ConfigError("simulate supports regular ensembles")
-        g1 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed)
-        g2 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed + 1)
+    try:
+        if isinstance(ens, CoupledSpec):
+            spec = CoupledSpec(ens.l, ens.r, ens.L, ens.w, M=args.m_per_position or 60)
+            g1 = build_coupled(spec, args.seed)
+            g2 = build_coupled(spec, args.seed + 1)
+        else:
+            lam = np.nonzero(ens.lambda_coeffs)[0]
+            rho = np.nonzero(ens.rho_coeffs)[0]
+            if lam.size != 1 or rho.size != 1:
+                raise ConfigError("simulate supports regular ensembles")
+            g1 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed)
+            g2 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed + 1)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the code graphs: {exc}") from exc
     inst = build_joint(g1, g2, args.seed + 2)
     with _pmap(args.jobs) as pmap:
         res = simulate_joint(
@@ -389,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="MAC-ACPR boundary for a rate pair")
     p.add_argument("--rates", default="0.5,0.5")
-    p.add_argument("--rays", type=int, default=None, help="number of rays")
+    p.add_argument("--rays", type=_positive_int, default=None, help="number of rays")
     p.add_argument("--ray-list", help="explicit comma-separated ratios")
     p.add_argument("--tol", type=_positive, default=1e-4)
     p.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
@@ -397,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("acpr", help="BP-ACPR boundary of an ensemble")
     p.add_argument("--ensemble", default="reg36")
-    p.add_argument("--rays", type=int, default=None)
+    p.add_argument("--rays", type=_positive_int, default=None)
     p.add_argument("--ray-list")
     p.add_argument("--tol", type=_positive, default=5e-3)
     p.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
@@ -420,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-length joint BP Monte-Carlo")
     p.add_argument("--ensemble", default="reg36")
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--m-per-position", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=20000)
+    p.add_argument("--m-per-position", type=_positive_int, default=None)
     p.add_argument("--alpha", type=_nonnegative, required=True)
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--mode", choices=("all_plus_one", "random"), default="random")
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--frames", type=_positive_int, default=100)
+    p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--summary-out", help="also write a summary CSV")
     p.set_defaults(func=cmd_simulate)
 

@@ -47,15 +47,7 @@ from .densities import (
     power_vn,
 )
 from .ensembles import CoupledSpec
-from .jointde import (
-    BRACKET_ALPHA_MAX,
-    STALL_ENTROPY_DELTA,
-    STALL_PATIENCE,
-    SUCCESS_ERROR_PROB,
-    ThresholdResult,
-    run_to_halt,
-    threshold_search,
-)
+from .jointde import BRACKET_ALPHA_MAX, ThresholdResult, run_to_halt, threshold_search
 
 FREEZE_ERROR_PROB = 1e-12
 COUPLED_MAX_ITERS = 30_000  # decoding waves need ~L / wave-speed iterations
@@ -159,8 +151,11 @@ class _Engine:
 
         t_own = self.inner(u, i)
         g_own = power_vn(t_own, l - 1)
-        t_par = t_own if v == u else self.inner(v, i)
-        gamma_par = conv_vn(power_vn(t_par, l - 1), t_par)
+        if v == u:  # symmetric fold: t_par is t_own, so Gamma = g_own * t_own
+            gamma_par = conv_vn(g_own, t_own)
+        else:
+            t_par = self.inner(v, i)
+            gamma_par = conv_vn(power_vn(t_par, l - 1), t_par)
         out = conv_vn(self.fns[u].apply(gamma_par), g_own)
         if self.freeze and error_prob(out) < FREEZE_ERROR_PROB:
             out = self.dinf
@@ -216,15 +211,12 @@ def coupled_run(
     spec: CoupledSpec,
     grid: DensityGrid,
     max_iters: int = COUPLED_MAX_ITERS,
-    success_error: float = SUCCESS_ERROR_PROB,
-    stall_delta: float = STALL_ENTROPY_DELTA,
-    stall_patience: int = STALL_PATIENCE,
-    freeze: bool = True,
     profile=None,
     start: CoupledState | None = None,
 ) -> CoupledFixedPoint:
     """Run coupled DE from the no-knowledge start (or `start`) until success
-    or stall.
+    or stall.  Positions whose error probability falls below
+    FREEZE_ERROR_PROB are frozen to the +inf delta.
 
     `profile(iteration, entropies_a, entropies_b)` is invoked per iteration
     when given (wave visualization).  On the symmetric ray, from a start
@@ -234,7 +226,7 @@ def coupled_run(
     if start is None:
         d0 = delta_zero(grid)
         start = CoupledState((d0,) * spec.n_positions, (d0,) * spec.n_positions, spec.L)
-    engine = _Engine(spec, start, ch, freeze)
+    engine = _Engine(spec, start, ch, freeze=True)
 
     observe = None
     if profile is not None:
@@ -243,10 +235,7 @@ def coupled_run(
             full = eng.full_state()
             profile(full.iteration, _entropies(full.a_vec), _entropies(full.b_vec))
 
-    _, residual, halt = run_to_halt(
-        engine, _Engine.iterate, _Engine.measure, max_iters, success_error, stall_delta,
-        stall_patience, observe,
-    )
+    _, residual, halt = run_to_halt(engine, _Engine.iterate, _Engine.measure, max_iters, observe)
     state = engine.full_state()
     return CoupledFixedPoint(ch, state, residual, halt == "success", state.iteration, halt)
 
@@ -257,20 +246,13 @@ def coupled_threshold(
     tol: float = 5e-3,
     grid: DensityGrid | None = None,
     bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
-    max_iters: int = COUPLED_MAX_ITERS,
-    freeze: bool = True,
 ) -> ThresholdResult:
     """Bisect for the coupled BP threshold on the ray h2 = ratio * h1."""
     from .densities import default_grid
 
     if grid is None:
         grid = default_grid()
-    return threshold_search(
-        lambda ch: coupled_run(ch, spec, grid, max_iters=max_iters, freeze=freeze),
-        ratio,
-        tol,
-        bracket,
-    )
+    return threshold_search(lambda ch: coupled_run(ch, spec, grid), ratio, tol, bracket)
 
 
 def extrinsic_profile(state: CoupledState, spec: CoupledSpec):

@@ -1,4 +1,4 @@
-"""GEXIT kernel, BP-GEXIT curves, fixed-entropy DE and area-theorem bounds.
+"""GEXIT kernel, BP-GEXIT curves and area-theorem bounds.
 
 The GEXIT value of a DE fixed point is
 
@@ -21,23 +21,16 @@ from functools import partial
 import numpy as np
 
 from .channel import ChannelPoint, gauss_hermite, ray_boundary
-from .densities import DensityGrid, LlrDensity, entropy, make_density
+from .densities import DensityGrid, LlrDensity
 from .ensembles import EnsembleSpec, design_rate
-from .jointde import (
-    BRACKET_ALPHA_MAX,
-    DeFixedPoint,
-    DeState,
-    de_iterate,
-    de_run,
-    initial_state,
-    vf_density,
-)
+from .jointde import BRACKET_ALPHA_MAX, DeFixedPoint, DeState, de_run, vf_density
 
 LOG2E = 1.0 / np.log(2.0)
 INF_LLR = 1000.0  # sentinel LLR for the +/-inf point masses inside kernels
 
 KERNEL_ORDER = 129
 LATTICE_BINS_DEFAULT = 128  # coarse half-width of the (u, v) kernel lattice
+MAP_REFINE_TO = 1e-3  # map_bound_sweep stops once alpha_bar moves by less
 
 
 def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float, float]:
@@ -55,7 +48,7 @@ def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float, fl
 LATTICE_BLOCK_ENTRIES = 1 << 17  # softplus scratch per block of nodes: 1 MB
 
 
-def _symbol_kernel(x: int, vals: np.ndarray, ch: ChannelPoint, order: int) -> np.ndarray:
+def _symbol_kernel(x: int, vals: np.ndarray, ch: ChannelPoint) -> np.ndarray:
     """kappa_x on the lattice `vals` (rows u, columns v), factorized per node.
 
     With g_j = -(y_q - mu_j)^2 / 2 at node q, the posterior log-sum-exp is
@@ -66,7 +59,7 @@ def _symbol_kernel(x: int, vals: np.ndarray, ch: ChannelPoint, order: int) -> np
     softplus(u+D) - u is then D + softplus(-(u+D)), and no term carries the
     +/-INF_LLR sentinels.  The only n x n work per node is one softplus.
     """
-    y_off, w = gauss_hermite(order)
+    y_off, w = gauss_hermite(KERNEL_ORDER)
     mu = ch.means()
     c = w * y_off * ch.slopes()[x] * LOG2E
     keep = c != 0.0
@@ -123,8 +116,8 @@ class KernelLattice:
     costs one softplus per lattice entry and Gauss-Hermite node, summed over
     the nodes in blocks by a matrix product (`_symbol_kernel`); everything
     else is 1-D in v.  Evaluating a fixed point is then a bilinear form, so
-    tracing many fixed points at one channel (fixed-entropy DE, curve
-    refinement) reuses the expensive part.
+    every fixed point at one channel (the 2L+1 positions of a coupled state)
+    reuses the expensive part.
 
     Only two symbols are built.  Negating both bits negates every channel
     mean and slope, so with R the reflection (finite bins reversed, +inf and
@@ -135,13 +128,7 @@ class KernelLattice:
     kappa_1 is None.
     """
 
-    def __init__(
-        self,
-        ch: ChannelPoint,
-        grid: DensityGrid,
-        bins: int = LATTICE_BINS_DEFAULT,
-        order: int = KERNEL_ORDER,
-    ):
+    def __init__(self, ch: ChannelPoint, grid: DensityGrid, bins: int = LATTICE_BINS_DEFAULT):
         if grid.k_max % bins != 0:
             raise ValueError(f"lattice bins {bins} must divide grid half-width {grid.k_max}")
         self.ch = ch
@@ -149,8 +136,8 @@ class KernelLattice:
         self.coarse = DensityGrid(grid.bin_width * (grid.k_max // bins), grid.half_range)
         vals = np.concatenate((self.coarse.centers(), [INF_LLR, -INF_LLR]))
         self.n = vals.size
-        self.kappa0 = _symbol_kernel(0, vals, ch, order)
-        self.kappa1 = _symbol_kernel(1, vals, ch, order) if ch.slopes()[1] != 0.0 else None
+        self.kappa0 = _symbol_kernel(0, vals, ch)
+        self.kappa1 = _symbol_kernel(1, vals, ch) if ch.slopes()[1] != 0.0 else None
 
     def _vector(self, dens: LlrDensity) -> np.ndarray:
         mass, pinf, ninf = _rebin(dens, self.coarse)
@@ -172,33 +159,33 @@ _LATTICE_CACHE_LIMIT = 8
 
 
 def kernel_lattice(
-    ch: ChannelPoint, grid: DensityGrid, bins: int = LATTICE_BINS_DEFAULT, order: int = KERNEL_ORDER
+    ch: ChannelPoint, grid: DensityGrid, bins: int = LATTICE_BINS_DEFAULT
 ) -> KernelLattice:
-    key = (ch.alpha, ch.ratio, grid, bins, order)
+    key = (ch.alpha, ch.ratio, grid, bins)
     lat = _LATTICE_CACHE.get(key)
     if lat is None:
         if len(_LATTICE_CACHE) >= _LATTICE_CACHE_LIMIT:
             _LATTICE_CACHE.clear()
-        lat = KernelLattice(ch, grid, bins, order)
+        lat = KernelLattice(ch, grid, bins)
         _LATTICE_CACHE[key] = lat
     return lat
 
 
-def bp_gexit_value(
-    fp: DeFixedPoint, bins: int = LATTICE_BINS_DEFAULT, order: int = KERNEL_ORDER
-) -> float:
+def bp_gexit_value(fp: DeFixedPoint, bins: int = LATTICE_BINS_DEFAULT) -> float:
     """GEXIT value of a fixed point whose a/b fields hold the extrinsic
     variable-to-function densities L(rho(.))."""
-    lat = kernel_lattice(fp.channel, fp.a.grid, bins, order)
+    lat = kernel_lattice(fp.channel, fp.a.grid, bins)
     return lat.value(fp.a, fp.b)
 
 
 def extrinsic_fixed_point(fp: DeFixedPoint, ens: EnsembleSpec) -> DeFixedPoint:
-    """Map a variable-to-check fixed point to the variable-to-function one."""
+    """Map a variable-to-check fixed point to the variable-to-function one; a
+    fixed point whose users share one density (the symmetric ray) maps once."""
+    a = vf_density(ens, fp.a)
     return DeFixedPoint(
         fp.channel,
-        vf_density(ens, fp.a),
-        vf_density(ens, fp.b),
+        a,
+        a if fp.b is fp.a else vf_density(ens, fp.b),
         fp.residual,
         fp.decoded,
         fp.iterations,
@@ -252,10 +239,10 @@ class _CurveTracer:
         return GexitCurve(self.ratio, name, samples, metadata)
 
 
-def _uncoupled_tracer(ens, ratio, grid, bins, order, max_iters) -> _CurveTracer:
+def _uncoupled_tracer(ens, ratio, grid, bins) -> _CurveTracer:
     def run(ch, start):
-        fp = de_run(ch, ens, grid, max_iters=max_iters, start=start)
-        g = bp_gexit_value(extrinsic_fixed_point(fp, ens), bins, order)
+        fp = de_run(ch, ens, grid, start=start)
+        g = bp_gexit_value(extrinsic_fixed_point(fp, ens), bins)
         return fp.decoded, DeState(fp.a, fp.b), g
 
     return _CurveTracer(ratio, run)
@@ -267,8 +254,6 @@ def bp_gexit_curve(
     alphas,
     grid: DensityGrid | None = None,
     bins: int = LATTICE_BINS_DEFAULT,
-    order: int = KERNEL_ORDER,
-    max_iters: int = 10_000,
 ) -> GexitCurve:
     """Stable-branch BP-GEXIT curve: forward DE per alpha (warm-started along
     the sweep), GEXIT value at the resulting fixed point."""
@@ -276,18 +261,21 @@ def bp_gexit_curve(
 
     if grid is None:
         grid = default_grid()
-    meta = {"grid_bins": grid.n_bins, "lattice_bins": bins, "order": order, "positions": "single"}
-    return _uncoupled_tracer(ens, ratio, grid, bins, order, max_iters).curve(alphas, str(ens), meta)
+    meta = {
+        "grid_bins": grid.n_bins,
+        "lattice_bins": bins,
+        "order": KERNEL_ORDER,
+        "positions": "single",
+    }
+    return _uncoupled_tracer(ens, ratio, grid, bins).curve(alphas, str(ens), meta)
 
 
-def coupled_gexit_value(
-    state, spec, ch: ChannelPoint, bins: int = LATTICE_BINS_DEFAULT, order: int = KERNEL_ORDER
-) -> float:
+def coupled_gexit_value(state, spec, ch: ChannelPoint, bins: int = LATTICE_BINS_DEFAULT) -> float:
     """Position-averaged GEXIT value of a coupled state: all 2L+1 positions
     enter the average (boundary positions included, noted in curve metadata)."""
     from .coupled import extrinsic_profile
 
-    lat = kernel_lattice(ch, state.a_vec[0].grid, bins, order)
+    lat = kernel_lattice(ch, state.a_vec[0].grid, bins)
     vals = [lat.value(ga, gb) for ga, gb in extrinsic_profile(state, spec)]
     return float(np.mean(vals))
 
@@ -298,121 +286,26 @@ def coupled_bp_gexit_curve(
     alphas,
     grid: DensityGrid | None = None,
     bins: int = LATTICE_BINS_DEFAULT,
-    order: int = KERNEL_ORDER,
-    max_iters: int | None = None,
 ) -> GexitCurve:
     """Stable-branch BP-GEXIT curve of the coupled system (forward coupled DE
     per alpha, warm-started along the sweep, position-averaged value)."""
-    from .coupled import COUPLED_MAX_ITERS, coupled_run
+    from .coupled import coupled_run
     from .densities import default_grid
 
     if grid is None:
         grid = default_grid()
-    if max_iters is None:
-        max_iters = COUPLED_MAX_ITERS
 
     def run(ch, start):
-        fp = coupled_run(ch, spec, grid, max_iters=max_iters, start=start)
-        return fp.decoded, fp.state, coupled_gexit_value(fp.state, spec, ch, bins, order)
+        fp = coupled_run(ch, spec, grid, start=start)
+        return fp.decoded, fp.state, coupled_gexit_value(fp.state, spec, ch, bins)
 
     meta = {
         "grid_bins": grid.n_bins,
         "lattice_bins": bins,
-        "order": order,
+        "order": KERNEL_ORDER,
         "positions": "all (2L+1, boundaries included)",
     }
     return _CurveTracer(ratio, run).curve(alphas, str(spec), meta)
-
-
-# ---------------------------------------------------------------------------
-# fixed-entropy DE
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FixedEntropyResult:
-    fixed_point: DeFixedPoint
-    alpha: float
-    target: float
-    converged: bool
-    outer_iterations: int
-
-
-def fixed_entropy_de(
-    ens: EnsembleSpec,
-    ratio: float,
-    target_entropy: float,
-    tol: float = 1e-6,
-    grid: DensityGrid | None = None,
-    alpha_bracket: tuple[float, float] = (1e-6, BRACKET_ALPHA_MAX),
-    max_outer: int = 400,
-    bisect_steps: int = 30,
-) -> FixedEntropyResult:
-    """Trace the (possibly unstable) fixed point with a prescribed average
-    variable-to-check entropy by rescaling alpha after every DE sweep.
-
-    Each outer step bisects for the smallest alpha in the bracket whose next
-    DE state meets the entropy target, then commits that state; alpha and the
-    state converge jointly to a point of the extended BP curve.
-    """
-    from .densities import default_grid
-
-    if not (0.0 <= target_entropy < 1.0):
-        raise ValueError("target entropy must lie in [0, 1)")
-    if grid is None:
-        grid = default_grid()
-
-    state = initial_state(grid)
-    alpha_prev = None
-    converged = False
-    outer = 0
-    for outer in range(1, max_outer + 1):
-        lo, hi = alpha_bracket
-
-        def step_entropy(alpha: float) -> tuple[float, DeState]:
-            nxt = de_iterate(state, ChannelPoint(alpha, ratio), ens)
-            return 0.5 * (entropy(nxt.a) + entropy(nxt.b)), nxt
-
-        h_hi, st_hi = step_entropy(hi)
-        if h_hi > target_entropy + tol:
-            alpha_star, nxt = hi, st_hi  # target unreachable this sweep; keep moving
-        else:
-            # smallest alpha in the bracket whose next state meets the target
-            best = (hi, st_hi)
-            for _ in range(bisect_steps):
-                mid = 0.5 * (lo + hi)
-                h_mid, st_mid = step_entropy(mid)
-                if h_mid <= target_entropy + tol:
-                    hi, best = mid, (mid, st_mid)
-                else:
-                    lo = mid
-            alpha_star, nxt = best
-
-        h_state = 0.5 * (entropy(nxt.a) + entropy(nxt.b))
-        alpha_settled = (
-            alpha_prev is not None and abs(alpha_star - alpha_prev) < 1e-6 * max(1.0, alpha_star)
-        )
-        state = DeState(nxt.a, nxt.b, outer)
-        alpha_prev = alpha_star
-        if abs(h_state - target_entropy) <= tol and alpha_settled:
-            converged = True
-            break
-
-    ch = ChannelPoint(alpha_prev, ratio)
-    nxt = de_iterate(state, ch, ens)
-    residual = abs(
-        0.5 * (entropy(nxt.a) + entropy(nxt.b)) - 0.5 * (entropy(state.a) + entropy(state.b))
-    )
-    fp = DeFixedPoint(
-        ch,
-        state.a,
-        state.b,
-        residual,
-        decoded=entropy(state.a) < 1e-12,
-        iterations=outer,
-        halt="fixed_entropy" if converged else "max_outer",
-    )
-    return FixedEntropyResult(fp, alpha_prev, target_entropy, converged, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +349,18 @@ def map_bound_sweep(
     ratio: float,
     grid: DensityGrid | None = None,
     step: float = 0.01,
-    refine_to: float = 1e-3,
     bins: int = LATTICE_BINS_DEFAULT,
-    order: int = KERNEL_ORDER,
-    alpha_max: float = BRACKET_ALPHA_MAX,
-    max_iters: int = 10_000,
 ) -> tuple[float, GexitCurve]:
     """Compute alpha_bar for an ensemble: sweep the stable branch upward until
     the area reaches 2 * design_rate, then halve the step near the crossing
-    until alpha_bar moves by less than refine_to."""
+    until alpha_bar moves by less than MAP_REFINE_TO."""
     from .densities import default_grid
 
     if grid is None:
         grid = default_grid()
     rate = design_rate(ens)
     target = 2.0 * rate
-    tracer = _uncoupled_tracer(ens, ratio, grid, bins, order, max_iters)
+    tracer = _uncoupled_tracer(ens, ratio, grid, bins)
 
     samples: dict[float, float] = {0.0: 0.0}
     alpha = 0.0
@@ -479,8 +368,8 @@ def map_bound_sweep(
     prev_g = 0.0
     while area < target * 1.02 + 2 * step:
         alpha = round(alpha + step, 12)
-        if alpha > alpha_max:
-            raise MapBoundError(f"area never reached {target} below alpha = {alpha_max}")
+        if alpha > BRACKET_ALPHA_MAX:
+            raise MapBoundError(f"area never reached {target} below alpha = {BRACKET_ALPHA_MAX}")
         g = tracer.eval_point(alpha)
         samples[alpha] = g
         area += 0.5 * (-g - prev_g) * step
@@ -493,13 +382,13 @@ def map_bound_sweep(
 
     bound = current_bound()
     span = step
-    while span > refine_to:
+    while span > MAP_REFINE_TO:
         span /= 2.0
         for candidate in (round(bound - span, 12), round(bound + span, 12)):
             if 0.0 < candidate and candidate not in samples:
                 samples[candidate] = tracer.eval_point(candidate)
         new_bound = current_bound()
-        if abs(new_bound - bound) < refine_to:
+        if abs(new_bound - bound) < MAP_REFINE_TO:
             bound = new_bound
             break
         bound = new_bound
@@ -509,7 +398,7 @@ def map_bound_sweep(
         ratio,
         str(ens),
         [(a, g, "stable") for a, g in pts],
-        metadata={"grid_bins": grid.n_bins, "lattice_bins": bins, "order": order},
+        metadata={"grid_bins": grid.n_bins, "lattice_bins": bins, "order": KERNEL_ORDER},
     )
     return bound, curve
 

@@ -106,14 +106,12 @@ def de_iterate(
     return DeState(a_next, b_next, state.iteration + 1)
 
 
-def run_to_halt(
-    state, step, measure, max_iters, success_error, stall_delta, stall_patience, observe=None
-):
+def run_to_halt(state, step, measure, max_iters, observe=None):
     """The halting rule of every DE run, uncoupled or coupled.
 
     Applies state = step(state) until the largest error probability falls
-    below success_error ("success"), the entropy moves by less than
-    stall_delta for stall_patience iterations in a row ("stall"), or
+    below SUCCESS_ERROR_PROB ("success"), the entropy moves by less than
+    STALL_ENTROPY_DELTA for STALL_PATIENCE iterations in a row ("stall"), or
     max_iters steps are spent ("max_iters", reported as not decoded).
     measure(state) returns (entropy, largest error probability) and
     observe(state, entropy), when given, sees every step.  Returns
@@ -128,10 +126,10 @@ def run_to_halt(
         residual = abs(h_prev - h_now)
         if observe is not None:
             observe(state, h_now)
-        if worst_error < success_error:
+        if worst_error < SUCCESS_ERROR_PROB:
             return state, residual, "success"
-        quiet = quiet + 1 if residual < stall_delta else 0
-        if quiet >= stall_patience:
+        quiet = quiet + 1 if residual < STALL_ENTROPY_DELTA else 0
+        if quiet >= STALL_PATIENCE:
             return state, residual, "stall"
         h_prev = h_now
     return state, residual, "max_iters"
@@ -146,20 +144,16 @@ def de_run(
     ens: EnsembleSpec,
     grid: DensityGrid,
     max_iters: int = MAX_ITERS,
-    success_error: float = SUCCESS_ERROR_PROB,
-    stall_delta: float = STALL_ENTROPY_DELTA,
-    stall_patience: int = STALL_PATIENCE,
     genie: bool = False,
     start: DeState | None = None,
-    trace=None,
 ) -> DeFixedPoint:
     """Iterate DE until decoded, stalled at a nontrivial fixed point, or out
-    of iterations (reported as nontrivial, conservatively).  trace(state,
-    entropy) sees every iteration."""
+    of iterations (reported as nontrivial, conservatively)."""
     state, residual, halt = run_to_halt(
         start if start is not None else initial_state(grid),
         lambda st: de_iterate(st, ch, ens, genie=genie),
-        _measure_pair, max_iters, success_error, stall_delta, stall_patience, trace,
+        _measure_pair,
+        max_iters,
     )
     return DeFixedPoint(ch, state.a, state.b, residual, halt == "success", state.iteration, halt)
 
@@ -221,16 +215,13 @@ def bp_threshold(
     grid: DensityGrid | None = None,
     bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
     genie: bool = False,
-    max_iters: int = MAX_ITERS,
 ) -> ThresholdResult:
     """Bisect for the uncoupled BP threshold on the ray h2 = ratio * h1."""
     from .densities import default_grid
 
     if grid is None:
         grid = default_grid()
-    return threshold_search(
-        lambda ch: de_run(ch, ens, grid, max_iters=max_iters, genie=genie), ratio, tol, bracket
-    )
+    return threshold_search(lambda ch: de_run(ch, ens, grid, genie=genie), ratio, tol, bracket)
 
 
 def _threshold_alpha(ens, ratio: float, **kwargs) -> float:

@@ -125,6 +125,21 @@ def _window_inner(xs, r: int, w: int) -> LlrDensity:
     return mix(parts, weights)
 
 
+def nu(x: int, y, ch: ChannelPoint):
+    """Gaussian output density p(y | symbol x)."""
+    mean = ch.means()[x]
+    y = np.asarray(y, dtype=np.float64)
+    return np.exp(-0.5 * (y - mean) ** 2) / np.sqrt(2.0 * np.pi)
+
+
+def dp_dalpha(x: int, y, ch: ChannelPoint):
+    """Analytic d p(y|x) / d alpha at fixed ratio, the channel derivative the
+    GEXIT kernel integrates against."""
+    s = ch.slopes()[x]
+    y = np.asarray(y, dtype=np.float64)
+    return nu(x, y, ch) * (y - ch.alpha * s) * s
+
+
 def lift(u: float, v: float) -> np.ndarray:
     """Extrinsic pair (u, v) lifted to the posterior 4-vector over symbols."""
     su = 1.0 / (1.0 + np.exp(-u))

@@ -9,12 +9,13 @@ few hours of compute on a desk machine.
 """
 
 import time
-from multiprocessing import get_context
+from functools import partial
 
 import numpy as np
 import pytest
 
-from macsat.channel import ChannelPoint, bawgn_density, dp_dalpha, fn_transform, mac_acpr_point, nu
+from macsat.channel import ChannelPoint, bawgn_density, fn_transform, mac_acpr_point
+from macsat.cli import _pmap
 from macsat.coupled import coupled_threshold
 from macsat.densities import (
     DensityGrid,
@@ -27,10 +28,11 @@ from macsat.densities import (
 )
 from macsat.ensembles import CoupledSpec, regular
 from macsat.gexit import map_bound, map_bound_sweep
-from macsat.jointde import bp_threshold
+from macsat.jointde import _threshold_alpha, bp_threshold
 from macsat.mcsim import build_joint, build_regular, de_mc_crosscheck, simulate_joint
 
 from conftest import random_density
+from oracles import dp_dalpha, nu
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 
@@ -56,19 +58,14 @@ def area_bound_36():
     return {"bound": bound, "curve": curve, "seconds": time.time() - t0}
 
 
-def _coupled_job(args):
-    l, r, L, w, tol = args
-    res = coupled_threshold(CoupledSpec(l, r, L, w), 1.0, tol=tol, grid=GRID_MID)
-    return (l, r, L, w), res.alpha
-
-
 @pytest.fixture(scope="session")
 def coupled_thresholds():
-    """The three criterion-3 coupled thresholds, two workers."""
-    jobs = [(3, 6, 16, 2, 4e-3), (3, 6, 32, 4, 4e-3), (4, 8, 16, 3, 4e-3)]
-    with get_context("fork").Pool(2) as pool:
-        results = dict(pool.map(_coupled_job, jobs))
-    return results
+    """The three criterion-3 coupled thresholds, two spawned workers."""
+    specs = [CoupledSpec(3, 6, 16, 2), CoupledSpec(3, 6, 32, 4), CoupledSpec(4, 8, 16, 3)]
+    job = partial(_threshold_alpha, ratio=1.0, tol=4e-3, grid=GRID_MID)
+    with _pmap(2) as pmap:
+        alphas = pmap(job, specs)
+    return {(s.l, s.r, s.L, s.w): alpha for s, alpha in zip(specs, alphas)}
 
 
 # criteria --------------------------------------------------------------------

@@ -9,12 +9,10 @@ from macsat.channel import (
     FnOperator,
     InfeasibleRayError,
     bawgn_density,
-    dp_dalpha,
     fn_transform,
     mac_acpr_boundary,
     mac_acpr_point,
     mac_mutual_infos,
-    nu,
 )
 from macsat.densities import (
     DensityGrid,
@@ -31,7 +29,7 @@ from macsat.gexit import map_boundary
 from macsat.jointde import bp_acpr
 
 from conftest import random_density
-from oracles import scatter_fn_apply
+from oracles import dp_dalpha, nu, scatter_fn_apply
 
 
 def kolmogorov(a, b) -> float:

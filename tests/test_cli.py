@@ -226,6 +226,18 @@ class TestExitCodes:
             ["acpr", "--tol", "-0.5"],
             ["map-bound", "--step", "0"],
             ["map-bound", "--step", "-0.1"],
+            # sizes and counts must be positive; graphs, grids and coupled
+            # ensembles the constructors reject are config errors too
+            ["simulate", "--alpha", "1.9", "--frames", "0"],
+            ["simulate", "--alpha", "1.9", "--iters", "0"],
+            ["simulate", "--alpha", "1.9", "--n", "0"],
+            ["simulate", "--alpha", "1.9", "--n", "601"],
+            ["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2", "--m-per-position", "7"],
+            ["capacity", "--rays", "-3"],
+            ["capacity", "--rays", "0"],
+            ["threshold", "--half-range", "-1"],
+            ["threshold", "--ensemble", "3,6,4,0"],
+            ["threshold", "--ensemble", "3,x,4,2"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):

@@ -149,6 +149,16 @@ class TestIterate:
         iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
         assert len(calls) == 2 * (2 * SPEC.L + SPEC.w)
 
+    def test_symmetric_fold_powers_once_per_position(self, coarse_grid, monkeypatch):
+        # on the symmetric fold the partner's Gamma is g_own * t_own, so a
+        # sweep takes one power_vn per updated position 0..L
+        import macsat.coupled as coupled
+
+        calls = []
+        monkeypatch.setattr(coupled, "power_vn", lambda *args: calls.append(1) or power_vn(*args))
+        iterate(SPEC, ChannelPoint(1.4, 1.0), zero_start(coarse_grid, SPEC), 1)
+        assert len(calls) == SPEC.L + 1
+
 
 class TestRun:
     def test_wave_decodes_between_thresholds(self, coarse_grid):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from macsat.channel import ChannelPoint, gauss_hermite, nu
-from macsat.densities import DensityGrid, delta_zero, entropy, make_density
+from macsat.channel import ChannelPoint, gauss_hermite
+from macsat.densities import DensityGrid, delta_zero
 from macsat.ensembles import regular
 from macsat.gexit import (
     INF_LLR,
@@ -13,13 +13,12 @@ from macsat.gexit import (
     MapBoundError,
     bp_gexit_value,
     extrinsic_fixed_point,
-    fixed_entropy_de,
     map_bound,
 )
-from macsat.jointde import DeFixedPoint, de_iterate, de_run, DeState
+from macsat.jointde import DeFixedPoint, de_run, vf_density
 
 from conftest import random_density
-from oracles import four_symbol_value, gexit_kernel, lift, loop_kernel_lattice
+from oracles import four_symbol_value, gexit_kernel, lift, loop_kernel_lattice, nu
 
 ENS36 = regular(3, 6)
 
@@ -197,6 +196,17 @@ class TestGexitValue:
         fp = DeFixedPoint(ch, delta_zero(work_grid), delta_zero(work_grid), 0.0, False, 1, "stall")
         assert abs(bp_gexit_value(fp)) < 1e-9
 
+    def test_symmetric_fixed_point_maps_once(self, coarse_grid, monkeypatch):
+        # at A = 1 both users share one density, so one curve point needs a
+        # single variable-to-function map
+        import macsat.gexit as gexit
+
+        calls = []
+        monkeypatch.setattr(gexit, "vf_density", lambda *args: calls.append(1) or vf_density(*args))
+        curve = gexit.bp_gexit_curve(ENS36, 1.0, [1.2], grid=coarse_grid, bins=16)
+        assert len(calls) == 1
+        assert curve.samples[0][1] < 0.0
+
     @pytest.mark.slow
     def test_fig3_sample_values(self, work_grid):
         # stable-branch values along A = 1 for the (3,6) ensemble
@@ -224,47 +234,6 @@ class TestMapBound:
         curve = GexitCurve(1.0, "toy", [(0.0, 0.0, "stable"), (0.1, 0.2, "stable")])
         with pytest.raises(ValueError):
             curve.check()
-
-
-class TestFixedEntropy:
-    def test_target_zero_returns_decoded_at_bracket_floor(self, coarse_grid):
-        res = fixed_entropy_de(
-            ENS36, 1.0, 0.0, grid=coarse_grid, alpha_bracket=(1.9, 2.4), max_outer=80
-        )
-        assert res.fixed_point.decoded
-        assert res.alpha == pytest.approx(1.9, abs=1e-4)
-
-    def test_consistency_with_stable_fixed_point(self, coarse_grid):
-        # hitting the entropy of a known stable fixed point recovers its alpha
-        ch = ChannelPoint(1.45, 1.0)
-        fp = de_run(ch, ENS36, coarse_grid)
-        target = 0.5 * (entropy(fp.a) + entropy(fp.b))
-        res = fixed_entropy_de(
-            ENS36, 1.0, target, grid=coarse_grid, alpha_bracket=(1.0, 1.69), max_outer=300
-        )
-        assert res.converged
-        assert res.alpha == pytest.approx(1.45, abs=0.02)
-        nxt = de_iterate(DeState(res.fixed_point.a, res.fixed_point.b), res.fixed_point.channel, ENS36)
-        drift = abs(
-            0.5 * (entropy(nxt.a) + entropy(nxt.b))
-            - 0.5 * (entropy(res.fixed_point.a) + entropy(res.fixed_point.b))
-        )
-        assert drift < 1e-5
-
-    @pytest.mark.slow
-    def test_unstable_branch_exists(self):
-        # for alpha between the area bound and the BP threshold there is an
-        # unstable fixed point; fixed-entropy DE finds it
-        grid = DensityGrid(30 / 512, 30.0)
-        fp_bp = de_run(ChannelPoint(1.60, 1.0), ENS36, grid)
-        h_stable = 0.5 * (entropy(fp_bp.a) + entropy(fp_bp.b))
-        target = 0.5 * h_stable  # between decoded (0) and the stable stall
-        res = fixed_entropy_de(
-            ENS36, 1.0, target, grid=grid, alpha_bracket=(1.0, 2.2), max_outer=400, tol=1e-7
-        )
-        assert res.converged
-        assert 1.20 < res.alpha < 1.72
-        assert res.fixed_point.residual < 1e-6
 
 
 class TestCoupledGexit:
