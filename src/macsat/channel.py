@@ -203,16 +203,6 @@ def fn_operator(grid: DensityGrid, to_user: int, ch: ChannelPoint) -> FnOperator
     return op
 
 
-def fn_transform(to_user: int, partner_vf: LlrDensity, ch: ChannelPoint) -> LlrDensity:
-    """Function-node output L-density for `to_user`, conditioned on it sending +1.
-
-    partner_vf is the partner's variable-to-function L-density (conditioned on
-    the partner sending +1); the transform itself averages over the partner's
-    actual bit.
-    """
-    return fn_operator(partner_vf.grid, to_user, ch).apply(partner_vf)
-
-
 def bawgn_density(grid: DensityGrid, h: float) -> LlrDensity:
     """Exact single-user binary-input AWGN L-density at gain h: N(2h^2, 4h^2).
 

@@ -19,17 +19,16 @@ import numpy as np
 
 from . import __version__, output
 from .channel import ChannelPoint, InfeasibleRayError, QuadratureError, mac_acpr_boundary
-from .coupled import coupled_run, coupled_threshold, profile_csv_rows
+from .coupled import coupled_run, profile_csv_rows
 from .densities import DensityGrid, default_grid
 from .ensembles import (
     CoupledSpec,
-    EnsembleSpec,
     coupled_design_rate,
     design_rate,
     named_ensemble,
     parse_ensemble_config,
 )
-from .gexit import MapBoundError, bp_gexit_curve, coupled_bp_gexit_curve, map_bound_sweep, map_boundary
+from .gexit import MapBoundError, bp_gexit_curve, map_bound_sweep, map_boundary
 from .jointde import BracketError, bp_acpr, bp_threshold
 from .mcsim import build_coupled, build_joint, build_regular, simulate_joint
 
@@ -42,11 +41,14 @@ class ConfigError(Exception):
 
 
 HASH_EXCLUDED = {"output", "config", "no_timestamp", "func", "command", "jobs"}
+# side-output paths hash as unset: where a file goes never moves the hash, and
+# a run that writes no side file keeps the hash it always had
+HASH_UNSET = {"profile_out", "summary_out"}
 
 
 def _hashable(args, config: dict) -> dict:
     merged = {**{k: v for k, v in vars(args).items() if k not in HASH_EXCLUDED}, **config}
-    return merged
+    return {k: None if k in HASH_UNSET else v for k, v in merged.items()}
 
 
 def _load_config(path: str | None) -> dict:
@@ -181,6 +183,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer in [0, 2**63), so the seeded
+    generators' 64-bit keys hold it and the small offsets the graph and
+    frame streams add to it."""
+    value = int(text)
+    if not 0 <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**63), got {text!r}")
+    return value
+
+
 def _lattice(args, grid: DensityGrid) -> int:
     if args.lattice < 1 or grid.k_max % args.lattice:
         raise ConfigError(f"lattice {args.lattice} must divide the grid half-width {grid.k_max}")
@@ -222,9 +234,9 @@ def cmd_coupled_threshold(args, config) -> int:
     if not isinstance(spec, CoupledSpec):
         raise ConfigError("coupled-threshold expects an (l,r,L,w) ensemble")
     grid = _grid(args)
-    if args.profile_out and args.profile_alpha is None:
-        raise ConfigError("--profile-out needs --profile-alpha")
-    res = coupled_threshold(spec, args.ratio, tol=args.tol, grid=grid)
+    if (args.profile_out is None) != (args.profile_alpha is None):
+        raise ConfigError("--profile-out and --profile-alpha go together")
+    res = bp_threshold(spec, args.ratio, tol=args.tol, grid=grid)
     if args.profile_out:
         rows = []
         coupled_run(
@@ -270,11 +282,7 @@ def cmd_gexit(args, config) -> int:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     bins = _lattice(args, grid)
-    alphas = _alpha_grid(args.alphas)
-    if isinstance(ens, CoupledSpec):
-        curve = coupled_bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=bins)
-    else:
-        curve = bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=bins)
+    curve = bp_gexit_curve(ens, args.ratio, _alpha_grid(args.alphas), grid=grid, bins=bins)
     curve.metadata["config_hash"] = output.config_hash(_hashable(args, config))
     output.emit(output.gexit_csv(curve, args.no_timestamp), args.output)
     return 0
@@ -374,8 +382,8 @@ def cmd_simulate(args, config) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file; flags override")
     p.add_argument("--output", "-o", help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size for sweeps")
     p.add_argument("--no-timestamp", action="store_true", help="byte-stable headers")
     p.add_argument("--half-range", type=float, default=None, help="grid LLR half range")
     p.add_argument("--grid-bins", type=int, default=None, help="odd number of LLR bins")

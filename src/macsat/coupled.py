@@ -23,8 +23,9 @@ engine memoizes them: positions whose windows did not change since the last
 iteration (the decoded region behind the wave and the inert bulk ahead of
 it) are skipped bit-exactly, and each user's check-window densities sit in
 one memo that both users' updates read.  The GEXIT extrinsic profile takes
-its window averages t_i from the same engine.  Runs and thresholds use the
-halting rule and threshold search of `jointde`.
+its window averages t_i from the same engine.  Runs use the halting rule of
+`jointde`, whose threshold search and GEXIT curves serve coupled ensembles
+through `jointde.de_runner`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .densities import (
     power_vn,
 )
 from .ensembles import CoupledSpec
-from .jointde import BRACKET_ALPHA_MAX, ThresholdResult, run_to_halt, threshold_search
+from .jointde import FixedPoint, run_to_halt
 
 FREEZE_ERROR_PROB = 1e-12
 COUPLED_MAX_ITERS = 30_000  # decoding waves need ~L / wave-speed iterations
@@ -60,11 +61,21 @@ class CoupledState:
     a_vec: tuple
     b_vec: tuple
     L: int
-    iteration: int = 0
 
     def __post_init__(self):
         if len(self.a_vec) != 2 * self.L + 1 or len(self.b_vec) != 2 * self.L + 1:
             raise ValueError("need one density per position in [-L, L]")
+
+    def extrinsic(self, spec: CoupledSpec) -> list:
+        """Per-position (user 1, user 2) variable-to-function densities
+        (Gamma = t_i^{*l} of each window), the input of the position-averaged
+        GEXIT value."""
+        eng = _Engine(spec, self)
+        gammas = [
+            tuple(power_vn(eng.inner(u, i), spec.l) for i in eng.positions)
+            for u in range(len(eng.vecs))
+        ]
+        return list(zip(*eng.unfold(gammas)))
 
 
 def _is_symmetric_state(st: CoupledState) -> bool:
@@ -98,7 +109,6 @@ class _Engine:
         self.positions = range(self.lo, spec.L + 1)
         self.vecs = [start.a_vec[spec.L :]] if self.symmetric else [start.a_vec, start.b_vec]
         self.partner = (0,) if self.symmetric else (1, 0)
-        self.iteration = start.iteration
         self._weights = np.full(spec.w, 1.0 / spec.w)
         self._z_memo = [{} for _ in self.vecs]  # per user: check pos -> (window, z)
         self._pos_memo = [{} for _ in self.vecs]  # per user: var pos -> (windows, result)
@@ -177,7 +187,6 @@ class _Engine:
         self.vecs = [
             tuple(self.update_position(u, i) for i in self.positions) for u in range(len(self.vecs))
         ]
-        self.iteration += 1
         return self
 
     def measure(self) -> tuple[float, float]:
@@ -186,20 +195,7 @@ class _Engine:
         return float(np.mean(_entropies(ds))), max(error_prob(d) for d in ds)
 
     def full_state(self) -> CoupledState:
-        return CoupledState(*self.unfold(self.vecs), self.spec.L, self.iteration)
-
-
-@dataclass(frozen=True)
-class CoupledFixedPoint:
-    channel: ChannelPoint
-    state: CoupledState
-    residual: float
-    decoded: bool
-    iterations: int
-    halt: str
-
-    def error_profile(self) -> np.ndarray:
-        return np.array([error_prob(d) for d in self.state.a_vec])
+        return CoupledState(*self.unfold(self.vecs), self.spec.L)
 
 
 def _entropies(vec) -> np.ndarray:
@@ -213,7 +209,7 @@ def coupled_run(
     max_iters: int = COUPLED_MAX_ITERS,
     profile=None,
     start: CoupledState | None = None,
-) -> CoupledFixedPoint:
+) -> FixedPoint:
     """Run coupled DE from the no-knowledge start (or `start`) until success
     or stall.  Positions whose error probability falls below
     FREEZE_ERROR_PROB are frozen to the +inf delta.
@@ -231,38 +227,14 @@ def coupled_run(
     observe = None
     if profile is not None:
 
-        def observe(eng, _entropy):
+        def observe(iteration, eng):
             full = eng.full_state()
-            profile(full.iteration, _entropies(full.a_vec), _entropies(full.b_vec))
+            profile(iteration, _entropies(full.a_vec), _entropies(full.b_vec))
 
-    _, residual, halt = run_to_halt(engine, _Engine.iterate, _Engine.measure, max_iters, observe)
-    state = engine.full_state()
-    return CoupledFixedPoint(ch, state, residual, halt == "success", state.iteration, halt)
-
-
-def coupled_threshold(
-    spec: CoupledSpec,
-    ratio: float,
-    tol: float = 5e-3,
-    grid: DensityGrid | None = None,
-    bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
-) -> ThresholdResult:
-    """Bisect for the coupled BP threshold on the ray h2 = ratio * h1."""
-    from .densities import default_grid
-
-    if grid is None:
-        grid = default_grid()
-    return threshold_search(lambda ch: coupled_run(ch, spec, grid), ratio, tol, bracket)
-
-
-def extrinsic_profile(state: CoupledState, spec: CoupledSpec):
-    """Per-position variable-to-function densities (Gamma = t_i^{*l} of each
-    window) of both users, for the position-averaged GEXIT value."""
-    eng = _Engine(spec, state)
-    gammas = [
-        tuple(power_vn(eng.inner(u, i), spec.l) for i in eng.positions) for u in range(len(eng.vecs))
-    ]
-    return list(zip(*eng.unfold(gammas)))
+    _, residual, halt, iterations = run_to_halt(
+        engine, _Engine.iterate, _Engine.measure, max_iters, observe
+    )
+    return FixedPoint(ch, engine.full_state(), residual, halt, iterations)
 
 
 def profile_csv_rows(profiles):

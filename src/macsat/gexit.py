@@ -21,9 +21,9 @@ from functools import partial
 import numpy as np
 
 from .channel import ChannelPoint, gauss_hermite, ray_boundary
-from .densities import DensityGrid, LlrDensity
-from .ensembles import EnsembleSpec, design_rate
-from .jointde import BRACKET_ALPHA_MAX, DeFixedPoint, DeState, de_run, vf_density
+from .densities import DensityGrid, LlrDensity, default_grid
+from .ensembles import CoupledSpec, EnsembleSpec, design_rate
+from .jointde import BRACKET_ALPHA_MAX, FixedPoint, de_runner
 
 LOG2E = 1.0 / np.log(2.0)
 INF_LLR = 1000.0  # sentinel LLR for the +/-inf point masses inside kernels
@@ -171,26 +171,15 @@ def kernel_lattice(
     return lat
 
 
-def bp_gexit_value(fp: DeFixedPoint, bins: int = LATTICE_BINS_DEFAULT) -> float:
-    """GEXIT value of a fixed point whose a/b fields hold the extrinsic
-    variable-to-function densities L(rho(.))."""
-    lat = kernel_lattice(fp.channel, fp.a.grid, bins)
-    return lat.value(fp.a, fp.b)
-
-
-def extrinsic_fixed_point(fp: DeFixedPoint, ens: EnsembleSpec) -> DeFixedPoint:
-    """Map a variable-to-check fixed point to the variable-to-function one; a
-    fixed point whose users share one density (the symmetric ray) maps once."""
-    a = vf_density(ens, fp.a)
-    return DeFixedPoint(
-        fp.channel,
-        a,
-        a if fp.b is fp.a else vf_density(ens, fp.b),
-        fp.residual,
-        fp.decoded,
-        fp.iterations,
-        fp.halt,
-    )
+def bp_gexit_value(
+    fp: FixedPoint, ens: EnsembleSpec | CoupledSpec, bins: int = LATTICE_BINS_DEFAULT
+) -> float:
+    """GEXIT value of a DE fixed point of `ens`, averaged over its positions:
+    the one of an uncoupled ensemble, or all 2L+1 of a coupled chain
+    (boundary positions included, noted in curve metadata)."""
+    pairs = fp.state.extrinsic(ens)
+    lat = kernel_lattice(fp.channel, pairs[0][0].grid, bins)
+    return float(np.mean([lat.value(u, v) for u, v in pairs]))
 
 
 @dataclass
@@ -212,13 +201,15 @@ class GexitCurve:
 
 
 class _CurveTracer:
-    """Stable-branch sweep along one ray: forward DE per alpha, warm-started
-    from the stalled state at the nearest smaller alpha, and the GEXIT value
-    of each fixed point.  run(ch, start) returns (decoded, state, g)."""
+    """Stable-branch sweep along one ray: the ensemble's DE per alpha,
+    warm-started from the stalled state at the nearest smaller alpha, and
+    the GEXIT value of each fixed point."""
 
-    def __init__(self, ratio: float, run):
+    def __init__(self, ens, ratio: float, grid: DensityGrid, bins: int):
+        self.ens = ens
         self.ratio = ratio
-        self.run = run
+        self.bins = bins
+        self.run = de_runner(ens, grid)
         self.states = []  # (alpha, stalled state), ascending alpha
 
     def eval_point(self, alpha: float) -> float:
@@ -226,86 +217,38 @@ class _CurveTracer:
         for a, st in self.states:
             if a <= alpha:
                 start = st
-        decoded, state, g = self.run(ChannelPoint(alpha, self.ratio), start)
-        if not decoded:
-            self.states.append((alpha, state))
+        fp = self.run(ChannelPoint(alpha, self.ratio), start)
+        if not fp.decoded:
+            self.states.append((alpha, fp.state))
             self.states.sort(key=lambda t: t[0])
-        return g
-
-    def curve(self, alphas, name: str, metadata: dict) -> GexitCurve:
-        samples = [
-            (a, self.eval_point(a), "stable") if a else (0.0, 0.0, "stable") for a in sorted(alphas)
-        ]
-        return GexitCurve(self.ratio, name, samples, metadata)
-
-
-def _uncoupled_tracer(ens, ratio, grid, bins) -> _CurveTracer:
-    def run(ch, start):
-        fp = de_run(ch, ens, grid, start=start)
-        g = bp_gexit_value(extrinsic_fixed_point(fp, ens), bins)
-        return fp.decoded, DeState(fp.a, fp.b), g
-
-    return _CurveTracer(ratio, run)
+        return bp_gexit_value(fp, self.ens, self.bins)
 
 
 def bp_gexit_curve(
-    ens: EnsembleSpec,
+    ens: EnsembleSpec | CoupledSpec,
     ratio: float,
     alphas,
     grid: DensityGrid | None = None,
     bins: int = LATTICE_BINS_DEFAULT,
 ) -> GexitCurve:
-    """Stable-branch BP-GEXIT curve: forward DE per alpha (warm-started along
-    the sweep), GEXIT value at the resulting fixed point."""
-    from .densities import default_grid
-
+    """Stable-branch BP-GEXIT curve of an uncoupled or coupled ensemble: its
+    DE per alpha (warm-started along the sweep), GEXIT value at the resulting
+    fixed point."""
     if grid is None:
         grid = default_grid()
     meta = {
         "grid_bins": grid.n_bins,
         "lattice_bins": bins,
         "order": KERNEL_ORDER,
-        "positions": "single",
+        "positions": (
+            "all (2L+1, boundaries included)" if isinstance(ens, CoupledSpec) else "single"
+        ),
     }
-    return _uncoupled_tracer(ens, ratio, grid, bins).curve(alphas, str(ens), meta)
-
-
-def coupled_gexit_value(state, spec, ch: ChannelPoint, bins: int = LATTICE_BINS_DEFAULT) -> float:
-    """Position-averaged GEXIT value of a coupled state: all 2L+1 positions
-    enter the average (boundary positions included, noted in curve metadata)."""
-    from .coupled import extrinsic_profile
-
-    lat = kernel_lattice(ch, state.a_vec[0].grid, bins)
-    vals = [lat.value(ga, gb) for ga, gb in extrinsic_profile(state, spec)]
-    return float(np.mean(vals))
-
-
-def coupled_bp_gexit_curve(
-    spec,
-    ratio: float,
-    alphas,
-    grid: DensityGrid | None = None,
-    bins: int = LATTICE_BINS_DEFAULT,
-) -> GexitCurve:
-    """Stable-branch BP-GEXIT curve of the coupled system (forward coupled DE
-    per alpha, warm-started along the sweep, position-averaged value)."""
-    from .coupled import coupled_run
-    from .densities import default_grid
-
-    if grid is None:
-        grid = default_grid()
-
-    def run(ch, start):
-        fp = coupled_run(ch, spec, grid, start=start)
-        return fp.decoded, fp.state, coupled_gexit_value(fp.state, spec, ch, bins)
-
-    meta = {
-        "grid_bins": grid.n_bins,
-        "lattice_bins": bins,
-        "order": KERNEL_ORDER,
-        "positions": "all (2L+1, boundaries included)",
-    }
-    return _CurveTracer(ratio, run).curve(alphas, str(spec), meta)
+    tracer = _CurveTracer(ens, ratio, grid, bins)
+    samples = [
+        (a, tracer.eval_point(a), "stable") if a else (0.0, 0.0, "stable") for a in sorted(alphas)
+    ]
+    return GexitCurve(ratio, str(ens), samples, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +297,11 @@ def map_bound_sweep(
     """Compute alpha_bar for an ensemble: sweep the stable branch upward until
     the area reaches 2 * design_rate, then halve the step near the crossing
     until alpha_bar moves by less than MAP_REFINE_TO."""
-    from .densities import default_grid
-
     if grid is None:
         grid = default_grid()
     rate = design_rate(ens)
     target = 2.0 * rate
-    tracer = _uncoupled_tracer(ens, ratio, grid, bins)
+    tracer = _CurveTracer(ens, ratio, grid, bins)
 
     samples: dict[float, float] = {0.0: 0.0}
     alpha = 0.0

@@ -10,8 +10,9 @@ the previous state (Jacobi), which is what the displayed recursion expresses.
 On the symmetric ray (A = 1) with equal codes the recursion maps a pair of
 identical densities to an identical pair, so one update serves both users.
 
-This module also holds the halting rule and the threshold search shared with
-coupled DE.
+This module also holds the halting rule shared with coupled DE, the one
+place (`de_runner`) that picks uncoupled or coupled DE for an ensemble, and
+the threshold search over either.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .densities import (
     DensityGrid,
     LlrDensity,
     conv_vn,
+    default_grid,
     delta_inf,
     delta_zero,
     entropy,
@@ -49,22 +51,33 @@ BRACKET_ALPHA_MAX = 6.0
 
 @dataclass(frozen=True)
 class DeState:
-    """Variable-to-check L-densities of the two users at one iteration."""
+    """Variable-to-check L-densities of the two users."""
 
     a: LlrDensity
     b: LlrDensity
-    iteration: int = 0
+
+    def extrinsic(self, ens: EnsembleSpec) -> list:
+        """[(user 1, user 2)] variable-to-function densities L(rho(.)) at the
+        one position, the input of the GEXIT value; users that share one
+        density (the symmetric ray) map once."""
+        a = vf_density(ens, self.a)
+        return [(a, a if self.b is self.a else vf_density(ens, self.b))]
 
 
 @dataclass(frozen=True)
-class DeFixedPoint:
+class FixedPoint:
+    """Where one DE run halted: its DeState or CoupledState, the last entropy
+    change, the halt reason and the iterations this run spent."""
+
     channel: ChannelPoint
-    a: LlrDensity
-    b: LlrDensity
+    state: object
     residual: float
-    decoded: bool
-    iterations: int
     halt: str  # "success" | "stall" | "max_iters"
+    iterations: int
+
+    @property
+    def decoded(self) -> bool:
+        return self.halt == "success"
 
 
 def initial_state(grid: DensityGrid) -> DeState:
@@ -97,13 +110,13 @@ def de_iterate(
     vf_a = dinf if genie else poly_vn_node(ens.node_lambda, rho_a)
     if ch.ratio == 1.0 and state.a is state.b:
         x = conv_vn(fn_operator(grid, 1, ch).apply(vf_a), poly_vn(ens.lambda_coeffs, rho_a))
-        return DeState(x, x, state.iteration + 1)
+        return DeState(x, x)
 
     rho_b = poly_cn(ens.rho_coeffs, state.b)
     vf_b = dinf if genie else poly_vn_node(ens.node_lambda, rho_b)
     a_next = conv_vn(fn_operator(grid, 1, ch).apply(vf_b), poly_vn(ens.lambda_coeffs, rho_a))
     b_next = conv_vn(fn_operator(grid, 2, ch).apply(vf_a), poly_vn(ens.lambda_coeffs, rho_b))
-    return DeState(a_next, b_next, state.iteration + 1)
+    return DeState(a_next, b_next)
 
 
 def run_to_halt(state, step, measure, max_iters, observe=None):
@@ -114,25 +127,26 @@ def run_to_halt(state, step, measure, max_iters, observe=None):
     STALL_ENTROPY_DELTA for STALL_PATIENCE iterations in a row ("stall"), or
     max_iters steps are spent ("max_iters", reported as not decoded).
     measure(state) returns (entropy, largest error probability) and
-    observe(state, entropy), when given, sees every step.  Returns
-    (state, residual, halt) with residual the last entropy change.
+    observe(iteration, state), when given, sees every step.  Returns
+    (state, residual, halt, iterations) with residual the last entropy
+    change and iterations the steps this call spent, whatever the start.
     """
     h_prev, _ = measure(state)
     quiet = 0
     residual = np.inf
-    for _ in range(max_iters):
+    for iteration in range(1, max_iters + 1):
         state = step(state)
         h_now, worst_error = measure(state)
         residual = abs(h_prev - h_now)
         if observe is not None:
-            observe(state, h_now)
+            observe(iteration, state)
         if worst_error < SUCCESS_ERROR_PROB:
-            return state, residual, "success"
+            return state, residual, "success", iteration
         quiet = quiet + 1 if residual < STALL_ENTROPY_DELTA else 0
         if quiet >= STALL_PATIENCE:
-            return state, residual, "stall"
+            return state, residual, "stall", iteration
         h_prev = h_now
-    return state, residual, "max_iters"
+    return state, residual, "max_iters", max_iters
 
 
 def _measure_pair(state: DeState) -> tuple[float, float]:
@@ -146,16 +160,31 @@ def de_run(
     max_iters: int = MAX_ITERS,
     genie: bool = False,
     start: DeState | None = None,
-) -> DeFixedPoint:
+) -> FixedPoint:
     """Iterate DE until decoded, stalled at a nontrivial fixed point, or out
     of iterations (reported as nontrivial, conservatively)."""
-    state, residual, halt = run_to_halt(
-        start if start is not None else initial_state(grid),
-        lambda st: de_iterate(st, ch, ens, genie=genie),
-        _measure_pair,
-        max_iters,
+    return FixedPoint(
+        ch,
+        *run_to_halt(
+            start if start is not None else initial_state(grid),
+            lambda st: de_iterate(st, ch, ens, genie=genie),
+            _measure_pair,
+            max_iters,
+        ),
     )
-    return DeFixedPoint(ch, state.a, state.b, residual, halt == "success", state.iteration, halt)
+
+
+def de_runner(ens: EnsembleSpec | CoupledSpec, grid: DensityGrid, genie: bool = False):
+    """The DE of an ensemble as run(ch, start=None) -> FixedPoint: coupled DE
+    for an (l, r, L, w) ensemble, joint DE otherwise.  This is the one place
+    that tells the two apart; thresholds and GEXIT curves share the rest."""
+    if isinstance(ens, CoupledSpec):
+        if genie:
+            raise ValueError("genie DE is defined for uncoupled ensembles only")
+        from .coupled import coupled_run
+
+        return lambda ch, start=None: coupled_run(ch, ens, grid, start=start)
+    return lambda ch, start=None: de_run(ch, ens, grid, genie=genie, start=start)
 
 
 class BracketError(RuntimeError):
@@ -180,15 +209,20 @@ class ThresholdResult:
         }
 
 
-def threshold_search(
-    run, ratio: float, tol: float, bracket: tuple[float, float]
+def bp_threshold(
+    ens: EnsembleSpec | CoupledSpec,
+    ratio: float,
+    tol: float = 5e-3,
+    grid: DensityGrid | None = None,
+    bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
+    genie: bool = False,
 ) -> ThresholdResult:
-    """Bisect for the BP threshold on the ray h2 = ratio * h1, where
-    run(ChannelPoint) returns a fixed point of the DE in question; the bracket
-    ends must fail and decode.  Returns the bracket midpoint once the
-    half-width drops below tol."""
+    """Bisect for the BP threshold of an uncoupled or coupled ensemble on the
+    ray h2 = ratio * h1; the bracket ends must fail and decode.  Returns the
+    bracket midpoint once the half-width drops below tol."""
     if not ratio >= 0:
         raise ValueError("ratio must be nonnegative")
+    run = de_runner(ens, grid if grid is not None else default_grid(), genie)
     probes: list[tuple[float, bool]] = []
     spent = 0
 
@@ -208,27 +242,7 @@ def threshold_search(
     return ThresholdResult(alpha, tol, ratio, spent, probes)
 
 
-def bp_threshold(
-    ens: EnsembleSpec,
-    ratio: float,
-    tol: float = 5e-3,
-    grid: DensityGrid | None = None,
-    bracket: tuple[float, float] = (0.0, BRACKET_ALPHA_MAX),
-    genie: bool = False,
-) -> ThresholdResult:
-    """Bisect for the uncoupled BP threshold on the ray h2 = ratio * h1."""
-    from .densities import default_grid
-
-    if grid is None:
-        grid = default_grid()
-    return threshold_search(lambda ch: de_run(ch, ens, grid, genie=genie), ratio, tol, bracket)
-
-
 def _threshold_alpha(ens, ratio: float, **kwargs) -> float:
-    if isinstance(ens, CoupledSpec):
-        from .coupled import coupled_threshold
-
-        return coupled_threshold(ens, ratio, **kwargs).alpha
     return bp_threshold(ens, ratio, **kwargs).alpha
 
 

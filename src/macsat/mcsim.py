@@ -37,7 +37,6 @@ class LdpcGraph:
     edge_check: np.ndarray  # check index per edge
     var_pos: np.ndarray | None = None  # position labels for coupled graphs
     check_pos: np.ndarray | None = None
-    duplicate_edges: int = 0  # parallel edges accepted after retries
 
     @property
     def n_edges(self) -> int:
@@ -64,8 +63,8 @@ def build_regular(n: int, l: int, r: int, seed: int) -> LdpcGraph:
     """Configuration model: n variables of degree l, n*l/r checks of degree r.
 
     The check-socket permutation is redrawn up to 100 times if parallel edges
-    appear; any survivors are kept and reported (they are vanishingly rare for
-    small graphs and harmless for BP at the sizes used here).
+    appear; any survivors are kept (they are vanishingly rare for small graphs
+    and harmless for BP at the sizes used here).
     """
     if (n * l) % r != 0:
         raise ValueError("n*l must be divisible by r")
@@ -74,13 +73,11 @@ def build_regular(n: int, l: int, r: int, seed: int) -> LdpcGraph:
     check_sockets = np.repeat(np.arange(m, dtype=np.int64), r)
     rng = _rng_for(seed)
     edge_check = None
-    dups = 0
     for _ in range(100):
         edge_check = rng.permutation(check_sockets)
-        dups = _count_duplicates(edge_var, edge_check, n)
-        if dups == 0:
+        if _count_duplicates(edge_var, edge_check, n) == 0:
             break
-    return LdpcGraph(n, m, edge_var, edge_check, duplicate_edges=dups)
+    return LdpcGraph(n, m, edge_var, edge_check)
 
 
 def build_coupled(spec: CoupledSpec, seed: int) -> LdpcGraph:
@@ -127,10 +124,7 @@ def build_coupled(spec: CoupledSpec, seed: int) -> LdpcGraph:
         chosen = rng.permutation(sockets)[: stub_idx.size]
         edge_check[stub_idx] = chosen
 
-    dups = _count_duplicates(edge_var, edge_check, n_vars)
-    return LdpcGraph(
-        n_vars, n_checks, edge_var, edge_check, var_pos, check_pos, duplicate_edges=dups
-    )
+    return LdpcGraph(n_vars, n_checks, edge_var, edge_check, var_pos, check_pos)
 
 
 @dataclass

@@ -14,9 +14,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from macsat.channel import ChannelPoint, bawgn_density, fn_transform, mac_acpr_point
+from macsat.channel import ChannelPoint, bawgn_density, fn_operator, mac_acpr_point
 from macsat.cli import _pmap
-from macsat.coupled import coupled_threshold
 from macsat.densities import (
     DensityGrid,
     conv_cn,
@@ -188,7 +187,7 @@ class TestCriterion6:
         assert conv_cn(delta_zero(grid), a).mass[grid.center] == pytest.approx(1.0)
         assert np.abs(conv_vn(delta_zero(grid), a).mass - a.mass).max() < 1e-14
 
-        # fn_transform analytic reductions, Kolmogorov < 0.01
+        # function-node analytic reductions, Kolmogorov < 0.01
         def kolmogorov(x, y):
             cx = np.concatenate(([x.mass_neg_inf], x.mass_neg_inf + np.cumsum(x.mass)))
             cy = np.concatenate(([y.mass_neg_inf], y.mass_neg_inf + np.cumsum(y.mass)))
@@ -196,10 +195,11 @@ class TestCriterion6:
 
         partner = random_density(GRID_MID, rng, symmetric=True)
         ks1 = kolmogorov(
-            fn_transform(1, partner, ChannelPoint(1.3, 0.0)), bawgn_density(GRID_MID, 1.3)
+            fn_operator(GRID_MID, 1, ChannelPoint(1.3, 0.0)).apply(partner),
+            bawgn_density(GRID_MID, 1.3),
         )
         ks2 = kolmogorov(
-            fn_transform(1, delta_inf(GRID_MID), ChannelPoint(1.0, 1.0)),
+            fn_operator(GRID_MID, 1, ChannelPoint(1.0, 1.0)).apply(delta_inf(GRID_MID)),
             bawgn_density(GRID_MID, 1.0),
         )
 
@@ -222,7 +222,7 @@ class TestCriterion6:
         )
 
     def test_w1_coupled_equals_uncoupled(self):
-        res_c = coupled_threshold(
+        res_c = bp_threshold(
             CoupledSpec(3, 6, 1, 1), 1.0, tol=4e-3, grid=GRID_SMALL, bracket=(1.0, 2.4)
         )
         res_u = bp_threshold(regular(3, 6), 1.0, tol=4e-3, grid=GRID_SMALL, bracket=(1.0, 2.4))
@@ -259,7 +259,7 @@ class TestCriterion7:
         inst = build_joint(
             build_regular(100_000, 3, 6, 101), build_regular(100_000, 3, 6, 102), 103
         )
-        de1 = fn_transform(1, delta_zero(GRID_MID), ch)
+        de1 = fn_operator(GRID_MID, 1, ch).apply(delta_zero(GRID_MID))
         rep = de_mc_crosscheck(inst, ch, de1, iteration=1, seed=104)
         ok = rep["kolmogorov"] < 0.01
         announce(

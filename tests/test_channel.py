@@ -9,7 +9,7 @@ from macsat.channel import (
     FnOperator,
     InfeasibleRayError,
     bawgn_density,
-    fn_transform,
+    fn_operator,
     mac_acpr_boundary,
     mac_acpr_point,
     mac_mutual_infos,
@@ -87,18 +87,18 @@ class TestFnTransform:
         ch = ChannelPoint(1.3, 0.0)
         rng = np.random.default_rng(0)
         partner = random_density(work_grid, rng, symmetric=True)
-        out = fn_transform(1, partner, ch)
+        out = fn_operator(work_grid, 1, ch).apply(partner)
         assert kolmogorov(out, bawgn_density(work_grid, 1.3)) < 0.01
 
     def test_known_partner_reduces_to_bawgn(self, work_grid):
         # partner perfectly known: its contribution cancels exactly
         ch = ChannelPoint(1.0, 1.0)
-        out = fn_transform(1, delta_inf(work_grid), ch)
+        out = fn_operator(work_grid, 1, ch).apply(delta_inf(work_grid))
         assert kolmogorov(out, bawgn_density(work_grid, 1.0)) < 0.01
 
     def test_erasure_partner_matches_monte_carlo(self, work_grid):
         ch = ChannelPoint(1.0, 1.0)
-        out = fn_transform(1, delta_zero(work_grid), ch)
+        out = fn_operator(work_grid, 1, ch).apply(delta_zero(work_grid))
         rng = np.random.default_rng(1)
         n = 10**6
         x2 = rng.choice([1.0, -1.0], size=n)
@@ -117,14 +117,14 @@ class TestFnTransform:
         rng = np.random.default_rng(2)
         partner = random_density(work_grid, rng, symmetric=True)
         for user in (1, 2):
-            out = fn_transform(user, partner, ch)
+            out = fn_operator(work_grid, user, ch).apply(partner)
             assert symmetry_residual(out) < 10 * work_grid.bin_width
 
     def test_degradation_monotone_in_alpha(self, coarse_grid):
         rng = np.random.default_rng(3)
         partner = random_density(coarse_grid, rng, symmetric=True)
         errs = [
-            error_prob(fn_transform(1, partner, ChannelPoint(a, 0.7)))
+            error_prob(fn_operator(coarse_grid, 1, ChannelPoint(a, 0.7)).apply(partner))
             for a in (0.4, 0.8, 1.2, 1.6, 2.0)
         ]
         assert all(e2 <= e1 + 1e-6 for e1, e2 in zip(errs, errs[1:]))
@@ -133,18 +133,18 @@ class TestFnTransform:
         # entropy(fn(delta_inf)) + I(X1;Y|X2) = 1 (single-user duality)
         for alpha, ratio in ((0.8, 1.0), (1.2, 0.5)):
             ch = ChannelPoint(alpha, ratio)
-            h = entropy(fn_transform(1, delta_inf(work_grid), ch))
+            h = entropy(fn_operator(work_grid, 1, ch).apply(delta_inf(work_grid)))
             i1, _, _ = mac_mutual_infos(ch)
             assert h + i1 == pytest.approx(1.0, abs=1e-3)
 
     def test_operator_matches_function(self, coarse_grid):
+        # the cached operator toward user 1 is the one built from (h1, h2)
         ch = ChannelPoint(1.1, 0.9)
         rng = np.random.default_rng(4)
         partner = random_density(coarse_grid, rng)
-        op = FnOperator(coarse_grid, ch.h1, ch.h2)
-        np.testing.assert_allclose(
-            op.apply(partner).mass, fn_transform(1, partner, ch).mass, atol=1e-14
-        )
+        want = FnOperator(coarse_grid, ch.h1, ch.h2).apply(partner)
+        got = fn_operator(coarse_grid, 1, ch).apply(partner)
+        np.testing.assert_allclose(got.mass, want.mass, atol=1e-14)
 
 
 class TestFnOperator:

@@ -207,6 +207,28 @@ class TestGexitCommand:
             assert float(g) <= 1e-6
 
 
+class TestConfigHash:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["coupled-threshold", "--ensemble", "3,6,4,2", "--grid-bins", "65", "--tol", "0.1",
+              "--profile-alpha", "1.3"], "--profile-out"),
+            (["simulate", "--n", "600", "--frames", "1", "--alpha", "1.9"], "--summary-out"),
+        ],
+        ids=["profile-out", "summary-out"],
+    )
+    def test_side_file_path_leaves_hash(self, tmp_path, argv, flag):
+        # where a side file goes is not part of the resolved config
+        hashes = set()
+        for side in ("one.csv", "two.csv"):
+            code, text = run_cli(
+                argv + ["--no-timestamp", flag, str(tmp_path / side)], tmp_path, "out"
+            )
+            assert code == 0 and (tmp_path / side).exists()
+            hashes.add(text.split('"config_hash": "')[1][:16])
+        assert len(hashes) == 1
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -238,6 +260,15 @@ class TestExitCodes:
             ["threshold", "--half-range", "-1"],
             ["threshold", "--ensemble", "3,6,4,0"],
             ["threshold", "--ensemble", "3,x,4,2"],
+            # a seed must fit the generators' 64-bit keys with its offsets, a
+            # pool needs a worker, and a profile needs a file to go to
+            ["simulate", "--alpha", "1.9", "--seed", "-1"],
+            ["simulate", "--alpha", "1.9", "--seed", "18446744073709551615"],
+            ["capacity", "--ray-list", "1", "--jobs", "-3"],
+            [
+                "coupled-threshold", "--ensemble", "3,6,4,2", "--grid-bins", "65", "--tol", "0.1",
+                "--profile-alpha", "1.3",
+            ],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):

@@ -6,8 +6,6 @@ from macsat.coupled import (
     CoupledState,
     _Engine,
     coupled_run,
-    coupled_threshold,
-    extrinsic_profile,
     profile_csv_rows,
 )
 from macsat.densities import (
@@ -21,7 +19,7 @@ from macsat.densities import (
     power_vn,
 )
 from macsat.ensembles import CoupledSpec, regular
-from macsat.jointde import de_iterate, initial_state
+from macsat.jointde import bp_threshold, de_iterate, initial_state
 
 from conftest import random_density
 from oracles import window_g, window_gamma
@@ -181,7 +179,7 @@ class TestRun:
     def test_spatial_monotonicity(self, coarse_grid):
         spec = CoupledSpec(3, 6, 8, 2)
         fp = coupled_run(ChannelPoint(1.2, 1.0), spec, coarse_grid, max_iters=80)
-        prof = fp.error_profile()
+        prof = [error_prob(d) for d in fp.state.a_vec]
         # |i| >= |j| implies error_prob(a_i) <= error_prob(a_j)
         for i in range(spec.L):
             assert prof[i] <= prof[i + 1] + 1e-9  # left half ascending
@@ -256,17 +254,15 @@ class TestWaveStability:
 class TestThreshold:
     def test_w1_equals_uncoupled(self):
         # w = 1 decouples, so the coupled threshold equals the uncoupled one
-        from macsat.jointde import bp_threshold
-
         grid = DensityGrid(30 / 512, 30.0)
         spec1 = CoupledSpec(3, 6, 1, 1)
-        res_c = coupled_threshold(spec1, 1.0, tol=4e-3, grid=grid, bracket=(1.2, 2.2))
+        res_c = bp_threshold(spec1, 1.0, tol=4e-3, grid=grid, bracket=(1.2, 2.2))
         res_u = bp_threshold(regular(3, 6), 1.0, tol=4e-3, grid=grid, bracket=(1.2, 2.2))
         assert res_c.alpha == pytest.approx(res_u.alpha, abs=0.01)
 
     def test_coupled_3_6_8_2_smoke(self, coarse_grid):
         # L = 8 at a coarse grid: threshold noticeably below uncoupled 1.69
-        res = coupled_threshold(
+        res = bp_threshold(
             CoupledSpec(3, 6, 8, 2), 1.0, tol=0.01, grid=coarse_grid, bracket=(1.0, 2.0)
         )
         assert 1.2 < res.alpha < 1.45
@@ -275,7 +271,7 @@ class TestThreshold:
 class TestExtrinsic:
     def test_profile_shapes(self, coarse_grid):
         fp = coupled_run(ChannelPoint(1.4, 1.0), SPEC, coarse_grid, max_iters=1)
-        prof = extrinsic_profile(fp.state, SPEC)
+        prof = fp.state.extrinsic(SPEC)
         assert len(prof) == SPEC.n_positions
         ga, gb = prof[SPEC.L]  # center
         assert abs(ga.total_mass - 1.0) < 1e-9
@@ -293,7 +289,7 @@ class TestExtrinsic:
             b = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
             state = CoupledState(tuple(a), b, 4)
         dinf = delta_inf(coarse_grid)
-        prof = extrinsic_profile(state, SPEC)
+        prof = state.extrinsic(SPEC)
         for i in range(-4, 5):
             for user, vec in enumerate((state.a_vec, state.b_vec)):
                 xs = [vec[p + 4] if abs(p) <= 4 else dinf for p in range(i - 1, i + 2)]

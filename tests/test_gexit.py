@@ -12,10 +12,9 @@ from macsat.gexit import (
     KernelLattice,
     MapBoundError,
     bp_gexit_value,
-    extrinsic_fixed_point,
     map_bound,
 )
-from macsat.jointde import DeFixedPoint, de_run, vf_density
+from macsat.jointde import DeState, FixedPoint, de_run, vf_density
 
 from conftest import random_density
 from oracles import four_symbol_value, gexit_kernel, lift, loop_kernel_lattice, nu
@@ -188,21 +187,22 @@ class TestGexitValue:
         from macsat.densities import delta_inf
 
         ch = ChannelPoint(1.8, 1.0)
-        fp = DeFixedPoint(ch, delta_inf(work_grid), delta_inf(work_grid), 0.0, True, 1, "success")
-        assert abs(bp_gexit_value(fp)) < 1e-5
+        fp = FixedPoint(ch, DeState(delta_inf(work_grid), delta_inf(work_grid)), 0.0, "success", 1)
+        assert abs(bp_gexit_value(fp, ENS36)) < 1e-5
 
     def test_zero_gain_vanishes(self, work_grid):
         ch = ChannelPoint(0.0, 1.0)
-        fp = DeFixedPoint(ch, delta_zero(work_grid), delta_zero(work_grid), 0.0, False, 1, "stall")
-        assert abs(bp_gexit_value(fp)) < 1e-9
+        fp = FixedPoint(ch, DeState(delta_zero(work_grid), delta_zero(work_grid)), 0.0, "stall", 1)
+        assert abs(bp_gexit_value(fp, ENS36)) < 1e-9
 
     def test_symmetric_fixed_point_maps_once(self, coarse_grid, monkeypatch):
         # at A = 1 both users share one density, so one curve point needs a
         # single variable-to-function map
         import macsat.gexit as gexit
+        import macsat.jointde as jointde
 
         calls = []
-        monkeypatch.setattr(gexit, "vf_density", lambda *args: calls.append(1) or vf_density(*args))
+        monkeypatch.setattr(jointde, "vf_density", lambda *args: calls.append(1) or vf_density(*args))
         curve = gexit.bp_gexit_curve(ENS36, 1.0, [1.2], grid=coarse_grid, bins=16)
         assert len(calls) == 1
         assert curve.samples[0][1] < 0.0
@@ -213,7 +213,7 @@ class TestGexitValue:
         targets = {0.5: -0.956902, 0.67: -1.0041, 1.0: -0.910315, 1.26: -0.752815}
         for alpha, ref in targets.items():
             fp = de_run(ChannelPoint(alpha, 1.0), ENS36, work_grid)
-            g = bp_gexit_value(extrinsic_fixed_point(fp, ENS36))
+            g = bp_gexit_value(fp, ENS36)
             assert g == pytest.approx(ref, abs=5e-3)
 
 
@@ -240,32 +240,28 @@ class TestCoupledGexit:
     def test_identical_positions_match_uncoupled_value(self, coarse_grid):
         # w = 1 windows collapse, so a chain of identical densities carries
         # exactly the uncoupled GEXIT value
+        from dataclasses import replace
+
         from macsat.coupled import CoupledState
         from macsat.ensembles import CoupledSpec
-        from macsat.gexit import coupled_gexit_value
-        from macsat.jointde import de_run, vf_density
 
         ch = ChannelPoint(1.4, 1.0)
         fp = de_run(ch, ENS36, coarse_grid)
         spec = CoupledSpec(3, 6, 3, 1)
         n = spec.n_positions
-        state = CoupledState((fp.a,) * n, (fp.b,) * n, spec.L)
-        got = coupled_gexit_value(state, spec, ch)
-        u = vf_density(ENS36, fp.a)
-        ref = bp_gexit_value(DeFixedPoint(ch, u, u, 0.0, False, 0, "stall"))
-        assert got == pytest.approx(ref, abs=1e-12)
+        state = CoupledState((fp.state.a,) * n, (fp.state.b,) * n, spec.L)
+        got = bp_gexit_value(replace(fp, state=state), spec)
+        assert got == pytest.approx(bp_gexit_value(fp, ENS36), abs=1e-12)
 
     @pytest.mark.slow
     def test_fig5_coupled_sample_value(self, work_grid):
         # coupled (3,6,16,2) stalled point at alpha = 0.5, A = 1
         from macsat.coupled import coupled_run
         from macsat.ensembles import CoupledSpec
-        from macsat.gexit import coupled_gexit_value
 
         spec = CoupledSpec(3, 6, 16, 2)
-        ch = ChannelPoint(0.5, 1.0)
-        fp = coupled_run(ch, spec, work_grid)
-        got = coupled_gexit_value(fp.state, spec, ch)
+        fp = coupled_run(ChannelPoint(0.5, 1.0), spec, work_grid)
+        got = bp_gexit_value(fp, spec)
         assert got == pytest.approx(-0.950897, abs=5e-3)
 
 

@@ -1,5 +1,6 @@
 """Golden CLI outputs: each case reruns a command with --no-timestamp and must
-reproduce the committed bytes under tests/golden/ exactly.
+reproduce the committed bytes under tests/golden/ exactly, for its output and
+for the side file it writes, if any.
 
 The files hold serial (--jobs 1) output, so the --jobs 2 sweeps are compared
 against the same bytes.  Regenerate them only when a change of output is
@@ -25,6 +26,10 @@ FAST = {
     "threshold_genie.json": ["threshold", "--grid-bins", "129", "--tol", "0.02", "--genie"],
     "coupled_threshold_3642.json": [
         "coupled-threshold", "--ensemble", "3,6,4,2", "--grid-bins", "65", "--tol", "0.1",
+    ],
+    "coupled_threshold_3642_profile.json": [
+        "coupled-threshold", "--ensemble", "3,6,4,2", "--grid-bins", "65", "--tol", "0.1",
+        "--profile-alpha", "1.3",
     ],
     "map_bound.json": ["map-bound", "--grid-bins", "129", "--step", "0.1", "--lattice", "16"],
     "gexit.csv": ["gexit", "--grid-bins", "129", "--lattice", "16", "--alphas", "0:2:0.25"],
@@ -61,6 +66,11 @@ PARALLEL = ["capacity.csv", "acpr.csv", "acpr_3642.csv", "map_bound_rays.csv", "
 
 CASES = {**FAST, **SLOW}
 
+# side files: case -> (flag naming the file, golden file)
+SIDE_FILES = {
+    "coupled_threshold_3642_profile.json": ("--profile-out", "coupled_profile_3642.csv"),
+}
+
 
 def _params(names):
     return [
@@ -68,20 +78,32 @@ def _params(names):
     ]
 
 
-def run_case(name, out: Path, extra=()) -> bytes:
-    code = main(CASES[name] + ["--no-timestamp", *extra, "--output", str(out)])
-    assert code == 0
-    return out.read_bytes()
+def run_case(name, out_dir: Path, extra=()) -> dict:
+    """Run case `name` with its files written under out_dir; returns the bytes
+    of each, keyed by golden file name."""
+    files = [name]
+    argv = CASES[name] + ["--no-timestamp", *extra, "--output", str(out_dir / name)]
+    if name in SIDE_FILES:
+        flag, side = SIDE_FILES[name]
+        argv += [flag, str(out_dir / side)]
+        files.append(side)
+    assert main(argv) == 0
+    return {f: (out_dir / f).read_bytes() for f in files}
+
+
+def assert_golden(written: dict):
+    for f, got in written.items():
+        assert got == (GOLDEN / f).read_bytes(), f
 
 
 @pytest.mark.parametrize("name", _params(CASES))
 def test_golden_bytes(name, tmp_path):
-    assert run_case(name, tmp_path / name) == (GOLDEN / name).read_bytes()
+    assert_golden(run_case(name, tmp_path))
 
 
 @pytest.mark.parametrize("name", _params(PARALLEL))
 def test_two_jobs_match_serial(name, tmp_path):
-    assert run_case(name, tmp_path / name, ["--jobs", "2"]) == (GOLDEN / name).read_bytes()
+    assert_golden(run_case(name, tmp_path, ["--jobs", "2"]))
 
 
 def regenerate(names) -> int:
@@ -92,8 +114,8 @@ def regenerate(names) -> int:
         return 2
     GOLDEN.mkdir(exist_ok=True)
     for name in names or CASES:
-        run_case(name, GOLDEN / name)
-        print("wrote", GOLDEN / name)
+        for f in run_case(name, GOLDEN):
+            print("wrote", GOLDEN / f)
     return 0
 
 

@@ -1,10 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from macsat.channel import ChannelPoint
+from macsat.coupled import coupled_run
 from macsat.densities import DensityGrid, delta_zero, entropy, error_prob
-from macsat.ensembles import regular
+from macsat.ensembles import CoupledSpec, regular
 from macsat.jointde import (
+    STALL_PATIENCE,
     BracketError,
     DeState,
     bp_acpr,
@@ -55,36 +59,44 @@ class TestIteration:
             assert eb <= prev_b + 1e-9
             prev_a, prev_b = ea, eb
 
-    def test_iteration_counter(self, coarse_grid):
-        st = initial_state(coarse_grid)
-        st = de_iterate(st, ChannelPoint(1.0, 1.0), ENS36)
-        assert st.iteration == 1
-
 
 class TestRun:
     def test_zero_gain_stalls_at_full_entropy(self, coarse_grid):
         fp = de_run(ChannelPoint(0.0, 1.0), ENS36, coarse_grid, max_iters=50)
         assert not fp.decoded
-        assert entropy(fp.a) == pytest.approx(1.0, abs=1e-9)
+        assert entropy(fp.state.a) == pytest.approx(1.0, abs=1e-9)
 
     def test_above_threshold_decodes(self, coarse_grid):
         fp = de_run(ChannelPoint(1.8, 1.0), ENS36, coarse_grid)
         assert fp.decoded and fp.halt == "success"
-        assert error_prob(fp.a) < 1e-10 and error_prob(fp.b) < 1e-10
+        assert error_prob(fp.state.a) < 1e-10 and error_prob(fp.state.b) < 1e-10
 
     def test_below_threshold_stalls(self, coarse_grid):
         fp = de_run(ChannelPoint(1.55, 1.0), ENS36, coarse_grid)
         assert not fp.decoded and fp.halt == "stall"
-        assert error_prob(fp.a) > 1e-2
+        assert error_prob(fp.state.a) > 1e-2
 
     def test_fixed_point_residual(self, coarse_grid):
         fp = de_run(ChannelPoint(1.55, 1.0), ENS36, coarse_grid)
-        st = DeState(fp.a, fp.b)
+        st = fp.state
         nxt = de_iterate(st, fp.channel, ENS36)
-        drift = abs(
-            entropy(nxt.a) + entropy(nxt.b) - entropy(fp.a) - entropy(fp.b)
-        )
+        drift = abs(entropy(nxt.a) + entropy(nxt.b) - entropy(st.a) - entropy(st.b))
         assert drift < 1e-8
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["uncoupled", "coupled"])
+    def test_warm_start_counts_own_iterations(self, coarse_grid, coupled):
+        # a run warm-started from a stalled fixed point reports the steps it
+        # spent itself: the stall needs STALL_PATIENCE quiet steps again
+        ch = ChannelPoint(1.2, 1.0)
+        if coupled:
+            run = partial(coupled_run, ch, CoupledSpec(3, 6, 4, 2), coarse_grid)
+        else:
+            run = partial(de_run, ch, ENS36, coarse_grid)
+        cold = run()
+        assert cold.halt == "stall" and cold.iterations > STALL_PATIENCE
+        warm = run(start=cold.state)
+        assert (warm.halt, warm.iterations) == ("stall", STALL_PATIENCE)
+        assert run(start=cold.state, max_iters=3).iterations == 3
 
     def test_genie_is_single_user(self, coarse_grid):
         # the genie channel is exactly the one the analytic density describes

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from macsat.channel import ChannelPoint, fn_transform
+from macsat.channel import ChannelPoint, fn_operator
 from macsat.densities import DensityGrid, delta_zero
 from macsat.ensembles import CoupledSpec, coupled_design_rate
 from macsat.mcsim import (
@@ -128,14 +128,14 @@ class TestCrosscheck:
     def test_iteration0_matches_channel_adapter(self, work_grid):
         ch = ChannelPoint(1.5, 1.0)
         inst = build_joint(build_regular(30000, 3, 6, 16), build_regular(30000, 3, 6, 17), 18)
-        de0 = fn_transform(1, delta_zero(work_grid), ch)
+        de0 = fn_operator(work_grid, 1, ch).apply(delta_zero(work_grid))
         rep = de_mc_crosscheck(inst, ch, de0, iteration=0, seed=19)
         assert rep["kolmogorov"] < 0.012
 
     def test_iteration1_matches_first_de_density(self, work_grid):
         ch = ChannelPoint(1.5, 1.0)
         inst = build_joint(build_regular(30000, 3, 6, 20), build_regular(30000, 3, 6, 21), 22)
-        de1 = fn_transform(1, delta_zero(work_grid), ch)  # a_1 = fn(delta_0)
+        de1 = fn_operator(work_grid, 1, ch).apply(delta_zero(work_grid))  # a_1 = fn(delta_0)
         rep = de_mc_crosscheck(inst, ch, de1, iteration=1, seed=23)
         assert rep["kolmogorov"] < 0.012
         assert not rep["cycles_warning"]
@@ -149,7 +149,7 @@ class TestCrosscheck:
     def test_small_n_deep_iteration_flagged(self, work_grid):
         ch = ChannelPoint(1.5, 1.0)
         inst = build_joint(build_regular(1002, 3, 6, 27), build_regular(1002, 3, 6, 28), 29)
-        de1 = fn_transform(1, delta_zero(work_grid), ch)
+        de1 = fn_operator(work_grid, 1, ch).apply(delta_zero(work_grid))
         rep = de_mc_crosscheck(inst, ch, de1, iteration=3, seed=30, mode="random")
         assert rep["cycles_warning"]
 
