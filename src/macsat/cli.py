@@ -46,9 +46,14 @@ HASH_EXCLUDED = {"output", "config", "no_timestamp", "func", "command", "jobs"}
 HASH_UNSET = {"profile_out", "summary_out"}
 
 
-def _hashable(args, config: dict) -> dict:
-    merged = {**{k: v for k, v in vars(args).items() if k not in HASH_EXCLUDED}, **config}
-    return {k: None if k in HASH_UNSET else v for k, v in merged.items()}
+def _hashable(args) -> dict:
+    """The resolved config: the flags after `_apply_config` typed the config
+    file's values into them, so a key hashes alike from a flag or a file."""
+    return {
+        k: None if k in HASH_UNSET else v
+        for k, v in vars(args).items()
+        if k not in HASH_EXCLUDED
+    }
 
 
 def _load_config(path: str | None) -> dict:
@@ -204,9 +209,9 @@ def _lattice(args, grid: DensityGrid) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _emit_boundary(args, config, kind: str, pts, meta: dict) -> int:
+def _emit_boundary(args, kind: str, pts, meta: dict) -> int:
     """Write a sweep's boundary polyline: CSV, or JSON under --json."""
-    meta = {**meta, "config_hash": output.config_hash(_hashable(args, config))}
+    meta = {**meta, "config_hash": output.config_hash(_hashable(args))}
     bnd = output.AcprBoundary(kind, pts, meta)
     as_json = getattr(args, "json", False)  # map-bound has no --json
     text = bnd.json(args.no_timestamp) if as_json else bnd.csv(args.no_timestamp)
@@ -214,14 +219,14 @@ def _emit_boundary(args, config, kind: str, pts, meta: dict) -> int:
     return 0
 
 
-def cmd_threshold(args, config) -> int:
+def cmd_threshold(args) -> int:
     ens = _ensemble(args.ensemble)
     if isinstance(ens, CoupledSpec):
         raise ConfigError("threshold expects an uncoupled ensemble; see coupled-threshold")
     grid = _grid(args)
     res = bp_threshold(ens, args.ratio, tol=args.tol, grid=grid, genie=args.genie)
     meta = {
-        "config_hash": output.config_hash(_hashable(args, config)),
+        "config_hash": output.config_hash(_hashable(args)),
         "grid_bins": grid.n_bins,
         "design_rate": round(design_rate(ens), 6),
     }
@@ -229,7 +234,7 @@ def cmd_threshold(args, config) -> int:
     return 0
 
 
-def cmd_coupled_threshold(args, config) -> int:
+def cmd_coupled_threshold(args) -> int:
     spec = _ensemble(args.ensemble)
     if not isinstance(spec, CoupledSpec):
         raise ConfigError("coupled-threshold expects an (l,r,L,w) ensemble")
@@ -250,7 +255,7 @@ def cmd_coupled_threshold(args, config) -> int:
             lines.append(f"{it},{pos},{ea:.8e},{eb:.8e}")
         output.emit("\n".join(lines) + "\n", args.profile_out)
     meta = {
-        "config_hash": output.config_hash(_hashable(args, config)),
+        "config_hash": output.config_hash(_hashable(args)),
         "grid_bins": grid.n_bins,
         "design_rate": round(coupled_design_rate(spec), 6),
     }
@@ -258,7 +263,7 @@ def cmd_coupled_threshold(args, config) -> int:
     return 0
 
 
-def cmd_capacity(args, config) -> int:
+def cmd_capacity(args) -> int:
     try:
         rates = tuple(float(t) for t in args.rates.split(","))
     except ValueError as exc:
@@ -267,28 +272,28 @@ def cmd_capacity(args, config) -> int:
         raise ConfigError("rates must be R1,R2 with each rate in (0, 1)")
     with _pmap(args.jobs) as pmap:
         pts = mac_acpr_boundary(rates, _rays(args), tol=args.tol, pmap=pmap)
-    return _emit_boundary(args, config, "mac", pts, {"rates": args.rates})
+    return _emit_boundary(args, "mac", pts, {"rates": args.rates})
 
 
-def cmd_acpr(args, config) -> int:
+def cmd_acpr(args) -> int:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     with _pmap(args.jobs) as pmap:
         pts = bp_acpr(ens, _rays(args), tol=args.tol, grid=grid, pmap=pmap)
-    return _emit_boundary(args, config, "bp", pts, {"ensemble": str(ens), "grid_bins": grid.n_bins})
+    return _emit_boundary(args, "bp", pts, {"ensemble": str(ens), "grid_bins": grid.n_bins})
 
 
-def cmd_gexit(args, config) -> int:
+def cmd_gexit(args) -> int:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     bins = _lattice(args, grid)
     curve = bp_gexit_curve(ens, args.ratio, _alpha_grid(args.alphas), grid=grid, bins=bins)
-    curve.metadata["config_hash"] = output.config_hash(_hashable(args, config))
+    curve.metadata["config_hash"] = output.config_hash(_hashable(args))
     output.emit(output.gexit_csv(curve, args.no_timestamp), args.output)
     return 0
 
 
-def cmd_map_bound(args, config) -> int:
+def cmd_map_bound(args) -> int:
     ens = _ensemble(args.ensemble)
     if isinstance(ens, CoupledSpec):
         raise ConfigError("map-bound applies to uncoupled ensembles")
@@ -298,10 +303,10 @@ def cmd_map_bound(args, config) -> int:
         with _pmap(args.jobs) as pmap:
             pts = map_boundary(ens, _rays(args), grid=grid, pmap=pmap, step=args.step, bins=bins)
         meta = {"ensemble": str(ens), "grid_bins": grid.n_bins}
-        return _emit_boundary(args, config, "map", pts, meta)
+        return _emit_boundary(args, "map", pts, meta)
     bound, curve = map_bound_sweep(ens, args.ratio, grid=grid, step=args.step, bins=bins)
     meta = {
-        "config_hash": output.config_hash(_hashable(args, config)),
+        "config_hash": output.config_hash(_hashable(args)),
         "grid_bins": grid.n_bins,
         "lattice": args.lattice,
     }
@@ -316,7 +321,7 @@ def cmd_map_bound(args, config) -> int:
     return 0
 
 
-def cmd_simulate(args, config) -> int:
+def cmd_simulate(args) -> int:
     ens = _ensemble(args.ensemble)
     ch = ChannelPoint(args.alpha, args.ratio)
     try:
@@ -366,7 +371,7 @@ def cmd_simulate(args, config) -> int:
         "mode": res.mode,
         "frames": len(res.frames),
         "n": res.n_bits,
-        "config_hash": output.config_hash(_hashable(args, config)),
+        "config_hash": output.config_hash(_hashable(args)),
     }
     text = "\n".join(lines) + "\n# " + json.dumps(summary) + "\n"
     output.emit(text, args.output)
@@ -469,7 +474,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         sub = ap._subparsers._group_actions[0].choices[args.command]
         _apply_config(args, config, sub)
-        return args.func(args, config)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -111,6 +111,7 @@ class _Engine:
         self.partner = (0,) if self.symmetric else (1, 0)
         self._weights = np.full(spec.w, 1.0 / spec.w)
         self._z_memo = [{} for _ in self.vecs]  # per user: check pos -> (window, z)
+        self._branch_memo = [{} for _ in self.vecs]  # per user: var pos -> (zs, (t, g))
         self._pos_memo = [{} for _ in self.vecs]  # per user: var pos -> (windows, result)
 
     def _at(self, vec, p: int) -> LlrDensity:
@@ -144,14 +145,30 @@ class _Engine:
         self._z_memo[u][c] = (xs, z)
         return z
 
+    def _zs(self, u: int, i: int) -> list:
+        return [self._z(u, i + j) for j in range(self.spec.w)]
+
     def inner(self, u: int, i: int) -> LlrDensity:
         """The window average t_i of user u at position i."""
-        return mix([self._z(u, i + j) for j in range(self.spec.w)], self._weights)
+        return mix(self._zs(u, i), self._weights)
+
+    def _branch(self, u: int, i: int) -> tuple[LlrDensity, LlrDensity]:
+        """(t_i, g = t_i^{*(l-1)}) of user u at position i, memoized on the
+        identity of the check densities t_i averages: the user's own update
+        and its partner's read one computation."""
+        zs = self._zs(u, i)
+        hit = self._branch_memo[u].get(i)
+        if hit is not None and self._same(hit[0], zs):
+            return hit[1]
+        t = mix(zs, self._weights)
+        tg = (t, power_vn(t, self.spec.l - 1))
+        self._branch_memo[u][i] = (zs, tg)
+        return tg
 
     def update_position(self, u: int, i: int) -> LlrDensity:
         """New variable-to-check density of user u at position i; bit-exact
         memo reuse when the (own, partner) windows are unchanged."""
-        w, l = self.spec.w, self.spec.l
+        w = self.spec.w
         v = self.partner[u]
         own = self._window(u, i - w + 1, i + w - 1)
         windows = own + (own if v == u else self._window(v, i - w + 1, i + w - 1))
@@ -159,14 +176,9 @@ class _Engine:
         if hit is not None and self._same(hit[0], windows):
             return hit[1]
 
-        t_own = self.inner(u, i)
-        g_own = power_vn(t_own, l - 1)
-        if v == u:  # symmetric fold: t_par is t_own, so Gamma = g_own * t_own
-            gamma_par = conv_vn(g_own, t_own)
-        else:
-            t_par = self.inner(v, i)
-            gamma_par = conv_vn(power_vn(t_par, l - 1), t_par)
-        out = conv_vn(self.fns[u].apply(gamma_par), g_own)
+        _, g_own = self._branch(u, i)
+        t_par, g_par = self._branch(v, i)  # on the symmetric fold, the own pair
+        out = conv_vn(self.fns[u].apply(conv_vn(g_par, t_par)), g_own)
         if self.freeze and error_prob(out) < FREEZE_ERROR_PROB:
             out = self.dinf
         # hand back the previous object when the update reproduced it

@@ -3,18 +3,21 @@
 A density lives on a uniform grid of LLR bins plus two point masses at +/-inf.
 All densities are conditioned on the transmission of a +1, so a "good" density
 piles mass on positive LLRs and a perfectly decoded message is the delta at
-+inf.  Variable-node combining is ordinary addition of LLRs (a linear
-convolution, done with FFTs); check-node combining is the box-plus rule
-2*atanh(tanh(x/2)*tanh(y/2)), done exactly on the quantized grid via a
-precomputed output-bin table.
++inf.  Variable-node combining is ordinary addition of LLRs, a linear
+convolution done as a product of real FFTs at one fixed length per grid; each
+density transforms its masses at most once and keeps the spectrum, so a
+squaring or a density convolved again costs no further forward transform.
+Check-node combining is the box-plus rule 2*atanh(tanh(x/2)*tanh(y/2)), done
+exactly on the quantized grid via a precomputed output-bin table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 LOG2E = 1.0 / np.log(2.0)
 
@@ -62,6 +65,12 @@ class DensityGrid:
         """Nearest-bin index (0-based into the mass vector), unclipped."""
         return np.floor(llr / self.bin_width + 0.5).astype(np.int64) + self.center
 
+    @cached_property
+    def fft_len(self) -> int:
+        """Real-FFT length of the variable-node convolution: the fast length
+        at or above the 4k+1 entries of a full linear convolution."""
+        return next_fast_len(4 * self.k_max + 1, real=True)
+
 
 def default_grid() -> DensityGrid:
     # half_range 30, 4097 bins; threshold error from quantization is well
@@ -75,7 +84,9 @@ class LlrDensity:
 
     Instances are immutable values: the mass vector is frozen after
     construction and every operation returns a fresh density, so sweeps can
-    evaluate densities in parallel without locking.
+    evaluate densities in parallel without locking.  The finite mass and the
+    spectrum are derived from the frozen masses on first use and kept on the
+    instance, outside the fields.
     """
 
     grid: DensityGrid
@@ -93,6 +104,15 @@ class LlrDensity:
     @property
     def total_mass(self) -> float:
         return float(self.mass.sum() + self.mass_pos_inf + self.mass_neg_inf)
+
+    @cached_property
+    def finite_mass(self) -> float:
+        return float(self.mass.sum())
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Real FFT of the masses, zero-padded to the grid's `fft_len`."""
+        return rfft(self.mass, self.grid.fft_len)
 
 
 def _check_same_grid(a: LlrDensity, b: LlrDensity):
@@ -187,14 +207,15 @@ def conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     g = a.grid
     k = g.k_max
 
-    fin = fftconvolve(a.mass, b.mass)  # length 4k+1, center index 2k
-    fin = np.maximum(fin, 0.0)
-    core = fin[k : 3 * k + 1].copy()
+    # the linear convolution has 4k+1 entries, center index 2k; the padding
+    # beyond them holds only roundoff
+    fin = np.maximum(irfft(a.spectrum * b.spectrum, g.fft_len)[: 4 * k + 1], 0.0)
+    core = fin[k : 3 * k + 1]
     core[-1] += float(fin[3 * k + 1 :].sum())
     core[0] += float(fin[:k].sum())
 
-    a_fin = float(a.mass.sum())
-    b_fin = float(b.mass.sum())
+    a_fin = a.finite_mass
+    b_fin = b.finite_mass
     pos = a.mass_pos_inf * (b_fin + b.mass_pos_inf) + b.mass_pos_inf * a_fin
     neg = a.mass_neg_inf * (b_fin + b.mass_neg_inf) + b.mass_neg_inf * a_fin
     core[k] += a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf

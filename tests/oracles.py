@@ -5,9 +5,19 @@ the most direct form, so they are slow and live here rather than in src/.
 """
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from macsat.channel import PI1, PI2, ChannelPoint, _gaussian_strata, gauss_hermite
-from macsat.densities import DensityGrid, LlrDensity, make_density, mix, power_cn, power_vn
+from macsat.densities import (
+    DensityGrid,
+    LlrDensity,
+    is_delta_inf,
+    is_delta_zero,
+    make_density,
+    mix,
+    power_cn,
+    power_vn,
+)
 from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E, _rebin
 
 
@@ -64,6 +74,30 @@ class BandBoxPlusTable:
         hi = np.minimum(np.arange(1, k + 1) + self.band_width + 1, k + 1)
         out[1:] += p[1:] * sq[hi] + q[1:] * sp[hi]
         return out
+
+
+def fftconvolve_conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
+    """Variable-node convolution through `scipy.signal.fftconvolve`, which
+    transforms both operands on every call: the oracle for `conv_vn` and its
+    per-density spectrum."""
+    if is_delta_zero(a):
+        return b
+    if is_delta_zero(b):
+        return a
+    if is_delta_inf(a) and is_delta_inf(b):
+        return a
+    g = a.grid
+    k = g.k_max
+    fin = np.maximum(fftconvolve(a.mass, b.mass), 0.0)  # length 4k+1, center 2k
+    core = fin[k : 3 * k + 1].copy()
+    core[-1] += float(fin[3 * k + 1 :].sum())
+    core[0] += float(fin[:k].sum())
+    a_fin = float(a.mass.sum())
+    b_fin = float(b.mass.sum())
+    pos = a.mass_pos_inf * (b_fin + b.mass_pos_inf) + b.mass_pos_inf * a_fin
+    neg = a.mass_neg_inf * (b_fin + b.mass_neg_inf) + b.mass_neg_inf * a_fin
+    core[k] += a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf
+    return make_density(g, core, pos, neg)
 
 
 def scatter_fn_apply(grid: DensityGrid, h_target: float, h_partner: float, partner: LlrDensity) -> LlrDensity:

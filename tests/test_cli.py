@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import macsat
 from macsat.cli import main
 
 
@@ -227,6 +231,44 @@ class TestConfigHash:
             assert code == 0 and (tmp_path / side).exists()
             hashes.add(text.split('"config_hash": "')[1][:16])
         assert len(hashes) == 1
+
+    @pytest.mark.parametrize(
+        "argv,flags,config",
+        [
+            (["capacity", "--ray-list", "1"], ["--jobs", "2"], "jobs=2\n"),
+            (["threshold", "--ensemble", "reg36"], ["--grid-bins", "129", "--tol", "0.05"],
+             "tol=0.05\ngrid_bins=129\n"),
+        ],
+        ids=["capacity-jobs", "threshold-grid-tol"],
+    )
+    def test_config_file_hashes_like_flags(self, tmp_path, argv, flags, config):
+        # the hash is of the resolved config, wherever a value came from
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        texts = []
+        for extra in (flags, ["--config", str(cfg)]):
+            code, text = run_cli(argv + extra + ["--no-timestamp"], tmp_path, "out")
+            assert code == 0
+            texts.append(text)
+        assert texts[0] == texts[1]
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal costs about a second and 45 MB in every process that
+        # imports macsat, each --jobs worker included; a fresh interpreter
+        # shows what the package itself pulls in
+        src = str(Path(macsat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, macsat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

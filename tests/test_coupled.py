@@ -148,7 +148,7 @@ class TestIterate:
         assert len(calls) == 2 * (2 * SPEC.L + SPEC.w)
 
     def test_symmetric_fold_powers_once_per_position(self, coarse_grid, monkeypatch):
-        # on the symmetric fold the partner's Gamma is g_own * t_own, so a
+        # on the symmetric fold the partner's (t, g) is the own pair, so a
         # sweep takes one power_vn per updated position 0..L
         import macsat.coupled as coupled
 
@@ -156,6 +156,19 @@ class TestIterate:
         monkeypatch.setattr(coupled, "power_vn", lambda *args: calls.append(1) or power_vn(*args))
         iterate(SPEC, ChannelPoint(1.4, 1.0), zero_start(coarse_grid, SPEC), 1)
         assert len(calls) == SPEC.L + 1
+
+    def test_full_chain_powers_once_per_user_and_position(self, coarse_grid, monkeypatch):
+        # off the symmetric ray, a user's update reads its partner's g from
+        # the partner's own update, so a sweep takes one power_vn per user
+        # and position, not two
+        import macsat.coupled as coupled
+
+        calls = []
+        monkeypatch.setattr(coupled, "power_vn", lambda *args: calls.append(1) or power_vn(*args))
+        rng = np.random.default_rng(4)
+        a, b = (tuple(random_density(coarse_grid, rng) for _ in range(9)) for _ in range(2))
+        iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
+        assert len(calls) == 2 * SPEC.n_positions
 
 
 class TestRun:

@@ -5,6 +5,7 @@ from macsat.densities import (
     BoxPlusTable,
     DensityGrid,
     GridMismatchError,
+    LlrDensity,
     conv_cn,
     conv_vn,
     delta_at,
@@ -24,7 +25,7 @@ from macsat.densities import (
 )
 
 from conftest import random_density
-from oracles import BandBoxPlusTable, boxplus_scalar
+from oracles import BandBoxPlusTable, boxplus_scalar, fftconvolve_conv_vn
 
 
 class TestGrid:
@@ -94,6 +95,57 @@ class TestConvVn:
         var_num = float(out.mass @ z**2) - mean_num**2
         assert mean_num == pytest.approx(samples.mean(), abs=3e-2)
         assert var_num == pytest.approx(samples.var(), rel=2e-2)
+
+
+def same_bits(x, y) -> bool:
+    return (
+        x.mass.tobytes() == y.mass.tobytes()
+        and x.mass_pos_inf == y.mass_pos_inf
+        and x.mass_neg_inf == y.mass_neg_inf
+    )
+
+
+class TestConvVnSpectrum:
+    @pytest.mark.parametrize("bins,fft_len", [(513, 1080), (2049, 4320), (4097, 8640)])
+    def test_fft_len_is_fast_length_of_full_convolution(self, bins, fft_len):
+        assert DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0).fft_len == fft_len
+
+    @pytest.mark.parametrize("bins", [513, 2049, 4097])
+    def test_matches_fftconvolve_bytes(self, bins):
+        grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
+        rng = np.random.default_rng(bins)
+        a, b = random_density(grid, rng, inf_mass=0.2), random_density(grid, rng, inf_mass=0.2)
+        ab = conv_vn(a, b)
+        d0, dinf, dneg = delta_zero(grid), delta_inf(grid), delta_neg_inf(grid)
+        cases = [
+            (a, b), (b, a), (a, a), (ab, a), (ab, ab),  # fresh and cached spectra
+            (d0, a), (a, d0), (dinf, dinf), (dinf, a), (a, dneg), (dinf, dneg),
+        ]  # fmt: skip
+        for x, y in cases:
+            assert same_bits(conv_vn(x, y), fftconvolve_conv_vn(x, y))
+        # a spectrum computed before a call is the one the call would compute
+        fresh = LlrDensity(grid, a.mass.copy(), a.mass_pos_inf, a.mass_neg_inf)
+        assert same_bits(conv_vn(fresh, b), conv_vn(a, b))
+
+    def test_square_transforms_once(self, monkeypatch):
+        # count pocketfft's real forward transforms, the calls below any
+        # scipy.fft or scipy.signal entry point
+        from scipy.fft._pocketfft import pypocketfft
+
+        r2c = pypocketfft.r2c
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return r2c(*args, **kwargs)
+
+        monkeypatch.setattr(pypocketfft, "r2c", counted)
+        grid = DensityGrid(bin_width=60.0 / 2048, half_range=30.0)
+        a = random_density(grid, np.random.default_rng(5))
+        power_vn(a, 2)
+        assert len(calls) == 1
+        power_vn(a, 3)  # a^2 once more, then a^2 * a: only a^2 is new
+        assert len(calls) == 2
 
 
 class TestConvCn:
