@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -131,7 +132,10 @@ def _grid(args) -> DensityGrid:
 
 def _rays(args) -> list[float]:
     if args.ray_list:
-        rays = [float(t) for t in args.ray_list.split(",") if t]
+        try:
+            rays = [_finite(t) for t in args.ray_list.split(",") if t]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"bad ray list {args.ray_list!r}: {exc}") from exc
     else:
         count = args.rays or 16
         # tangent-spaced angles cover both asymptotes of the boundary
@@ -144,8 +148,8 @@ def _rays(args) -> list[float]:
 
 def _alpha_grid(spec: str) -> list[float]:
     try:
-        lo, hi, step = (float(t) for t in spec.split(":"))
-    except ValueError as exc:
+        lo, hi, step = (_finite(t) for t in spec.split(":"))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad alpha grid {spec!r}, expected lo:hi:step") from exc
     if step <= 0 or hi <= lo:
         raise ConfigError("alpha grid needs hi > lo and step > 0")
@@ -163,18 +167,27 @@ def _pmap(jobs: int):
         yield pool.map
 
 
-def _nonnegative(text: str) -> float:
-    """argparse type of --ratio and the gains: a float >= 0."""
+def _finite(text: str) -> float:
+    """float(text) for a finite number: ValueError for text that is no number,
+    ArgumentTypeError for nan and +-inf."""
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    """argparse type of --ratio and the gains: a finite float >= 0."""
+    value = _finite(text)
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
     return value
 
 
 def _positive(text: str) -> float:
-    """argparse type of --tol and --step: a float > 0 (a bisection or sweep
-    with a zero or negative step would never end)."""
-    value = float(text)
+    """argparse type of --tol, --step and --half-range: a finite float > 0 (a
+    bisection or sweep with a zero or negative step would never end)."""
+    value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
@@ -390,7 +403,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size for sweeps")
     p.add_argument("--no-timestamp", action="store_true", help="byte-stable headers")
-    p.add_argument("--half-range", type=float, default=None, help="grid LLR half range")
+    p.add_argument("--half-range", type=_positive, default=None, help="grid LLR half range")
     p.add_argument("--grid-bins", type=int, default=None, help="odd number of LLR bins")
 
 

@@ -129,7 +129,7 @@ def make_density(
     """Validate and normalize raw masses into a density.
 
     Tiny negative entries from floating-point roundoff are clipped; the total
-    is rescaled to exactly 1 provided it is already 1 within 1e-6 (anything
+    is rescaled to exactly 1 provided it is already 1 within 1e-9 (anything
     worse is a bug upstream, not roundoff).
     """
     mass = np.asarray(mass, dtype=np.float64)
@@ -140,7 +140,7 @@ def make_density(
     pos_inf = max(float(pos_inf), 0.0)
     neg_inf = max(float(neg_inf), 0.0)
     total = mass.sum() + pos_inf + neg_inf
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"total mass {total} too far from 1")
     return LlrDensity(grid, mass / total, pos_inf / total, neg_inf / total)
 

@@ -188,14 +188,11 @@ class GexitCurve:
 
     ratio: float
     ensemble: str
-    samples: list  # (alpha, g, branch) sorted by alpha within each branch
+    samples: list  # (alpha, g) of the stable branch, ascending alpha
     metadata: dict = field(default_factory=dict)
 
-    def stable(self) -> list[tuple[float, float]]:
-        return [(a, g) for a, g, branch in self.samples if branch == "stable"]
-
     def check(self, slack: float = 1e-6):
-        for _, g, _ in self.samples:
+        for _, g in self.samples:
             if g > slack:
                 raise ValueError(f"positive GEXIT value {g}")
 
@@ -245,9 +242,7 @@ def bp_gexit_curve(
         ),
     }
     tracer = _CurveTracer(ens, ratio, grid, bins)
-    samples = [
-        (a, tracer.eval_point(a), "stable") if a else (0.0, 0.0, "stable") for a in sorted(alphas)
-    ]
+    samples = [(a, tracer.eval_point(a)) if a else (0.0, 0.0) for a in sorted(alphas)]
     return GexitCurve(ratio, str(ens), samples, meta)
 
 
@@ -269,7 +264,7 @@ def map_bound(curve: GexitCurve, rate: float) -> float:
     cumulative trapezoid sums.  The returned value satisfies
     alpha_MAP <= alpha_bar.
     """
-    pts = curve.stable()
+    pts = curve.samples
     if len(pts) < 3:
         raise ValueError("curve too sparse")
     alphas = np.array([p[0] for p in pts])
@@ -317,9 +312,7 @@ def map_bound_sweep(
         prev_g = g
 
     def current_bound() -> float:
-        pts = sorted(samples.items())
-        curve = GexitCurve(ratio, str(ens), [(a, g, "stable") for a, g in pts])
-        return map_bound(curve, rate)
+        return map_bound(GexitCurve(ratio, str(ens), sorted(samples.items())), rate)
 
     bound = current_bound()
     span = step
@@ -334,11 +327,10 @@ def map_bound_sweep(
             break
         bound = new_bound
 
-    pts = sorted(samples.items())
     curve = GexitCurve(
         ratio,
         str(ens),
-        [(a, g, "stable") for a, g in pts],
+        sorted(samples.items()),
         metadata={"grid_bins": grid.n_bins, "lattice_bins": bins, "order": KERNEL_ORDER},
     )
     return bound, curve

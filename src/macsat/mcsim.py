@@ -1,21 +1,20 @@
-"""Finite-length Monte-Carlo oracle for the joint BP decoder.
+"""Finite-length Monte-Carlo simulation of the joint BP decoder.
 
 Builds configuration-model LDPC graphs (regular or spatially coupled), pairs
 two of them bit-by-bit through function nodes, simulates the Gaussian MAC and
 runs the joint sum-product decoder with the same parallel schedule as density
-evolution, so iteration-k message histograms can be compared against DE
-densities directly.
+evolution, so its iteration-k messages are comparable with DE round by round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .channel import ChannelPoint, fn_llr
-from .densities import LlrDensity
 from .ensembles import CoupledSpec
 
 LLR_CLIP = 30.0  # matches the DE grid half-range
@@ -318,24 +317,14 @@ class SimulationResult:
         return max(p - half, 0.0), min(p + half, 1.0)
 
 
-def _decode_frame(
-    inst: JointInstance,
-    ch: ChannelPoint,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    y: np.ndarray,
-    max_iters: int,
-    collect_iteration: int | None = None,
-):
+def _bp_rounds(inst: JointInstance, ch: ChannelPoint, y: np.ndarray):
     """Joint BP with the DE schedule: function nodes fire from the previous
     round's v->f messages, then checks, then variables, for both users.
 
     Function node i joins code-1 variable i and code-2 variable matching[i];
-    y is indexed by function node.  Early exit on clean syndromes, except in
-    a collection run, which does exactly `collect_iteration` rounds and keeps
-    that round's (v->c 1, v->c 2, f->v 1, f->v 2) messages.  Returns (bit
-    errors of user 1, of user 2, rounds, collected messages or None, user-1
-    hard decisions).
+    y is indexed by function node.  Yields each round's (v->c 1, v->c 2,
+    f->v 1, f->v 2, user-1 hard decisions, user-2 hard decisions) without
+    end; the caller decides when to stop.
     """
     side1 = _CodeSide(inst.graph1)
     side2 = _CodeSide(inst.graph2)
@@ -346,12 +335,8 @@ def _decode_frame(
     vf2 = np.zeros(n)  # indexed by code-2 variable
     vc1 = np.zeros(inst.graph1.n_edges)
     vc2 = np.zeros(inst.graph2.n_edges)
-    hard1 = -x1
-    hard2 = -x2
-    collected = None
 
-    it = 0
-    for it in range(1, max_iters + 1):
+    while True:
         ch1 = _fn_outputs(y, vf2[perm], ch, 1)
         out2 = _fn_outputs(y, vf1, ch, 2)  # fn-indexed, pre-round vf1
         cv1 = side1.check_update(vc1)
@@ -365,35 +350,31 @@ def _decode_frame(
         tot2 = ch2_by_var + np.bincount(inst.graph2.edge_var, weights=cv2, minlength=n)
         hard1 = np.where(tot1 >= 0, 1.0, -1.0)
         hard2 = np.where(tot2 >= 0, 1.0, -1.0)
-        if it == collect_iteration:
-            collected = (vc1, vc2, ch1, ch2_by_var)
-            break
-        if collect_iteration is None and _syndrome_ok(inst.graph1, hard1) and _syndrome_ok(
-            inst.graph2, hard2
-        ):
-            break
+        yield vc1, vc2, ch1, ch2_by_var, hard1, hard2
 
-    err1 = int(np.count_nonzero(hard1 != x1))
-    err2 = int(np.count_nonzero(hard2 != x2))
-    return err1, err2, it, collected, hard1
+
+def _decode_frame(inst: JointInstance, ch: ChannelPoint, x1, x2, y, max_iters: int) -> tuple:
+    """Up to `max_iters` rounds of joint BP, stopping early once both
+    syndromes are clean.  Returns (bit errors of user 1, of user 2, rounds)."""
+    hard1, hard2 = -x1, -x2
+    rounds = 0
+    for rounds, (*_, hard1, hard2) in enumerate(islice(_bp_rounds(inst, ch, y), max_iters), 1):
+        if _syndrome_ok(inst.graph1, hard1) and _syndrome_ok(inst.graph2, hard2):
+            break
+    return int(np.count_nonzero(hard1 != x1)), int(np.count_nonzero(hard2 != x2)), rounds
 
 
 def _transmit(inst: JointInstance, ch: ChannelPoint, mode: str, rng) -> tuple:
     """(x1, x2, y): one +-1 word per code (bit 0 -> +1) and the channel output
-    per function node.  mode "all_plus_one" sends all +1, "signs" i.i.d.
-    uniform signs that are not codewords, "random" uniform codewords."""
+    per function node.  mode "all_plus_one" sends all +1, "random" uniform
+    codewords."""
     n = inst.graph1.n_vars
     if mode == "all_plus_one":
         x1, x2 = np.ones(n), np.ones(n)
-    elif mode == "signs":
-        x1 = 1.0 - 2.0 * rng.integers(0, 2, size=n)
-        x2 = 1.0 - 2.0 * rng.integers(0, 2, size=n)
-    elif mode == "random":
+    else:
         enc1, enc2 = _encoder_for(inst.graph1), _encoder_for(inst.graph2)
         x1 = 1.0 - 2.0 * enc1.encode(rng.integers(0, 2, size=enc1.k).astype(np.uint8))
         x2 = 1.0 - 2.0 * enc2.encode(rng.integers(0, 2, size=enc2.k).astype(np.uint8))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return x1, x2, ch.h1 * x1 + ch.h2 * x2[inst.matching] + rng.standard_normal(n)
 
 
@@ -402,7 +383,7 @@ def _run_frame(
 ) -> FrameResult:
     """One frame of simulate_joint; its randomness is keyed by (seed, frame)."""
     x1, x2, y = _transmit(inst, ch, mode, _rng_for(seed, stream=1000 + frame))
-    e1, e2, iters, _, _ = _decode_frame(inst, ch, x1, x2, y, max_iters)
+    e1, e2, iters = _decode_frame(inst, ch, x1, x2, y, max_iters)
     return FrameResult(frame, (e1, e2), iters, e1 == 0 and e2 == 0)
 
 
@@ -431,72 +412,3 @@ def simulate_joint(
         raise ValueError(f"unknown mode {mode!r}")
     job = partial(_run_frame, inst, ch, mode, max_iters, seed)
     return SimulationResult(list(pmap(job, range(num_frames))), inst.graph1.n_vars, seed, mode)
-
-
-def positional_errors(
-    inst: JointInstance, ch: ChannelPoint, max_iters: int, seed: int = 0
-) -> np.ndarray:
-    """Per-position user-1 bit-error counts after one random-codeword frame on
-    a coupled instance: the decoding-wave footprint (boundary positions clear
-    before the chain center)."""
-    if inst.graph1.var_pos is None:
-        raise ValueError("positional error traces need a coupled instance")
-    x1, x2, y = _transmit(inst, ch, "random", _rng_for(seed, stream=3000))
-    hard1 = _decode_frame(inst, ch, x1, x2, y, max_iters)[4]
-    wrong = hard1 != x1
-    positions = np.unique(inst.graph1.var_pos)
-    return np.array(
-        [int(np.count_nonzero(wrong[inst.graph1.var_pos == p])) for p in positions]
-    )
-
-
-def de_mc_crosscheck(
-    inst: JointInstance,
-    ch: ChannelPoint,
-    de_density: LlrDensity,
-    iteration: int,
-    num_frames: int = 1,
-    seed: int = 0,
-    mode: str = "signs",
-) -> dict:
-    """Kolmogorov distance between the empirical iteration-k user-1 message
-    histogram and a DE density (messages sign-adjusted to the +1 frame).
-
-    DE conditions on type-one-half codewords, so the transmission must carry
-    +-1 bits in both codes.  mode "signs" draws them i.i.d. uniform: exact for
-    k <= 1 (check messages are still zero) and cheap at large n.  mode
-    "random" transmits true random codewords (systematic encoding), valid at
-    any k; cycles still make k >= 3 unreliable at small n, which is flagged,
-    not asserted.  iteration = 0 compares the raw function-node outputs.
-    """
-    if mode not in ("signs", "random"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "signs" and iteration > 1:
-        raise ValueError("i.i.d. signs break check parity; use mode='random' for k >= 2")
-
-    samples = []
-    for frame in range(num_frames):
-        x1, x2, y = _transmit(inst, ch, mode, _rng_for(seed, stream=2000 + frame))
-        if iteration == 0:
-            out = _fn_outputs(y, np.zeros(y.size), ch, 1)
-            samples.append(out * x1)
-        else:
-            collected = _decode_frame(inst, ch, x1, x2, y, iteration, collect_iteration=iteration)[3]
-            samples.append(collected[0] * x1[inst.graph1.edge_var])
-    msgs = np.concatenate(samples)
-
-    grid = de_density.grid
-    edges = (np.arange(grid.n_bins + 1) - grid.n_bins / 2.0) * grid.bin_width
-    counts = np.histogram(np.clip(msgs, -LLR_CLIP + 1e-9, LLR_CLIP - 1e-9), bins=edges)[0]
-    emp_cdf = np.concatenate(([0.0], np.cumsum(counts) / msgs.size))
-    de_cdf = np.concatenate(
-        ([de_density.mass_neg_inf], de_density.mass_neg_inf + np.cumsum(de_density.mass))
-    )
-    distance = float(np.abs(emp_cdf - de_cdf).max())
-    return {
-        "kolmogorov": distance,
-        "edges_sampled": int(msgs.size),
-        "iteration": iteration,
-        "mode": mode,
-        "cycles_warning": iteration >= 3,
-    }

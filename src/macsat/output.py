@@ -59,8 +59,8 @@ def gexit_csv(curve, no_timestamp: bool = False) -> str:
     meta = {"ratio": curve.ratio, "ensemble": curve.ensemble, **curve.metadata}
     lines = metadata_lines(meta, no_timestamp)
     lines.append("alpha,g,branch")
-    for alpha, g, branch in curve.samples:
-        lines.append(f"{alpha:.6f},{g:.8e},{branch}")
+    for alpha, g in curve.samples:
+        lines.append(f"{alpha:.6f},{g:.8e},stable")
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,11 @@
 
 They evaluate the same quantities as the production kernels pointwise and in
 the most direct form, so they are slow and live here rather than in src/.
+The Monte-Carlo side of the DE-versus-simulation checks lives here too: the
+joint decoder's messages at a fixed round and their distance to a DE density.
 """
+
+from itertools import islice
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -19,6 +23,7 @@ from macsat.densities import (
     power_vn,
 )
 from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E, _rebin
+from macsat.mcsim import LLR_CLIP, JointInstance, _bp_rounds, _fn_outputs, _rng_for, _transmit
 
 
 def boxplus_scalar(x: float, y: float) -> float:
@@ -250,3 +255,84 @@ def four_symbol_value(kappa, coarse: DensityGrid, u_dens: LlrDensity, v_dens: Ll
     for x in range(4):
         total += 0.25 * float(vector(u_dens, PI1[x] < 0) @ kappa[x] @ vector(v_dens, PI2[x] < 0))
     return total
+
+
+def round_messages(inst: JointInstance, ch: ChannelPoint, y, k: int) -> tuple:
+    """Round k (k >= 1) of the joint BP decoder's messages, run past any clean
+    syndrome: (v->c 1, v->c 2, f->v 1, f->v 2, hard 1, hard 2)."""
+    return next(islice(_bp_rounds(inst, ch, y), k - 1, None))
+
+
+def positional_errors(
+    inst: JointInstance, ch: ChannelPoint, max_iters: int, seed: int = 0
+) -> np.ndarray:
+    """Per-position user-1 bit-error counts after `max_iters` rounds of one
+    random-codeword frame on a coupled instance: the decoding-wave footprint
+    (boundary positions clear before the chain center)."""
+    if inst.graph1.var_pos is None:
+        raise ValueError("positional error traces need a coupled instance")
+    x1, x2, y = _transmit(inst, ch, "random", _rng_for(seed, stream=3000))
+    wrong = round_messages(inst, ch, y, max_iters)[4] != x1
+    positions = np.unique(inst.graph1.var_pos)
+    return np.array(
+        [int(np.count_nonzero(wrong[inst.graph1.var_pos == p])) for p in positions]
+    )
+
+
+def de_mc_crosscheck(
+    inst: JointInstance,
+    ch: ChannelPoint,
+    de_density: LlrDensity,
+    iteration: int,
+    num_frames: int = 1,
+    seed: int = 0,
+    mode: str = "signs",
+) -> dict:
+    """Kolmogorov distance between the empirical iteration-k user-1 message
+    histogram and a DE density (messages sign-adjusted to the +1 frame).
+
+    DE conditions on type-one-half codewords, so the transmission must carry
+    +-1 bits in both codes.  mode "signs" draws them i.i.d. uniform: exact for
+    k <= 1 (check messages are still zero) and cheap at large n.  mode
+    "random" transmits true random codewords (systematic encoding), valid at
+    any k; cycles still make k >= 3 unreliable at small n, which is flagged,
+    not asserted.  iteration = 0 compares the raw function-node outputs.
+    """
+    if mode not in ("signs", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "signs" and iteration > 1:
+        raise ValueError("i.i.d. signs break check parity; use mode='random' for k >= 2")
+
+    samples = []
+    for frame in range(num_frames):
+        rng = _rng_for(seed, stream=2000 + frame)
+        if mode == "signs":  # drawn as x1 bits, x2 bits, then the noise
+            n = inst.graph1.n_vars
+            x1 = 1.0 - 2.0 * rng.integers(0, 2, size=n)
+            x2 = 1.0 - 2.0 * rng.integers(0, 2, size=n)
+            y = ch.h1 * x1 + ch.h2 * x2[inst.matching] + rng.standard_normal(n)
+        else:
+            x1, x2, y = _transmit(inst, ch, "random", rng)
+        if iteration == 0:
+            out = _fn_outputs(y, np.zeros(y.size), ch, 1)
+            samples.append(out * x1)
+        else:
+            vc1 = round_messages(inst, ch, y, iteration)[0]
+            samples.append(vc1 * x1[inst.graph1.edge_var])
+    msgs = np.concatenate(samples)
+
+    grid = de_density.grid
+    edges = (np.arange(grid.n_bins + 1) - grid.n_bins / 2.0) * grid.bin_width
+    counts = np.histogram(np.clip(msgs, -LLR_CLIP + 1e-9, LLR_CLIP - 1e-9), bins=edges)[0]
+    emp_cdf = np.concatenate(([0.0], np.cumsum(counts) / msgs.size))
+    de_cdf = np.concatenate(
+        ([de_density.mass_neg_inf], de_density.mass_neg_inf + np.cumsum(de_density.mass))
+    )
+    distance = float(np.abs(emp_cdf - de_cdf).max())
+    return {
+        "kolmogorov": distance,
+        "edges_sampled": int(msgs.size),
+        "iteration": iteration,
+        "mode": mode,
+        "cycles_warning": iteration >= 3,
+    }

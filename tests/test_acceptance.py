@@ -28,10 +28,10 @@ from macsat.densities import (
 from macsat.ensembles import CoupledSpec, regular
 from macsat.gexit import map_bound, map_bound_sweep
 from macsat.jointde import _threshold_alpha, bp_threshold
-from macsat.mcsim import build_joint, build_regular, de_mc_crosscheck, simulate_joint
+from macsat.mcsim import build_joint, build_regular, simulate_joint
 
 from conftest import random_density
-from oracles import dp_dalpha, nu
+from oracles import de_mc_crosscheck, dp_dalpha, nu
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 
@@ -90,9 +90,9 @@ class TestCriterion2:
         curve = area_bound_36["curve"]
         elapsed = area_bound_36["seconds"]
         # independent re-integration of the emitted curve up to the bound
-        pts = [(a, g) for a, g in curve.stable() if a <= bound + 1e-12]
+        pts = [(a, g) for a, g in curve.samples if a <= bound + 1e-12]
         alphas = np.array([p[0] for p in pts] + [bound])
-        gs = np.interp(alphas, [p[0] for p in curve.stable()], [p[1] for p in curve.stable()])
+        gs = np.interp(alphas, [p[0] for p in curve.samples], [p[1] for p in curve.samples])
         integral = float(np.trapezoid(-gs, alphas))
         ok = abs(bound - 1.2629) <= 0.01 and abs(integral - 1.0) <= 0.01 and elapsed <= 7200
         announce(

@@ -302,6 +302,14 @@ class TestExitCodes:
             ["threshold", "--half-range", "-1"],
             ["threshold", "--ensemble", "3,6,4,0"],
             ["threshold", "--ensemble", "3,x,4,2"],
+            # numbers must be numbers, and finite
+            ["capacity", "--ray-list", "abc"],
+            ["acpr", "--ray-list", "x"],
+            ["capacity", "--ray-list", "nan"],
+            ["gexit", "--alphas", "0:1:nan"],
+            ["threshold", "--ratio", "inf"],
+            ["simulate", "--alpha", "inf"],
+            ["threshold", "--half-range", "inf"],
             # a seed must fit the generators' 64-bit keys with its offsets, a
             # pool needs a worker, and a profile needs a file to go to
             ["simulate", "--alpha", "1.9", "--seed", "-1"],

@@ -328,6 +328,9 @@ class TestPolynomials:
             poly_vn([0, 0.5, 0.6], a)
         with pytest.raises(ValueError):
             poly_cn([0.2, 0.8], a)
+        # a defect of 1e-8 is beyond roundoff (the kernels stay below 1e-14)
+        with pytest.raises(ValueError):
+            make_density(tiny_grid, a.mass * (1.0 + 1e-8))
 
     def test_powers(self, tiny_grid):
         rng = np.random.default_rng(14)

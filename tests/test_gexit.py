@@ -221,17 +221,17 @@ class TestMapBound:
     def test_synthetic_linear_curve(self):
         # g = -alpha: integral from 0 to b is b^2/2 = 2r -> b = 2 sqrt(r)
         alphas = np.linspace(0, 2.5, 2501)
-        curve = GexitCurve(1.0, "toy", [(a, -a, "stable") for a in alphas])
+        curve = GexitCurve(1.0, "toy", [(a, -a) for a in alphas])
         assert map_bound(curve, 0.5) == pytest.approx(2.0 * np.sqrt(0.5), abs=1e-3)
 
     def test_unreachable_area(self):
         alphas = np.linspace(0, 0.5, 51)
-        curve = GexitCurve(1.0, "toy", [(a, -a, "stable") for a in alphas])
+        curve = GexitCurve(1.0, "toy", [(a, -a) for a in alphas])
         with pytest.raises(MapBoundError):
             map_bound(curve, 0.5)
 
     def test_curve_checks_sign(self):
-        curve = GexitCurve(1.0, "toy", [(0.0, 0.0, "stable"), (0.1, 0.2, "stable")])
+        curve = GexitCurve(1.0, "toy", [(0.0, 0.0), (0.1, 0.2)])
         with pytest.raises(ValueError):
             curve.check()
 
@@ -273,7 +273,7 @@ class TestCurve:
         alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
         curve = bp_gexit_curve(ENS36, 1.0, alphas, grid=work_grid)
         curve.check()
-        stable = curve.stable()
+        stable = curve.samples
         gs = [g for _, g in stable]
         # continuity below the drop, near-zero above the BP threshold
         for (a1, g1), (a2, g2) in zip(stable, stable[1:]):

@@ -13,9 +13,10 @@ from macsat.mcsim import (
     build_coupled,
     build_joint,
     build_regular,
-    de_mc_crosscheck,
     simulate_joint,
 )
+
+from oracles import de_mc_crosscheck, positional_errors, round_messages
 
 
 class TestGraphs:
@@ -161,9 +162,10 @@ class TestCrosscheck:
         ch = ChannelPoint(4.0, 0.5)
         x1, x2, y = _transmit(inst, ch, "random", _rng_for(0, stream=2000))
         assert _decode_frame(inst, ch, x1, x2, y, 5)[2] == 3
-        e1, e2, rounds, collected, _ = _decode_frame(inst, ch, x1, x2, y, 5, collect_iteration=5)
-        assert (e1, e2, rounds) == (0, 0, 5)
-        assert collected[0].size == inst.graph1.n_edges
+        vc1, _, _, _, hard1, hard2 = round_messages(inst, ch, y, 5)
+        assert vc1.size == inst.graph1.n_edges
+        np.testing.assert_array_equal(hard1, x1)
+        np.testing.assert_array_equal(hard2, x2)
         rep = de_mc_crosscheck(inst, ch, delta_zero(grid), iteration=5, mode="random")
         assert rep["edges_sampled"] == inst.graph1.n_edges
 
@@ -174,8 +176,6 @@ class TestCoupledInstance:
         # alpha between the coupled (~1.26) and uncoupled (~1.69) thresholds:
         # the finite instance decodes and the wave footprint shows boundary
         # positions clearing before the center
-        from macsat.mcsim import positional_errors
-
         spec = CoupledSpec(3, 6, 8, 2, M=600)
         inst = build_joint(build_coupled(spec, 41), build_coupled(spec, 42), 43)
         ch = ChannelPoint(1.5, 1.0)
