@@ -9,7 +9,7 @@ joint symbols are indexed 0..3 via (+1,+1), (+1,-1), (-1,+1), (-1,-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -56,17 +56,11 @@ class ChannelPoint:
         return PI1 + self.ratio * PI2
 
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y and weights w such that E[f(Y)] ~ sum w f(mu + y) for Y ~ N(mu, 1)."""
-    pair = _GH_CACHE.get(order)
-    if pair is None:
-        t, w = roots_hermite(order)
-        pair = (t * np.sqrt(2.0), w / np.sqrt(np.pi))
-        _GH_CACHE[order] = pair
-    return pair
+    t, w = roots_hermite(order)
+    return t * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +179,16 @@ class FnOperator:
 
 
 _FN_CACHE: dict[tuple, FnOperator] = {}
-_FN_CACHE_LIMIT = 6
+_FN_CACHE_LIMIT = 2  # both users' operators at one channel point
 
 
 def fn_operator(grid: DensityGrid, to_user: int, ch: ChannelPoint) -> FnOperator:
-    """Cached transform toward user 1 or 2 (they differ unless h1 = h2)."""
+    """Cached transform toward user 1 or 2 (they differ unless h1 = h2).
+
+    A DE run reuses its channel point's operators and each new point starts a
+    new run, so the cache evicts its oldest entry: a run off the ray A = 1
+    keeps both its operators even after a run on the ray left one.
+    """
     if to_user not in (1, 2):
         raise ValueError("to_user must be 1 or 2")
     h_t, h_p = (ch.h1, ch.h2) if to_user == 1 else (ch.h2, ch.h1)
@@ -197,9 +196,8 @@ def fn_operator(grid: DensityGrid, to_user: int, ch: ChannelPoint) -> FnOperator
     op = _FN_CACHE.get(key)
     if op is None:
         if len(_FN_CACHE) >= _FN_CACHE_LIMIT:
-            _FN_CACHE.clear()
-        op = FnOperator(grid, h_t, h_p)
-        _FN_CACHE[key] = op
+            del _FN_CACHE[next(iter(_FN_CACHE))]
+        op = _FN_CACHE[key] = FnOperator(grid, h_t, h_p)
     return op
 
 

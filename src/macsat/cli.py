@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -102,7 +103,7 @@ def _ensemble(spec_str: str):
         raise ConfigError("an ensemble is required (name like reg36, or a config file)")
     if os.path.exists(spec_str):
         try:
-            return parse_ensemble_config(open(spec_str).read())
+            return parse_ensemble_config(Path(spec_str).read_text())
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad ensemble file {spec_str}: {exc}") from exc
     try:
@@ -134,7 +135,7 @@ def _rays(args) -> list[float]:
     if args.ray_list:
         try:
             rays = [_finite(t) for t in args.ray_list.split(",") if t]
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"bad ray list {args.ray_list!r}: {exc}") from exc
     else:
         count = args.rays or 16
@@ -167,48 +168,34 @@ def _pmap(jobs: int):
         yield pool.map
 
 
-def _finite(text: str) -> float:
-    """float(text) for a finite number: ValueError for text that is no number,
-    ArgumentTypeError for nan and +-inf."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _number(kind, noun: str, holds):
+    """An argparse type: kind(text) when that parses and holds(value), else
+    ArgumentTypeError naming `noun`, so argparse never reports the name of a
+    type function.  Comparisons reject nan."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}")
+
+    return parse
 
 
-def _nonnegative(text: str) -> float:
-    """argparse type of --ratio and the gains: a finite float >= 0."""
-    value = _finite(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    """argparse type of --tol, --step and --half-range: a finite float > 0 (a
-    bisection or sweep with a zero or negative step would never end)."""
-    value = _finite(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of the sizes and counts (--n, --frames, --rays, ...)."""
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer in [0, 2**63), so the seeded
-    generators' 64-bit keys hold it and the small offsets the graph and
-    frame streams add to it."""
-    value = int(text)
-    if not 0 <= value < 2**63:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**63), got {text!r}")
-    return value
+_finite = _number(float, "a finite number", math.isfinite)
+# --ratio and the gains
+_nonnegative = _number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+# --tol, --step and --half-range: a bisection or sweep with a zero or
+# negative step would never end
+_positive = _number(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+# the sizes and counts (--n, --frames, --rays, ...)
+_positive_int = _number(int, "an integer > 0", lambda v: v > 0)
+# --seed: the seeded generators' 64-bit keys hold it and the small offsets the
+# graph and frame streams add to it
+_seed = _number(int, "an integer in [0, 2**63)", lambda v: 0 <= v < 2**63)
 
 
 def _lattice(args, grid: DensityGrid) -> int:

@@ -18,14 +18,15 @@ both users or, on the symmetric ray (A = 1, equal codes, symmetric start),
 positions 0..L of user 1 read through p -> |p| with the user as its own
 partner, since b = a and a_{-i} = a_i hold there (the user-exchange
 reduction of uncoupled DE together with spatial mirror symmetry).  The
-per-position updates are pure functions of their input windows, so the
-engine memoizes them: positions whose windows did not change since the last
-iteration (the decoded region behind the wave and the inert bulk ahead of
-it) are skipped bit-exactly, and each user's check-window densities sit in
-one memo that both users' updates read.  The GEXIT extrinsic profile takes
-its window averages t_i from the same engine.  Runs use the halting rule of
-`jointde`, whose threshold search and GEXIT curves serve coupled ensembles
-through `jointde.de_runner`.
+per-position updates are pure functions of the densities they read, so the
+engine memoizes each step on their identity: check-node outputs on their
+window, a branch (t_i, g) on its check-node outputs, a position on the
+branches it reads.  Positions whose branches did not change (the decoded
+region behind the wave and the inert bulk ahead of it) are skipped
+bit-exactly, and both users' updates read one memo of each user's branches.
+The GEXIT extrinsic profile takes its window averages t_i from the same
+engine.  Runs use the halting rule of `jointde`, whose threshold search and
+GEXIT curves serve coupled ensembles through `jointde.de_runner`.
 """
 
 from __future__ import annotations
@@ -96,11 +97,10 @@ class _Engine:
     engine only reads windows (no updates), so the start alone decides.
     """
 
-    def __init__(self, spec: CoupledSpec, start: CoupledState, ch=None, freeze=False):
+    def __init__(self, spec: CoupledSpec, start: CoupledState, ch=None):
         grid = start.a_vec[0].grid
         self.symmetric = _is_symmetric_state(start) and (ch is None or ch.ratio == 1.0)
         self.spec = spec
-        self.freeze = freeze
         self.dinf = delta_inf(grid)
         users = (1,) if self.symmetric else (1, 2)
         # fns[u]: the function-node operator toward user u
@@ -110,17 +110,13 @@ class _Engine:
         self.vecs = [start.a_vec[spec.L :]] if self.symmetric else [start.a_vec, start.b_vec]
         self.partner = (0,) if self.symmetric else (1, 0)
         self._weights = np.full(spec.w, 1.0 / spec.w)
-        self._z_memo = [{} for _ in self.vecs]  # per user: check pos -> (window, z)
-        self._branch_memo = [{} for _ in self.vecs]  # per user: var pos -> (zs, (t, g))
-        self._pos_memo = [{} for _ in self.vecs]  # per user: var pos -> (windows, result)
+        # per user: (kind, position) -> (input objects, value)
+        self._memo = [{} for _ in self.vecs]
 
     def _at(self, vec, p: int) -> LlrDensity:
         if self.symmetric:
             p = abs(p)
         return vec[p - self.lo] if self.lo <= p <= self.spec.L else self.dinf
-
-    def _window(self, u: int, lo: int, hi: int) -> list:
-        return [self._at(self.vecs[u], p) for p in range(lo, hi + 1)]
 
     def unfold(self, vecs) -> tuple:
         """(a, b) over positions -L..L from per-user lists over the fold; on
@@ -129,21 +125,22 @@ class _Engine:
         full = [tuple(self._at(vec, p) for p in range(-L, L + 1)) for vec in vecs]
         return full[0], full[-1]
 
-    @staticmethod
-    def _same(xs, ys) -> bool:
-        # identity comparison; the memo keeps the inputs alive so object
-        # identity is stable across iterations
-        return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+    def _memoized(self, u: int, key, inputs, compute):
+        """compute(), reused while `inputs` are the very objects it last ran
+        on under `key`; the memo keeps them alive, so identity is stable."""
+        hit = self._memo[u].get(key)
+        if hit is not None and all(x is y for x, y in zip(hit[0], inputs)):
+            return hit[1]
+        value = compute()
+        self._memo[u][key] = (inputs, value)
+        return value
 
     def _z(self, u: int, c: int) -> LlrDensity:
         """Check-node output of user u's window ending at check position c."""
-        xs = self._window(u, c - self.spec.w + 1, c)
-        hit = self._z_memo[u].get(c)
-        if hit is not None and self._same(hit[0], xs):
-            return hit[1]
-        z = power_cn(mix(xs, self._weights), self.spec.r - 1)
-        self._z_memo[u][c] = (xs, z)
-        return z
+        xs = [self._at(self.vecs[u], p) for p in range(c - self.spec.w + 1, c + 1)]
+        return self._memoized(
+            u, ("z", c), xs, lambda: power_cn(mix(xs, self._weights), self.spec.r - 1)
+        )
 
     def _zs(self, u: int, i: int) -> list:
         return [self._z(u, i + j) for j in range(self.spec.w)]
@@ -154,45 +151,39 @@ class _Engine:
 
     def _branch(self, u: int, i: int) -> tuple[LlrDensity, LlrDensity]:
         """(t_i, g = t_i^{*(l-1)}) of user u at position i, memoized on the
-        identity of the check densities t_i averages: the user's own update
-        and its partner's read one computation."""
+        check densities t_i averages: the user's own update and its
+        partner's read one computation."""
         zs = self._zs(u, i)
-        hit = self._branch_memo[u].get(i)
-        if hit is not None and self._same(hit[0], zs):
-            return hit[1]
-        t = mix(zs, self._weights)
-        tg = (t, power_vn(t, self.spec.l - 1))
-        self._branch_memo[u][i] = (zs, tg)
-        return tg
+
+        def compute():
+            t = mix(zs, self._weights)
+            return t, power_vn(t, self.spec.l - 1)
+
+        return self._memoized(u, ("branch", i), zs, compute)
 
     def update_position(self, u: int, i: int) -> LlrDensity:
-        """New variable-to-check density of user u at position i; bit-exact
-        memo reuse when the (own, partner) windows are unchanged."""
-        w = self.spec.w
-        v = self.partner[u]
-        own = self._window(u, i - w + 1, i + w - 1)
-        windows = own + (own if v == u else self._window(v, i - w + 1, i + w - 1))
-        hit = self._pos_memo[u].get(i)
-        if hit is not None and self._same(hit[0], windows):
-            return hit[1]
-
+        """New variable-to-check density of user u at position i, memoized on
+        the branches it reads; positions whose error probability falls below
+        FREEZE_ERROR_PROB are frozen to the +inf delta."""
         _, g_own = self._branch(u, i)
-        t_par, g_par = self._branch(v, i)  # on the symmetric fold, the own pair
-        out = conv_vn(self.fns[u].apply(conv_vn(g_par, t_par)), g_own)
-        if self.freeze and error_prob(out) < FREEZE_ERROR_PROB:
-            out = self.dinf
-        # hand back the previous object when the update reproduced it
-        # bit-exactly, so neighbours' window-identity checks keep hitting
-        prev = self._at(self.vecs[u], i)
-        if (
-            out is not prev
-            and out.mass_pos_inf == prev.mass_pos_inf
-            and out.mass_neg_inf == prev.mass_neg_inf
-            and np.array_equal(out.mass, prev.mass)
-        ):
-            out = prev
-        self._pos_memo[u][i] = (windows, out)
-        return out
+        t_par, g_par = self._branch(self.partner[u], i)  # on the symmetric fold, the own pair
+
+        def compute():
+            out = conv_vn(self.fns[u].apply(conv_vn(g_par, t_par)), g_own)
+            if error_prob(out) < FREEZE_ERROR_PROB:
+                out = self.dinf
+            # hand back the previous object when the update reproduced it
+            # bit-exactly, so the neighbours' memo keys keep hitting
+            prev = self._at(self.vecs[u], i)
+            if (
+                out.mass_pos_inf == prev.mass_pos_inf
+                and out.mass_neg_inf == prev.mass_neg_inf
+                and np.array_equal(out.mass, prev.mass)
+            ):
+                return prev
+            return out
+
+        return self._memoized(u, ("position", i), (g_own, t_par, g_par), compute)
 
     def iterate(self) -> "_Engine":
         """One Jacobi sweep in place; returns self, the state run_to_halt steps."""
@@ -234,7 +225,7 @@ def coupled_run(
     if start is None:
         d0 = delta_zero(grid)
         start = CoupledState((d0,) * spec.n_positions, (d0,) * spec.n_positions, spec.L)
-    engine = _Engine(spec, start, ch, freeze=True)
+    engine = _Engine(spec, start, ch)
 
     observe = None
     if profile is not None:

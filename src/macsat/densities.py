@@ -14,7 +14,7 @@ exactly on the quantized grid via a precomputed output-bin table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -323,15 +323,9 @@ class BoxPlusTable:
         return np.bincount(self.out, weights=weights, minlength=p.size)
 
 
-_BOXPLUS_TABLES: dict[DensityGrid, BoxPlusTable] = {}
-
-
+@cache
 def _boxplus_table(grid: DensityGrid) -> BoxPlusTable:
-    tab = _BOXPLUS_TABLES.get(grid)
-    if tab is None:
-        tab = BoxPlusTable(grid)
-        _BOXPLUS_TABLES[grid] = tab
-    return tab
+    return BoxPlusTable(grid)
 
 
 def conv_cn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
@@ -485,16 +479,9 @@ def poly_vn_node(coeffs, a: LlrDensity) -> LlrDensity:
     return _poly_apply(coeffs, a, conv_vn, power_vn, delta_zero(a.grid), edge=False)
 
 
-_ENTROPY_KERNELS: dict[DensityGrid, np.ndarray] = {}
-
-
+@cache
 def _entropy_kernel(grid: DensityGrid) -> np.ndarray:
-    kern = _ENTROPY_KERNELS.get(grid)
-    if kern is None:
-        z = grid.centers()
-        kern = np.logaddexp(0.0, -z) * LOG2E
-        _ENTROPY_KERNELS[grid] = kern
-    return kern
+    return np.logaddexp(0.0, -grid.centers()) * LOG2E
 
 
 def entropy(a: LlrDensity) -> float:

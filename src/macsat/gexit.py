@@ -154,21 +154,12 @@ class KernelLattice:
         return 0.5 * float(total)
 
 
-_LATTICE_CACHE: dict[tuple, KernelLattice] = {}
-_LATTICE_CACHE_LIMIT = 8
-
-
 def kernel_lattice(
     ch: ChannelPoint, grid: DensityGrid, bins: int = LATTICE_BINS_DEFAULT
 ) -> KernelLattice:
-    key = (ch.alpha, ch.ratio, grid, bins)
-    lat = _LATTICE_CACHE.get(key)
-    if lat is None:
-        if len(_LATTICE_CACHE) >= _LATTICE_CACHE_LIMIT:
-            _LATTICE_CACHE.clear()
-        lat = KernelLattice(ch, grid, bins)
-        _LATTICE_CACHE[key] = lat
-    return lat
+    """The lattice of one GEXIT value.  It is not cached: each value of a
+    curve or bound sweep falls at a new channel point."""
+    return KernelLattice(ch, grid, bins)
 
 
 def bp_gexit_value(

@@ -137,7 +137,6 @@ class JointInstance:
     graph1: LdpcGraph
     graph2: LdpcGraph
     matching: np.ndarray  # function node i joins var i of code 1 and matching[i] of code 2
-    seed: int
 
     def __post_init__(self):
         if self.graph1.n_vars != self.graph2.n_vars:
@@ -157,7 +156,7 @@ def build_joint(graph1: LdpcGraph, graph2: LdpcGraph, seed: int) -> JointInstanc
             matching[own] = rng.permutation(other)
     else:
         matching = rng.permutation(n)
-    return JointInstance(graph1, graph2, matching, seed)
+    return JointInstance(graph1, graph2, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,6 @@ class FrameResult:
 class SimulationResult:
     frames: list
     n_bits: int
-    seed: int
     mode: str
 
     def ber(self, user: int) -> float:
@@ -411,4 +409,4 @@ def simulate_joint(
     elif mode != "all_plus_one":
         raise ValueError(f"unknown mode {mode!r}")
     job = partial(_run_frame, inst, ch, mode, max_iters, seed)
-    return SimulationResult(list(pmap(job, range(num_frames))), inst.graph1.n_vars, seed, mode)
+    return SimulationResult(list(pmap(job, range(num_frames))), inst.graph1.n_vars, mode)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -115,21 +116,25 @@ class TestConfigHandling:
     def test_ensemble_file(self, tmp_path):
         ens = tmp_path / "e.cfg"
         ens.write_text("kind=regular\nl=3\nr=6\n")
-        code, text = run_cli(
-            [
-                "threshold",
-                "--ensemble",
-                str(ens),
-                "--grid-bins",
-                "257",
-                "--tol",
-                "0.05",
-                "--no-timestamp",
-            ],
-            tmp_path,
-            "t.json",
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run_cli(
+                [
+                    "threshold",
+                    "--ensemble",
+                    str(ens),
+                    "--grid-bins",
+                    "257",
+                    "--tol",
+                    "0.05",
+                    "--no-timestamp",
+                ],
+                tmp_path,
+                "t.json",
+            )
         assert code == 0
+        # the ensemble file is closed once read
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSimulateCommand:
@@ -319,11 +324,18 @@ class TestExitCodes:
                 "coupled-threshold", "--ensemble", "3,6,4,2", "--grid-bins", "65", "--tol", "0.1",
                 "--profile-alpha", "1.3",
             ],
+            # text that is no number, for each kind of numeric flag
+            ["threshold", "--ratio", "abc"],
+            ["threshold", "--tol", "z"],
+            ["simulate", "--alpha", "1.9", "--n", "x"],
+            ["simulate", "--alpha", "1.9", "--seed", "y"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):
         assert main(argv) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "invalid _" not in err  # argparse naming a private type function
 
     @pytest.mark.parametrize("command,key", [("threshold", "tol"), ("map-bound", "step")])
     def test_nonpositive_step_in_config_is_config_error(self, command, key, tmp_path, capsys):

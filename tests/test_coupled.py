@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from macsat.channel import ChannelPoint, fn_operator
+from macsat.channel import ChannelPoint, FnOperator, fn_operator
 from macsat.coupled import (
     CoupledState,
     _Engine,
@@ -38,9 +38,9 @@ def zero_start(grid, spec, shared=True):
     return CoupledState(a, b, spec.L)
 
 
-def iterate(spec, ch, start, n, freeze=False) -> CoupledState:
+def iterate(spec, ch, start, n) -> CoupledState:
     """n Jacobi sweeps of the engine coupled_run builds for this start."""
-    eng = _Engine(spec, start, ch, freeze)
+    eng = _Engine(spec, start, ch)
     for _ in range(n):
         eng.iterate()
     return eng.full_state()
@@ -170,6 +170,24 @@ class TestIterate:
         iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
         assert len(calls) == 2 * SPEC.n_positions
 
+    def test_decoded_state_is_reused_across_sweeps(self, monkeypatch):
+        # once a sweep reproduces every position, the next one reads all of
+        # them from the memo: no function-node apply, the same objects back
+        grid = DensityGrid(30 / 64, 30.0)
+        ch = ChannelPoint(1.8, 0.7)
+        fp = coupled_run(ch, SPEC, grid)
+        assert fp.decoded
+        eng = _Engine(SPEC, fp.state, ch)
+        applies = []
+        apply = FnOperator.apply
+        monkeypatch.setattr(FnOperator, "apply", lambda op, x: applies.append(1) or apply(op, x))
+        first = eng.iterate().vecs
+        assert len(applies) == 2 * SPEC.n_positions
+        applies.clear()
+        second = eng.iterate().vecs
+        assert applies == []
+        assert all(x is y for u, v in zip(first, second) for x, y in zip(u, v))
+
 
 class TestRun:
     def test_wave_decodes_between_thresholds(self, coarse_grid):
@@ -250,7 +268,7 @@ class TestWaveStability:
         # wrong-certainty at the front and collapse the wave periodically
         spec = CoupledSpec(3, 6, 16, 2)
         prev = None
-        eng = _Engine(spec, zero_start(coarse_grid, spec), ChannelPoint(1.35, 1.0), freeze=True)
+        eng = _Engine(spec, zero_start(coarse_grid, spec), ChannelPoint(1.35, 1.0))
         decoded = False
         for _ in range(2500):
             errs = np.array([error_prob(d) for d in eng.iterate().full_state().a_vec])

@@ -98,6 +98,24 @@ class TestRun:
         assert (warm.halt, warm.iterations) == ("stall", STALL_PATIENCE)
         assert run(start=cold.state, max_iters=3).iterations == 3
 
+    def test_each_run_builds_its_own_two_operators(self, monkeypatch):
+        # the operator cache holds one channel point: a run off the ray
+        # builds both users' operators once, even after a run on the ray
+        # left one behind, and keeps no earlier run's operators
+        import macsat.channel as channel
+
+        grid = DensityGrid(30 / 32, 30.0)
+        builds = []
+        build = channel.FnOperator
+        monkeypatch.setattr(channel, "_FN_CACHE", {})
+        monkeypatch.setattr(channel, "FnOperator", lambda *args: builds.append(1) or build(*args))
+        de_run(ChannelPoint(1.6, 1.0), ENS36, grid)
+        for alpha in (1.4, 1.7, 2.0):
+            builds.clear()
+            de_run(ChannelPoint(alpha, 0.8), ENS36, grid)
+            assert len(builds) == 2
+            assert len(channel._FN_CACHE) <= 2
+
     def test_genie_is_single_user(self, coarse_grid):
         # the genie channel is exactly the one the analytic density describes
         from macsat.channel import bawgn_density

@@ -3,13 +3,20 @@
 The benchmark calls into macsat through module attributes (`mcsim.simulate_joint`,
 `channel.bawgn_density`, ...) and wraps the spans listed in `layers.TARGETS`.
 A refactor that drops one of these names should fail here, not as a malformed
-benchmark run.
+benchmark run. The benchmark also empties the package's per-channel-point
+caches by name, so a cache it does not know of fails here too.
 """
 
 import ast
 import importlib
 import importlib.util
+import pkgutil
+import sys
 from pathlib import Path
+
+import macsat
+from macsat import channel
+from macsat.densities import DensityGrid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,10 +68,33 @@ def test_workload_and_kernel_names_exist():
     assert _missing(pairs) == []
 
 
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass resolves its module by name
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("layers")
     pairs = {(module, attr) for _, module, attr, _ in layers.TARGETS}
     assert ("macsat.mcsim", "_decode_frame") in pairs
     assert _missing(pairs) == []
+
+
+def test_benchmark_clears_every_cache():
+    caches = []
+    for info in pkgutil.iter_modules(macsat.__path__):
+        module = importlib.import_module(f"macsat.{info.name}")
+        caches += [
+            f"{module.__name__}.{name}"
+            for name, value in vars(module).items()
+            if "CACHE" in name and isinstance(value, dict)
+        ]
+    assert caches == ["macsat.channel._FN_CACHE"]
+
+    channel.fn_operator(DensityGrid(1.0, 4.0), 1, channel.ChannelPoint(1.0, 1.0))
+    assert channel._FN_CACHE
+    _load("workloads").clear_channel_caches()
+    assert not channel._FN_CACHE
