@@ -58,22 +58,45 @@ def _hashable(args) -> dict:
     }
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; any failure to read it is a config
+    error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     fields = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            fields[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        fields[key.strip().replace("-", "_")] = value.strip()
     return fields
+
+
+def _check_outputs(args):
+    """Every file the command will write names a file in an existing
+    directory, checked before any computation runs."""
+    for flag in ("output", "profile_out", "summary_out"):
+        path = getattr(args, flag, None)
+        if path in (None, "-"):
+            continue
+        name = "--" + flag.replace("_", "-")
+        if os.path.isdir(path):
+            raise ConfigError(f"{name} {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{name} {path}: no directory {parent}")
 
 
 def _apply_config(args: argparse.Namespace, config: dict, subparser: argparse.ArgumentParser):
@@ -103,7 +126,7 @@ def _ensemble(spec_str: str):
         raise ConfigError("an ensemble is required (name like reg36, or a config file)")
     if os.path.exists(spec_str):
         try:
-            return parse_ensemble_config(Path(spec_str).read_text())
+            return parse_ensemble_config(_read_text(spec_str, "ensemble file"))
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad ensemble file {spec_str}: {exc}") from exc
     try:
@@ -474,6 +497,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         sub = ap._subparsers._group_actions[0].choices[args.command]
         _apply_config(args, config, sub)
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

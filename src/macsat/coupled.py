@@ -24,6 +24,9 @@ window, a branch (t_i, g) on its check-node outputs, a position on the
 branches it reads.  Positions whose branches did not change (the decoded
 region behind the wave and the inert bulk ahead of it) are skipped
 bit-exactly, and both users' updates read one memo of each user's branches.
+A sweep runs in two phases per user: the positions that miss the memo send
+their partner densities through the user's function node in one batched
+apply, then finish one by one.
 The GEXIT extrinsic profile takes its window averages t_i from the same
 engine.  Runs use the halting rule of `jointde`, whose threshold search and
 GEXIT curves serve coupled ensembles through `jointde.de_runner`.
@@ -32,6 +35,7 @@ GEXIT curves serve coupled ensembles through `jointde.de_runner`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +81,16 @@ class CoupledState:
             for u in range(len(eng.vecs))
         ]
         return list(zip(*eng.unfold(gammas)))
+
+
+class _Pending(NamedTuple):
+    """A position update that missed the memo, waiting for the function node:
+    the branches (g_own, t_par, g_par) it read and the partner's
+    variable-to-function density."""
+
+    i: int
+    branches: tuple
+    vf: LlrDensity
 
 
 def _is_symmetric_state(st: CoupledState) -> bool:
@@ -125,14 +139,21 @@ class _Engine:
         full = [tuple(self._at(vec, p) for p in range(-L, L + 1)) for vec in vecs]
         return full[0], full[-1]
 
-    def _memoized(self, u: int, key, inputs, compute):
-        """compute(), reused while `inputs` are the very objects it last ran
-        on under `key`; the memo keeps them alive, so identity is stable."""
+    def _recall(self, u: int, key, inputs):
+        """The value stored under `key` if `inputs` are the very objects it
+        was computed from, else None; the memo keeps them alive, so identity
+        is stable."""
         hit = self._memo[u].get(key)
         if hit is not None and all(x is y for x, y in zip(hit[0], inputs)):
             return hit[1]
-        value = compute()
-        self._memo[u][key] = (inputs, value)
+        return None
+
+    def _memoized(self, u: int, key, inputs, compute):
+        """compute(), reused while `inputs` are the objects it last ran on."""
+        value = self._recall(u, key, inputs)
+        if value is None:
+            value = compute()
+            self._memo[u][key] = (inputs, value)
         return value
 
     def _z(self, u: int, c: int) -> LlrDensity:
@@ -161,35 +182,50 @@ class _Engine:
 
         return self._memoized(u, ("branch", i), zs, compute)
 
-    def update_position(self, u: int, i: int) -> LlrDensity:
-        """New variable-to-check density of user u at position i, memoized on
-        the branches it reads; positions whose error probability falls below
-        FREEZE_ERROR_PROB are frozen to the +inf delta."""
+    def update_position(self, u: int, i: int) -> LlrDensity | _Pending:
+        """The first phase of the update of user u at position i: the new
+        variable-to-check density when the branches it reads are the objects
+        its memo holds, else the pending update with the partner's
+        variable-to-function density conv_vn(g_par, t_par)."""
         _, g_own = self._branch(u, i)
         t_par, g_par = self._branch(self.partner[u], i)  # on the symmetric fold, the own pair
+        branches = (g_own, t_par, g_par)
+        done = self._recall(u, ("position", i), branches)
+        return done if done is not None else _Pending(i, branches, conv_vn(g_par, t_par))
 
-        def compute():
-            out = conv_vn(self.fns[u].apply(conv_vn(g_par, t_par)), g_own)
-            if error_prob(out) < FREEZE_ERROR_PROB:
-                out = self.dinf
-            # hand back the previous object when the update reproduced it
-            # bit-exactly, so the neighbours' memo keys keep hitting
-            prev = self._at(self.vecs[u], i)
-            if (
-                out.mass_pos_inf == prev.mass_pos_inf
-                and out.mass_neg_inf == prev.mass_neg_inf
-                and np.array_equal(out.mass, prev.mass)
-            ):
-                return prev
-            return out
-
-        return self._memoized(u, ("position", i), (g_own, t_par, g_par), compute)
+    def _finish(self, u: int, pending: _Pending, fn_out: LlrDensity) -> LlrDensity:
+        """The second phase: the function-node output times g_own, frozen to
+        the +inf delta once its error probability falls below
+        FREEZE_ERROR_PROB, and memoized on the branches it read."""
+        out = conv_vn(fn_out, pending.branches[0])
+        if error_prob(out) < FREEZE_ERROR_PROB:
+            out = self.dinf
+        # hand back the previous object when the update reproduced it
+        # bit-exactly, so the neighbours' memo keys keep hitting
+        prev = self._at(self.vecs[u], pending.i)
+        if (
+            out.mass_pos_inf == prev.mass_pos_inf
+            and out.mass_neg_inf == prev.mass_neg_inf
+            and np.array_equal(out.mass, prev.mass)
+        ):
+            out = prev
+        self._memo[u][("position", pending.i)] = (pending.branches, out)
+        return out
 
     def iterate(self) -> "_Engine":
-        """One Jacobi sweep in place; returns self, the state run_to_halt steps."""
-        self.vecs = [
-            tuple(self.update_position(u, i) for i in self.positions) for u in range(len(self.vecs))
-        ]
+        """One Jacobi sweep in place; returns self, the state run_to_halt steps.
+
+        Per user, the positions that miss the memo go through the user's
+        function node in one batched apply, then finish one by one."""
+        vecs = []
+        for u, fn in enumerate(self.fns):
+            vec = [self.update_position(u, i) for i in self.positions]
+            misses = [j for j, x in enumerate(vec) if isinstance(x, _Pending)]
+            if misses:
+                for j, fn_out in zip(misses, fn.apply([vec[j].vf for j in misses])):
+                    vec[j] = self._finish(u, vec[j], fn_out)
+            vecs.append(tuple(vec))
+        self.vecs = vecs
         return self
 
     def measure(self) -> tuple[float, float]:

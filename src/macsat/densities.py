@@ -14,7 +14,7 @@ exactly on the quantized grid via a precomputed output-bin table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -44,7 +44,7 @@ class DensityGrid:
         if self.k_max < 1:
             raise ValueError("grid must contain at least one positive bin")
 
-    @property
+    @cached_property
     def k_max(self) -> int:
         return int(np.floor(self.half_range / self.bin_width + 1e-12))
 
@@ -242,7 +242,9 @@ def conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
 # diagonal D = 0, are tabulated one by one, each pair with its mirror (j, i)
 # on the same bin.  Signs factor out of the magnitude computation: with p/n
 # the positive/reflected-negative parts of a density, both signed outputs
-# come from two magnitude passes over (p+n) and (p-n).
+# come from two magnitude passes over (p+n) and (p-n).  In a squaring (b is a)
+# both operands of each pass are one array, so a pair's two products and a
+# row's two terms are equal: the pass forms one of each and doubles it.
 
 
 class BoxPlusTable:
@@ -308,13 +310,30 @@ class BoxPlusTable:
         self.idx = np.concatenate((np.ravel(pairs), rows.ravel()))
         self.out = np.concatenate([np.maximum(m_tab + corr[tab], 0)] + row_out)
 
+        # The squaring pass (q is p) gathers from [p, sp, 0]: each pair's and
+        # row's first product, read through the p and sp entries in place of
+        # the q and sq ones.  The D = 0 pairs come first (di is sorted); they
+        # have no mirror, so only the entries after them are doubled.
+        self.n_diag = int(np.count_nonzero(di == 0))
+        self.square_idx = np.concatenate((pairs[0], pairs[1] - n, rows[0], rows[1] - n, rows[2] - n))
+
     def magnitude_op(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Bilinear magnitude combine: inputs indexed 1..k (entry 0 ignored),
-        output indexed 0..k."""
-        sq = np.cumsum(q[::-1])[::-1]
+        output indexed 0..k.
+
+        With q is p the two products of a pair (p[m] p[m+D] twice) and of a
+        row are equal, so the pass forms one of each and doubles it: x + x is
+        2x exactly, and the bits are those of the general pass."""
         sp = np.cumsum(p[::-1])[::-1]
-        g = np.concatenate((p, q, sq, [0.0], sp, [0.0]))[self.idx]
         t = self.n_pairs
+        if q is p:
+            g = np.concatenate((p, sp, [0.0]))[self.square_idx]
+            row = g[2 * t :].reshape(3, -1)
+            weights = np.concatenate((g[:t] * g[t : 2 * t], row[0] * (row[1] - row[2])))
+            weights[self.n_diag :] *= 2.0
+            return np.bincount(self.out, weights=weights, minlength=p.size)
+        sq = np.cumsum(q[::-1])[::-1]
+        g = np.concatenate((p, q, sq, [0.0], sp, [0.0]))[self.idx]
         pair = g[: 4 * t].reshape(4, t)
         row = g[4 * t :].reshape(6, -1)
         weights = np.concatenate(
@@ -326,6 +345,17 @@ class BoxPlusTable:
 @cache
 def _boxplus_table(grid: DensityGrid) -> BoxPlusTable:
     return BoxPlusTable(grid)
+
+
+def _cn_parts(a: LlrDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p + n, p - n, finite nonzero masses) of a density, with p/n its
+    positive and reflected negative parts indexed 1..k after a leading 0."""
+    c = a.grid.center
+    ap = np.concatenate(([0.0], a.mass[c + 1 :]))
+    an = np.concatenate(([0.0], a.mass[c - 1 :: -1]))
+    fin_nz = a.mass.copy()
+    fin_nz[c] = 0.0
+    return ap + an, ap - an, fin_nz
 
 
 def conv_cn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
@@ -340,37 +370,32 @@ def conv_cn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     if is_delta_zero(b):
         return b
     g = a.grid
-    k = g.k_max
     c = g.center
     tab = _boxplus_table(g)
 
     a0 = float(a.mass[c])
     b0 = float(b.mass[c])
 
-    # positive parts / reflected negative parts, indexed 1..k with a leading 0
-    ap = np.concatenate(([0.0], a.mass[c + 1 :]))
-    an = np.concatenate(([0.0], a.mass[c - 1 :: -1]))
-    bp = np.concatenate(([0.0], b.mass[c + 1 :]))
-    bn = np.concatenate(([0.0], b.mass[c - 1 :: -1]))
+    # a squaring reuses its operand's parts, so magnitude_op sees one array
+    # for both operands and takes its squaring pass
+    a_sum, a_diff, fin_nz_a = _cn_parts(a)
+    b_sum, b_diff, fin_nz_b = (a_sum, a_diff, fin_nz_a) if b is a else _cn_parts(b)
 
-    ms = tab.magnitude_op(ap + an, bp + bn)
-    md = tab.magnitude_op(ap - an, bp - bn)
-    out_pos = 0.5 * (ms[1:] + md[1:])
-    out_neg = 0.5 * (ms[1:] - md[1:])
-
-    mass = np.zeros(g.n_bins)
-    mass[c + 1 :] = out_pos
-    mass[c - 1 :: -1] = out_neg
+    ms = tab.magnitude_op(a_sum, b_sum)
+    md = tab.magnitude_op(a_diff, b_diff)
+    mass = np.empty(g.n_bins)
+    np.add(ms[1:], md[1:], out=mass[c + 1 :])
+    np.subtract(ms[1:], md[1:], out=mass[c - 1 :: -1])
+    mass *= 0.5
     # anything box-plussed with an erasure is an erasure
-    mass[c] += ms[0] + a0 + b0 - a0 * b0
+    mass[c] = ms[0] + a0 + b0 - a0 * b0
 
-    # +inf is the identity, -inf reflects
-    fin_nz_b = b.mass.copy()
-    fin_nz_b[c] = 0.0
-    fin_nz_a = a.mass.copy()
-    fin_nz_a[c] = 0.0
-    mass += a.mass_pos_inf * fin_nz_b + b.mass_pos_inf * fin_nz_a
-    mass += a.mass_neg_inf * fin_nz_b[::-1] + b.mass_neg_inf * fin_nz_a[::-1]
+    # +inf is the identity, -inf reflects.  Without infinite mass these terms
+    # are exact zeros, and adding them changes no entry (none is -0.0: the
+    # bincount sums start at +0.0), so they are skipped.
+    if a.mass_pos_inf or a.mass_neg_inf or b.mass_pos_inf or b.mass_neg_inf:
+        mass += a.mass_pos_inf * fin_nz_b + b.mass_pos_inf * fin_nz_a
+        mass += a.mass_neg_inf * fin_nz_b[::-1] + b.mass_neg_inf * fin_nz_a[::-1]
 
     pos = a.mass_pos_inf * b.mass_pos_inf + a.mass_neg_inf * b.mass_neg_inf
     neg = a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf
@@ -403,19 +428,27 @@ def mix(densities: list[LlrDensity], weights) -> LlrDensity:
     return make_density(g, mass, pos, neg)
 
 
-def power_vn(a: LlrDensity, n: int) -> LlrDensity:
-    """n-fold variable-node self-convolution; n = 0 gives the 0-LLR delta."""
+def power_vn(a: LlrDensity, n: int, squares: list | None = None) -> LlrDensity:
+    """n-fold variable-node self-convolution; n = 0 gives the 0-LLR delta.
+
+    `squares`, when given, is the list [a, a^2, a^4, ...] of the squarings
+    done so far, extended in place, so that several powers of one density
+    square it once."""
     if n < 0:
         raise ValueError("negative power")
+    if squares is None:
+        squares = [a]
     result = delta_zero(a.grid)
-    base = a
+    k = 0
     while n:
+        if k == len(squares):
+            squares.append(conv_vn(squares[-1], squares[-1]))
         if n & 1:
-            result = conv_vn(result, base)
+            result = conv_vn(result, squares[k])
         n >>= 1
-        if n:
-            base = conv_vn(base, base)
+        k += 1
     return result
+
 
 def power_cn(a: LlrDensity, n: int) -> LlrDensity:
     """n-fold box-plus self-convolution; n = 0 gives the +inf delta."""
@@ -460,12 +493,14 @@ def _poly_apply(coeffs, a: LlrDensity, conv, power_fn, unit: LlrDensity, edge: b
     return mix(parts, np.asarray(weights) / sum(weights)) if len(parts) > 1 else parts[0]
 
 
-def poly_vn(coeffs, a: LlrDensity) -> LlrDensity:
+def poly_vn(coeffs, a: LlrDensity, squares: list | None = None) -> LlrDensity:
     """Edge-perspective variable polynomial: sum_i coeffs[i] a^{*(i-1)}.
 
-    coeffs is indexed by degree (coeffs[0] unused and must be 0).
+    coeffs is indexed by degree (coeffs[0] unused and must be 0).  A regular
+    polynomial is one power_vn, which shares `squares` with other powers of a.
     """
-    return _poly_apply(coeffs, a, conv_vn, power_vn, delta_zero(a.grid), edge=True)
+    power = partial(power_vn, squares=squares)
+    return _poly_apply(coeffs, a, conv_vn, power, delta_zero(a.grid), edge=True)
 
 
 def poly_cn(coeffs, a: LlrDensity) -> LlrDensity:
@@ -473,10 +508,11 @@ def poly_cn(coeffs, a: LlrDensity) -> LlrDensity:
     return _poly_apply(coeffs, a, conv_cn, power_cn, delta_inf(a.grid), edge=True)
 
 
-def poly_vn_node(coeffs, a: LlrDensity) -> LlrDensity:
+def poly_vn_node(coeffs, a: LlrDensity, squares: list | None = None) -> LlrDensity:
     """Node-perspective polynomial sum_i coeffs[i] a^{*i}: a degree-i variable
     node aggregates all i of its check edges toward the function node."""
-    return _poly_apply(coeffs, a, conv_vn, power_vn, delta_zero(a.grid), edge=False)
+    power = partial(power_vn, squares=squares)
+    return _poly_apply(coeffs, a, conv_vn, power, delta_zero(a.grid), edge=False)
 
 
 @cache

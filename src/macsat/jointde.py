@@ -105,18 +105,26 @@ def de_iterate(
     updated once and stays shared: both users' updates are bit-identical.
     """
     grid = state.a.grid
-    dinf = delta_inf(grid)
-    rho_a = poly_cn(ens.rho_coeffs, state.a)
-    vf_a = dinf if genie else poly_vn_node(ens.node_lambda, rho_a)
+    vf_a, g_a = _variable_side(ens, state.a, genie)
     if ch.ratio == 1.0 and state.a is state.b:
-        x = conv_vn(fn_operator(grid, 1, ch).apply(vf_a), poly_vn(ens.lambda_coeffs, rho_a))
+        x = conv_vn(fn_operator(grid, 1, ch).apply(vf_a), g_a)
         return DeState(x, x)
 
-    rho_b = poly_cn(ens.rho_coeffs, state.b)
-    vf_b = dinf if genie else poly_vn_node(ens.node_lambda, rho_b)
-    a_next = conv_vn(fn_operator(grid, 1, ch).apply(vf_b), poly_vn(ens.lambda_coeffs, rho_a))
-    b_next = conv_vn(fn_operator(grid, 2, ch).apply(vf_a), poly_vn(ens.lambda_coeffs, rho_b))
+    vf_b, g_b = _variable_side(ens, state.b, genie)
+    a_next = conv_vn(fn_operator(grid, 1, ch).apply(vf_b), g_a)
+    b_next = conv_vn(fn_operator(grid, 2, ch).apply(vf_a), g_b)
     return DeState(a_next, b_next)
+
+
+def _variable_side(ens: EnsembleSpec, a: LlrDensity, genie: bool):
+    """(L(rho(a)), lambda(rho(a))) of one user: the density toward the
+    function node (the +inf delta under the genie) and the product of the
+    check messages a variable node sends back on an edge.  On a regular
+    ensemble both are powers of rho(a) and share its squarings."""
+    rho = poly_cn(ens.rho_coeffs, a)
+    squares = [rho]
+    vf = delta_inf(a.grid) if genie else poly_vn_node(ens.node_lambda, rho, squares)
+    return vf, poly_vn(ens.lambda_coeffs, rho, squares)
 
 
 def run_to_halt(state, step, measure, max_iters, observe=None):

@@ -7,11 +7,13 @@ joint decoder's messages at a fixed round and their distance to a DE density.
 """
 
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from macsat.channel import PI1, PI2, ChannelPoint, _gaussian_strata, gauss_hermite
+from macsat import channel
+from macsat.channel import PI1, PI2, ChannelPoint, FnOperator, _gaussian_strata, gauss_hermite
 from macsat.densities import (
     DensityGrid,
     LlrDensity,
@@ -137,6 +139,22 @@ def scatter_fn_apply(grid: DensityGrid, h_target: float, h_partner: float, partn
         acc += np.bincount(fold(at_pos), weights=partner.mass_pos_inf * half_w, minlength=n)
         acc += np.bincount(fold(at_neg), weights=partner.mass_neg_inf * half_w, minlength=n)
     return make_density(grid, acc)
+
+
+def logaddexp_fn_llr(y, m, h_t: float, h_p: float):
+    """`channel.fn_llr` through np.logaddexp, the form the function-node
+    operator was first built with: the oracle for its split softplus."""
+    gpp = -0.5 * (y - (h_t + h_p)) ** 2
+    gpm = -0.5 * (y - (h_t - h_p)) ** 2
+    gmp = -0.5 * (y - (-h_t + h_p)) ** 2
+    gmm = -0.5 * (y - (-h_t - h_p)) ** 2
+    return np.logaddexp(gpp + m, gpm) - np.logaddexp(gmp + m, gmm)
+
+
+def logaddexp_fn_operator(grid: DensityGrid, h_target: float, h_partner: float) -> FnOperator:
+    """`FnOperator` assembled from `logaddexp_fn_llr` instead of `fn_llr`."""
+    with mock.patch.object(channel, "fn_llr", logaddexp_fn_llr):
+        return FnOperator(grid, h_target, h_partner)
 
 
 def window_g(xs, l: int, r: int, w: int) -> LlrDensity:

@@ -9,6 +9,7 @@ from macsat.channel import (
     FnOperator,
     InfeasibleRayError,
     bawgn_density,
+    fn_llr,
     fn_operator,
     mac_acpr_boundary,
     mac_acpr_point,
@@ -29,7 +30,7 @@ from macsat.gexit import map_boundary
 from macsat.jointde import bp_acpr
 
 from conftest import random_density
-from oracles import dp_dalpha, nu, scatter_fn_apply
+from oracles import dp_dalpha, logaddexp_fn_llr, logaddexp_fn_operator, nu, scatter_fn_apply
 
 
 def kolmogorov(a, b) -> float:
@@ -166,6 +167,31 @@ class TestFnOperator:
                     assert np.abs(got.mass - ref.mass).max() <= 1e-12 * np.abs(ref.mass).max()
                     assert got.mass_pos_inf == got.mass_neg_inf == 0.0
 
+    @pytest.mark.parametrize("bins", [513, 2049])
+    def test_batched_apply_matches_columns(self, bins):
+        # one sparse product for several partners, +-inf mass included, has
+        # the bits of each partner's own matrix-vector product
+        grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
+        rng = np.random.default_rng(bins + 1)
+        partners = [random_density(grid, rng, inf_mass=0.3) for _ in range(5)]
+        partners += [delta_inf(grid), delta_neg_inf(grid), delta_zero(grid)]
+        for ch in self.POINTS:
+            op = FnOperator(grid, ch.h2, ch.h1)
+            batch = op.apply(partners)
+            assert len(batch) == len(partners)
+            for partner, got in zip(partners, batch):
+                x = np.concatenate((partner.mass, (partner.mass_pos_inf, partner.mass_neg_inf)))
+                want = make_density(grid, op.matrix @ x)
+                for d in (got, op.apply(partner), op.apply([partner])[0]):
+                    assert d.mass.tobytes() == want.mass.tobytes()
+                    assert d.mass_pos_inf == d.mass_neg_inf == 0.0
+
+    def test_apply_rejects_partner_on_other_grid(self, coarse_grid):
+        op = FnOperator(coarse_grid, 1.0, 1.0)
+        other = DensityGrid(1.0, 4.0)
+        with pytest.raises(ValueError):
+            op.apply([delta_zero(coarse_grid), delta_zero(other)])
+
     def test_columns_sum_to_one(self, coarse_grid):
         for ch in self.POINTS + (ChannelPoint(0.0, 1.0), ChannelPoint(2.5, 0.0)):
             for h_t, h_p in ((ch.h1, ch.h2), (ch.h2, ch.h1)):
@@ -173,6 +199,70 @@ class TestFnOperator:
                 assert op.matrix.shape == (coarse_grid.n_bins, coarse_grid.n_bins + 2)
                 col_sums = np.asarray(op.matrix.sum(axis=0)).ravel()
                 assert np.abs(col_sums - 1.0).max() <= 1e-14
+
+
+# Every channel point at which the golden cases (fast and slow) and the
+# benchmark's density-evolution unit build a function-node operator, per
+# (grid bins, A), as recorded by wrapping `fn_operator` over those runs.
+VISITED = {
+    (65, 0.8): (0.0, 1.5, 1.875, 2.0625, 2.25, 3.0, 6.0),
+    (65, 0.9): (0.0, 0.75, 0.8, 1.125, 1.3125, 1.5, 1.6, 3.0, 6.0),
+    (65, 1.0): (
+        0.0, 0.4, 0.75, 0.8, 1.125, 1.2, 1.3, 1.3125, 1.5, 1.6, 1.875, 2.0625, 2.25, 3.0, 6.0,
+    ),
+    (129, 0.8): (
+        0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.345799129187,
+        1.4, 1.445799129187, 1.5, 1.6, 1.6875, 1.7, 1.78125, 1.8, 1.8046875, 1.828125, 1.875,
+        2.25, 3.0, 6.0,
+    ),
+    (129, 1.0): (
+        0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0, 1.1, 1.125,
+        1.1484375, 1.171875, 1.2, 1.214681097017, 1.21875, 1.25, 1.3, 1.3125, 1.314681097017,
+        1.4, 1.5, 1.6, 1.6875, 1.7, 1.75, 1.78125, 1.8046875, 1.828125, 1.875, 2.0, 2.25, 3.0,
+        6.0,
+    ),
+    (513, 1.0): (
+        0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.21716591467, 1.3,
+        1.31716591467, 1.4, 1.45, 1.5, 1.6, 1.7,
+    ),
+    (2049, 1.0): (1.5, 1.6, 1.7, 1.9),
+}  # fmt: skip
+
+ALPHA_SWEEP = tuple(np.round(np.arange(0.3, 6.01, 0.3), 10))
+
+
+def assert_split_softplus_matrix(bins: int, ratio: float, alphas):
+    """Both users' operators, built with the split-softplus `fn_llr`, equal
+    the np.logaddexp form entry for entry."""
+    grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
+    for alpha in alphas:
+        ch = ChannelPoint(float(alpha), ratio)
+        for h_t, h_p in {(ch.h1, ch.h2), (ch.h2, ch.h1)}:
+            got, want = FnOperator(grid, h_t, h_p).matrix, logaddexp_fn_operator(grid, h_t, h_p).matrix
+            assert got.indptr.tobytes() == want.indptr.tobytes(), (bins, ratio, alpha)
+            assert got.indices.tobytes() == want.indices.tobytes(), (bins, ratio, alpha)
+            assert got.data.tobytes() == want.data.tobytes(), (bins, ratio, alpha)
+
+
+class TestSplitSoftplus:
+    def test_fn_llr_within_an_ulp_of_logaddexp(self):
+        rng = np.random.default_rng(3)
+        y, m = rng.normal(0.0, 4.0, 6000), rng.normal(0.0, 10.0, 6000)
+        got, want = fn_llr(y, m, 1.7, 1.2), logaddexp_fn_llr(y, m, 1.7, 1.2)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("bins,ratio", list(VISITED))
+    def test_matrix_at_visited_points(self, bins, ratio):
+        assert_split_softplus_matrix(bins, ratio, VISITED[bins, ratio])
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    def test_matrix_over_alpha_sweep(self, ratio):
+        assert_split_softplus_matrix(513, ratio, ALPHA_SWEEP)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    def test_matrix_over_alpha_sweep_2049(self, ratio):
+        assert_split_softplus_matrix(2049, ratio, ALPHA_SWEEP)
 
 
 class TestMutualInfos:

@@ -337,6 +337,39 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "invalid _" not in err  # argparse naming a private type function
 
+    # inputs that cannot be read and outputs that cannot be written; each
+    # output is refused before any computation runs
+    UNUSABLE_PATHS = {
+        "config_is_directory": ["threshold", "--config", "{dir}"],
+        "config_not_utf8": ["threshold", "--config", "{dir}/latin1.cfg"],
+        "ensemble_is_directory": ["threshold", "--ensemble", "{dir}"],
+        "output_in_missing_directory": ["threshold", "--output", "{dir}/no/x.json"],
+        "output_is_directory": ["threshold", "--output", "{dir}"],
+        "summary_in_missing_directory": [
+            "simulate", "--alpha", "1.9", "--summary-out", "{dir}/no/s.csv",
+        ],
+        "profile_in_missing_directory": [
+            "coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3",
+            "--profile-out", "{dir}/no/p.csv",
+        ],
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("case", list(UNUSABLE_PATHS))
+    def test_unusable_path_is_config_error(self, case, tmp_path, capsys, monkeypatch):
+        import macsat.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("computation ran before the paths were checked")
+
+        for name in ("bp_threshold", "coupled_run", "simulate_joint", "build_regular"):
+            monkeypatch.setattr(cli, name, never)
+        (tmp_path / "latin1.cfg").write_bytes("tol=0.1 # \xe9t\xe9\n".encode("latin-1"))
+        argv = [arg.format(dir=tmp_path) for arg in self.UNUSABLE_PATHS[case]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
     @pytest.mark.parametrize("command,key", [("threshold", "tol"), ("map-bound", "step")])
     def test_nonpositive_step_in_config_is_config_error(self, command, key, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

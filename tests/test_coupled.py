@@ -172,20 +172,23 @@ class TestIterate:
 
     def test_decoded_state_is_reused_across_sweeps(self, monkeypatch):
         # once a sweep reproduces every position, the next one reads all of
-        # them from the memo: no function-node apply, the same objects back
+        # them from the memo: no function-node column, the same objects back
         grid = DensityGrid(30 / 64, 30.0)
         ch = ChannelPoint(1.8, 0.7)
         fp = coupled_run(ch, SPEC, grid)
         assert fp.decoded
         eng = _Engine(SPEC, fp.state, ch)
-        applies = []
+        columns = []
         apply = FnOperator.apply
-        monkeypatch.setattr(FnOperator, "apply", lambda op, x: applies.append(1) or apply(op, x))
+        monkeypatch.setattr(
+            FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x)
+        )
         first = eng.iterate().vecs
-        assert len(applies) == 2 * SPEC.n_positions
-        applies.clear()
+        # one batched apply per user, a column per position
+        assert columns == [SPEC.n_positions] * 2
+        columns.clear()
         second = eng.iterate().vecs
-        assert applies == []
+        assert columns == []
         assert all(x is y for u, v in zip(first, second) for x, y in zip(u, v))
 
 

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from macsat.cli import _grid, build_parser
 from macsat.densities import (
     BoxPlusTable,
     DensityGrid,
@@ -36,6 +39,28 @@ class TestGrid:
         centers = g.centers()
         assert centers[g.center] == 0.0
         np.testing.assert_allclose(centers, -centers[::-1])
+
+    def test_k_max_computed_once(self):
+        g = DensityGrid(bin_width=30 / 1024, half_range=30.0)
+        assert vars(g)["k_max"] == 1024  # cached on the instance at construction
+        assert g.n_bins == 2049 and g.center == 1024
+
+    def test_equality_hash_and_pickle_see_only_the_fields(self):
+        g = DensityGrid(bin_width=30 / 256, half_range=30.0)
+        assert g.fft_len == 1080  # fills the second cached value
+        fresh = DensityGrid(bin_width=30 / 256, half_range=30.0)
+        assert g == fresh and hash(g) == hash(fresh)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert (back.k_max, back.n_bins, back.center) == (g.k_max, g.n_bins, g.center)
+        assert {back: 1}[fresh] == 1
+
+    @pytest.mark.parametrize("bins", [3, 65, 129, 513, 2049, 4097])
+    def test_k_max_matches_cli_grid_shapes(self, bins):
+        args = build_parser().parse_args(["threshold", "--grid-bins", str(bins)])
+        g = _grid(args)
+        assert g.k_max == (bins - 1) // 2 and g.n_bins == bins
+        assert g.centers()[g.center] == 0.0 and g.centers()[-1] == pytest.approx(30.0)
 
     def test_mismatch_raises(self, tiny_grid):
         other = DensityGrid(0.5, 8.0)
@@ -233,6 +258,51 @@ class TestBoxPlusTable:
                 want = max(int(np.floor(boxplus_scalar(i * d, j * d) / d + 0.5)), 0)
                 assert np.flatnonzero(out).tolist() == [want]
                 assert out[want] == 1.0
+
+
+class TestSquaringPass:
+    """magnitude_op(p, p) takes the squaring branch; its bits must be those
+    of the general pass on two equal arrays."""
+
+    # the last grid's band is D = 0 alone: every other diagonal is settled
+    GRIDS = [
+        DensityGrid(bin_width=60.0 / 512, half_range=30.0),
+        DensityGrid(bin_width=60.0 / 2048, half_range=30.0),
+        DensityGrid(bin_width=60.0 / 4096, half_range=30.0),
+        DensityGrid(bin_width=2.0, half_range=20.0),
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.n_bins}bins")
+    def test_square_matches_general_pass(self, grid):
+        tab = BoxPlusTable(grid)
+        rng = np.random.default_rng(grid.n_bins)
+        for p in (rng.standard_normal(grid.k_max + 1), rng.random(grid.k_max + 1)):
+            assert tab.magnitude_op(p, p).tobytes() == tab.magnitude_op(p, p.copy()).tobytes()
+
+    def test_band_of_the_diagonal_alone(self):
+        tab = BoxPlusTable(self.GRIDS[-1])
+        assert tab.n_pairs == tab.n_diag == self.GRIDS[-1].k_max
+
+    @pytest.mark.parametrize("grid", GRIDS[:2] + GRIDS[3:], ids=lambda g: f"{g.n_bins}bins")
+    def test_conv_cn_square_matches_two_operands(self, grid):
+        rng = np.random.default_rng(grid.n_bins + 1)
+        a = random_density(grid, rng, inf_mass=0.2)
+        twin = LlrDensity(grid, a.mass.copy(), a.mass_pos_inf, a.mass_neg_inf)
+        assert same_bits(conv_cn(a, a), conv_cn(a, twin))
+
+    def test_power_cn_five_squares_twice(self, monkeypatch):
+        # x^5 = x * (x^2)^2: three real combines, two of them squarings
+        grid = DensityGrid(bin_width=60.0 / 512, half_range=30.0)
+        calls = []
+        op = BoxPlusTable.magnitude_op
+
+        def counted(tab, p, q):
+            calls.append(q is p)
+            return op(tab, p, q)
+
+        monkeypatch.setattr(BoxPlusTable, "magnitude_op", counted)
+        power_cn(random_density(grid, np.random.default_rng(9)), 5)
+        assert calls == [True] * 4 + [False] * 2
 
 
 class TestAlgebraProperties:

@@ -48,6 +48,27 @@ class TestIteration:
                 assert shared.a.mass_pos_inf == want.mass_pos_inf
                 assert shared.a.mass_neg_inf == want.mass_neg_inf
 
+    @pytest.mark.parametrize("ratio,calls", [(1.0, 5), (0.8, 10)])
+    def test_rho_squared_once_per_user(self, coarse_grid, monkeypatch, ratio, calls):
+        # per updated user: rho^2 once, rho^3 = rho * rho^2 and rho^2 each
+        # from the 0-delta start of a power, and the update's own product
+        import macsat.densities as densities
+        import macsat.jointde as jointde
+
+        ch = ChannelPoint(1.5, ratio)
+        st = de_iterate(initial_state(coarse_grid), ch, ENS36)
+        seen = []
+        conv_vn = densities.conv_vn
+
+        def counted(a, b):
+            seen.append(1)
+            return conv_vn(a, b)
+
+        monkeypatch.setattr(densities, "conv_vn", counted)
+        monkeypatch.setattr(jointde, "conv_vn", counted)
+        de_iterate(st, ch, ENS36)
+        assert len(seen) == calls
+
     def test_error_prob_monotone_from_erasure(self, coarse_grid):
         ch = ChannelPoint(1.3, 0.8)
         st = initial_state(coarse_grid)
