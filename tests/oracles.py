@@ -25,7 +25,15 @@ from macsat.densities import (
     power_vn,
 )
 from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E, _rebin
-from macsat.mcsim import LLR_CLIP, JointInstance, _bp_rounds, _fn_outputs, _rng_for, _transmit
+from macsat.mcsim import (
+    LLR_CLIP,
+    JointInstance,
+    LdpcGraph,
+    _bp_rounds,
+    _fn_outputs,
+    _rng_for,
+    _transmit,
+)
 
 
 def boxplus_scalar(x: float, y: float) -> float:
@@ -273,6 +281,40 @@ def four_symbol_value(kappa, coarse: DensityGrid, u_dens: LlrDensity, v_dens: Ll
     for x in range(4):
         total += 0.25 * float(vector(u_dens, PI1[x] < 0) @ kappa[x] @ vector(v_dens, PI2[x] < 0))
     return total
+
+
+def gauss_jordan_rref(graph: LdpcGraph) -> tuple[list[int], np.ndarray]:
+    """Reduced row-echelon form of the graph's parity-check matrix over GF(2),
+    one column at a time on bit-packed rows: (reduced rows as little-endian
+    ints, pivot columns).  The RREF is unique, so `Gf2Encoder`'s blocked
+    elimination must reproduce it bit for bit."""
+    n, m = graph.n_vars, graph.n_checks
+    words = (n + 63) // 64
+    rows = np.zeros((m, words), dtype=np.uint64)
+    np.bitwise_xor.at(
+        rows,
+        (graph.edge_check, graph.edge_var // 64),
+        np.uint64(1) << (graph.edge_var % 64).astype(np.uint64),
+    )  # parallel edges cancel mod 2
+
+    pivots = []
+    rank = 0
+    for col in range(n):
+        wcol, bit = col // 64, np.uint64(col % 64)
+        hits = np.nonzero((rows[rank:, wcol] >> bit) & np.uint64(1))[0]
+        if hits.size == 0:
+            continue
+        piv = rank + hits[0]
+        rows[[rank, piv]] = rows[[piv, rank]]
+        sel = np.nonzero((rows[:, wcol] >> bit) & np.uint64(1))[0]
+        sel = sel[sel != rank]
+        rows[sel] ^= rows[rank]
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    row_ints = [int.from_bytes(rows[i].tobytes(), "little") for i in range(rank)]
+    return row_ints, np.array(pivots, dtype=np.int64)
 
 
 def round_messages(inst: JointInstance, ch: ChannelPoint, y, k: int) -> tuple:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from macsat.ensembles import CoupledSpec, coupled_design_rate
 from macsat.mcsim import (
     Gf2Encoder,
     JointInstance,
+    LdpcGraph,
+    _count_duplicates,
     _decode_frame,
     _rng_for,
     _transmit,
@@ -16,7 +20,7 @@ from macsat.mcsim import (
     simulate_joint,
 )
 
-from oracles import de_mc_crosscheck, positional_errors, round_messages
+from oracles import de_mc_crosscheck, gauss_jordan_rref, positional_errors, round_messages
 
 
 class TestGraphs:
@@ -64,6 +68,38 @@ class TestGraphs:
             coupled_design_rate(spec), abs=3.0 / spec.M
         )
 
+    @pytest.mark.parametrize("dups", [0, 1, 40])
+    def test_duplicate_count_matches_unique(self, dups):
+        rng = np.random.default_rng(dups)
+        n_vars, size = 500, 3000
+        edge_var = rng.integers(0, n_vars, size)
+        edge_check = rng.integers(0, 250, size)
+        pair = edge_var * n_vars + edge_check
+        _, first = np.unique(pair, return_index=True)
+        keep = np.sort(first)  # distinct pairs, then `dups` repeats of them
+        extra = rng.choice(keep, dups, replace=False)
+        ev = np.concatenate((edge_var[keep], edge_var[extra]))
+        ec = np.concatenate((edge_check[keep], edge_check[extra]))
+        order = rng.permutation(ev.size)
+        ev, ec = ev[order], ec[order]
+        pair = ev * n_vars + ec
+        assert _count_duplicates(ev, ec, n_vars) == pair.size - np.unique(pair).size == dups
+
+    # sha256 of edge_check as drawn before the sort-based duplicate count: a
+    # changed redraw sequence shows here, not only as shifted goldens
+    @pytest.mark.parametrize(
+        "n, seed, survivors, digest",
+        [
+            (6000, 0, 5, "e6837cbb4077ffcc9e01c1fe071e3307bf989df34333073473ae28d1d88b41cd"),
+            (6000, 1, 0, "1b061e3b62bca84d3f24e78c11f2ef26ae0eae90128fcde4d6819bf44bb4edcb"),
+            (600, 0, 6, "cc7d02af1baecf7696c4697bceb4b3389906475d4ffc69fe9e790a2bc3aee526"),
+        ],
+    )
+    def test_pinned_graphs(self, n, seed, survivors, digest):
+        g = build_regular(n, 3, 6, seed)
+        assert hashlib.sha256(g.edge_check.tobytes()).hexdigest() == digest
+        assert _count_duplicates(g.edge_var, g.edge_check, n) == survivors
+
     def test_matching_is_position_aligned_bijection(self):
         spec = CoupledSpec(3, 6, 4, 2, M=60)
         inst = build_joint(build_coupled(spec, 1), build_coupled(spec, 2), 3)
@@ -90,6 +126,57 @@ class TestEncoder:
         cw = enc.encode(np.ones(enc.k, dtype=np.uint8))
         parity = np.bincount(g.edge_check, weights=cw[g.edge_var], minlength=g.n_checks)
         assert not np.any(parity.astype(np.int64) & 1)
+
+    @pytest.mark.parametrize(
+        "n, seed", [(6, 0), (300, 8), (600, 7), (1002, 27), (6000, 0), (6000, 1)]
+    )
+    def test_matches_column_elimination(self, n, seed):
+        g = build_regular(n, 3, 6, seed)
+        assert_matches_rref(Gf2Encoder(g), g)
+
+    def test_coupled_matches_column_elimination(self):
+        # rank 298 of 300, with free columns before the last pivot
+        g = build_coupled(CoupledSpec(3, 6, 4, 2, M=60), 3)
+        enc = Gf2Encoder(g)
+        assert enc.rank == 298
+        assert enc.free_cols[0] < enc.pivot_cols[-1]
+        assert_matches_rref(enc, g)
+
+    def test_duplicate_rows(self):
+        # 130 columns span three words; rows 2 and 4 repeat rows 0 and 1, row 6
+        # is the sum of rows 0 and 3, and row 8 is empty
+        rng = np.random.default_rng(5)
+        base = rng.random((5, 130)) < 0.08
+        empty = np.zeros(130, dtype=bool)
+        h = np.vstack((base[[0, 1, 0, 2, 1, 3]], base[0] ^ base[3], base[4], empty))
+        check, var = np.nonzero(h)
+        g = LdpcGraph(130, h.shape[0], var, check)
+        enc = Gf2Encoder(g)
+        assert enc.rank == 5
+        assert_matches_rref(enc, g)
+
+
+def assert_matches_rref(enc: Gf2Encoder, g: LdpcGraph):
+    row_ints, pivot_cols = gauss_jordan_rref(g)
+    assert enc.rank == len(row_ints)
+    np.testing.assert_array_equal(enc.pivot_cols, pivot_cols)
+    np.testing.assert_array_equal(enc.free_cols, np.setdiff1d(np.arange(g.n_vars), pivot_cols))
+    assert enc._row_ints == row_ints
+
+
+@pytest.mark.slow
+def test_encoder_at_cli_default_size():
+    # `macsat simulate`'s default n; this graph keeps 4 parallel edges
+    g = build_regular(20000, 3, 6, 1)
+    assert _count_duplicates(g.edge_var, g.edge_check, g.n_vars) == 4
+    enc = Gf2Encoder(g)
+    assert enc.rank + enc.free_cols.size == g.n_vars
+    rng = np.random.default_rng(20000)
+    for _ in range(20):
+        cw = enc.encode(rng.integers(0, 2, enc.k).astype(np.uint8))
+        parity = np.zeros(g.n_checks, dtype=np.uint8)
+        np.bitwise_xor.at(parity, g.edge_check, cw[g.edge_var])
+        assert not parity.any()
 
 
 class TestSimulation:
