@@ -173,9 +173,7 @@ class FnOperator:
     def _fold(self, llr: np.ndarray) -> np.ndarray:
         """Nearest-bin indices, out-of-range values clipped to the extreme
         finite bins (saturated messages must stay finite, as in conv_vn)."""
-        g = self.grid
-        k = np.floor(llr / g.bin_width + 0.5).astype(np.int64)
-        return np.clip(k, -g.k_max, g.k_max) + g.center
+        return np.clip(self.grid.llr_to_index(llr), 0, self.grid.n_bins - 1)
 
     def _add_columns(self, idx, half_w, rows, vals, counts):
         """Sum the weights that consecutive columns send to output bins idx

@@ -127,18 +127,16 @@ def _ensemble(spec_str: str):
     if os.path.exists(spec_str):
         try:
             return parse_ensemble_config(_read_text(spec_str, "ensemble file"))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # TypeError: a non-list degree field
             raise ConfigError(f"bad ensemble file {spec_str}: {exc}") from exc
     try:
+        if spec_str.count(",") == 3:
+            return CoupledSpec(*(int(t) for t in spec_str.split(",")))
         return named_ensemble(spec_str)
     except KeyError:
-        pass
-    if spec_str.count(",") == 3:
-        try:
-            return CoupledSpec(*(int(t) for t in spec_str.split(",")))
-        except ValueError as exc:
-            raise ConfigError(f"bad ensemble {spec_str!r}: {exc}") from exc
-    raise ConfigError(f"cannot resolve ensemble {spec_str!r}")
+        raise ConfigError(f"cannot resolve ensemble {spec_str!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad ensemble {spec_str!r}: {exc}") from exc
 
 
 def _grid(args) -> DensityGrid:

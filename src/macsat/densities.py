@@ -163,13 +163,12 @@ def delta_zero(grid: DensityGrid) -> LlrDensity:
 
 def delta_at(grid: DensityGrid, llr: float) -> LlrDensity:
     """Point mass at the bin nearest to `llr` (helper for tests/oracles)."""
-    if np.isinf(llr):
-        return delta_inf(grid) if llr > 0 else delta_neg_inf(grid)
-    k = int(np.floor(llr / grid.bin_width + 0.5))
-    if abs(k) > grid.k_max:
+    # no bin lies within reach of twice the half-range (nor of +-inf)
+    i = int(grid.llr_to_index(llr)) if abs(llr) < 2 * grid.half_range else -1
+    if not 0 <= i < grid.n_bins:
         return delta_inf(grid) if llr > 0 else delta_neg_inf(grid)
     m = np.zeros(grid.n_bins)
-    m[grid.center + k] = 1.0
+    m[i] = 1.0
     return LlrDensity(grid, m, 0.0, 0.0)
 
 

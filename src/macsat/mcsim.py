@@ -281,32 +281,25 @@ class Gf2Encoder:
         free = np.ones(n, dtype=bool)
         free[self.pivot_cols] = False
         self.free_cols = np.nonzero(free)[0]
-        # reduced rows touch only their pivot plus free columns; keep them as
-        # python ints for popcount-parity encoding
-        self._row_ints = [int.from_bytes(rows[i].tobytes(), "little") for i in pivot_rows]
+        # reduced rows touch only their pivot plus free columns, so each
+        # pivot bit is the parity of its row's overlap with the free bits
+        self.rows = rows[pivot_rows]
 
     @property
     def k(self) -> int:
         return self.n - self.rank
 
-    def _pack(self, x: np.ndarray) -> int:
-        return int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
-
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
-        """Codeword in {0,1}: free positions carry info bits, pivots solve the
-        reduced rows (parity over the row's free-bit overlap)."""
+        """Codeword in {0,1}: free positions carry info bits, and every pivot
+        bit is solved at once on the packed words (pivot bits are still 0
+        when `x` is packed)."""
         if info_bits.size != self.k:
             raise ValueError(f"need {self.k} information bits")
-        x = np.zeros(self.n, dtype=np.uint8)
+        x = np.zeros(64 * self.rows.shape[1], dtype=np.uint8)
         x[self.free_cols] = info_bits & 1
-        packed = self._pack(x)
-        for i in range(self.rank):
-            x[self.pivot_cols[i]] = (self._row_ints[i] & packed).bit_count() & 1
-        return x
-
-    def check(self, x: np.ndarray) -> bool:
-        packed = self._pack(np.asarray(x, dtype=np.uint8))
-        return all(((r & packed).bit_count() & 1) == 0 for r in self._row_ints)
+        packed = np.packbits(x, bitorder="little").view("<u8")
+        x[self.pivot_cols] = np.bitwise_count(np.bitwise_xor.reduce(self.rows & packed, axis=1)) & 1
+        return x[: self.n]
 
 
 def _encoder_for(graph: LdpcGraph) -> Gf2Encoder:
@@ -348,12 +341,13 @@ class _CodeSide:
         return np.clip(out, -LLR_CLIP, LLR_CLIP)
 
     def var_update(self, msg_cv: np.ndarray, channel_llr: np.ndarray):
-        """Returns (variable-to-check messages, variable-to-function totals)."""
+        """Returns (variable-to-check messages, variable-to-function messages,
+        per-variable sums of the check messages).  The v->f message is the
+        clipped sum: the channel term is extrinsic to the function node."""
         g = self.graph
         sums = np.bincount(g.edge_var, weights=msg_cv, minlength=g.n_vars)
-        vf = sums + 0.0  # all check edges, channel term excluded (extrinsic to fn)
         vc = channel_llr[g.edge_var] + sums[g.edge_var] - msg_cv
-        return np.clip(vc, -LLR_CLIP, LLR_CLIP), np.clip(vf, -LLR_CLIP, LLR_CLIP)
+        return np.clip(vc, -LLR_CLIP, LLR_CLIP), np.clip(sums, -LLR_CLIP, LLR_CLIP), sums
 
 
 def _fn_outputs(y, m_partner, ch: ChannelPoint, to_user: int):
@@ -417,16 +411,14 @@ def _bp_rounds(inst: JointInstance, ch: ChannelPoint, y: np.ndarray):
         ch1 = _fn_outputs(y, vf2[perm], ch, 1)
         out2 = _fn_outputs(y, vf1, ch, 2)  # fn-indexed, pre-round vf1
         cv1 = side1.check_update(vc1)
-        vc1, vf1 = side1.var_update(cv1, ch1)
+        vc1, vf1, sums1 = side1.var_update(cv1, ch1)
         ch2_by_var = np.empty(n)
         ch2_by_var[perm] = out2
         cv2 = side2.check_update(vc2)
-        vc2, vf2 = side2.var_update(cv2, ch2_by_var)
+        vc2, vf2, sums2 = side2.var_update(cv2, ch2_by_var)
 
-        tot1 = ch1 + np.bincount(inst.graph1.edge_var, weights=cv1, minlength=n)
-        tot2 = ch2_by_var + np.bincount(inst.graph2.edge_var, weights=cv2, minlength=n)
-        hard1 = np.where(tot1 >= 0, 1.0, -1.0)
-        hard2 = np.where(tot2 >= 0, 1.0, -1.0)
+        hard1 = np.where(ch1 + sums1 >= 0, 1.0, -1.0)
+        hard2 = np.where(ch2_by_var + sums2 >= 0, 1.0, -1.0)
         yield vc1, vc2, ch1, ch2_by_var, hard1, hard2
 
 

@@ -317,6 +317,19 @@ def gauss_jordan_rref(graph: LdpcGraph) -> tuple[list[int], np.ndarray]:
     return row_ints, np.array(pivots, dtype=np.int64)
 
 
+def rref_encode(row_ints: list[int], pivot_cols: np.ndarray, info_bits: np.ndarray) -> np.ndarray:
+    """Systematic codeword from `gauss_jordan_rref`'s output, one reduced row
+    at a time: the free columns carry the information bits, and each pivot
+    bit is the popcount parity of its row's overlap with them."""
+    n = len(info_bits) + len(pivot_cols)
+    x = np.zeros(n, dtype=np.uint8)
+    x[np.setdiff1d(np.arange(n), pivot_cols)] = info_bits & 1
+    packed = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
+    for row, col in zip(row_ints, pivot_cols):
+        x[col] = (row & packed).bit_count() & 1
+    return x
+
+
 def round_messages(inst: JointInstance, ch: ChannelPoint, y, k: int) -> tuple:
     """Round k (k >= 1) of the joint BP decoder's messages, run past any clean
     syndrome: (v->c 1, v->c 2, f->v 1, f->v 2, hard 1, hard 2)."""

@@ -307,6 +307,7 @@ class TestExitCodes:
             ["threshold", "--half-range", "-1"],
             ["threshold", "--ensemble", "3,6,4,0"],
             ["threshold", "--ensemble", "3,x,4,2"],
+            ["threshold", "--ensemble", "reg63"],
             # numbers must be numbers, and finite
             ["capacity", "--ray-list", "abc"],
             ["acpr", "--ray-list", "x"],
@@ -369,6 +370,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not (tmp_path / "no").exists()
+
+    def test_bad_degree_field_in_ensemble_file_is_config_error(self, tmp_path, capsys):
+        ens = tmp_path / "bad.ens"
+        ens.write_text("kind=irregular\nlambda={}\nrho=[0, 0, 0, 0, 0, 0, 1]\n")
+        assert main(["threshold", "--ensemble", str(ens)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("command,key", [("threshold", "tol"), ("map-bound", "step")])
     def test_nonpositive_step_in_config_is_config_error(self, command, key, tmp_path, capsys):

@@ -13,6 +13,7 @@ from macsat.mcsim import (
     _count_duplicates,
     _decode_frame,
     _rng_for,
+    _syndrome_ok,
     _transmit,
     build_coupled,
     build_joint,
@@ -20,7 +21,13 @@ from macsat.mcsim import (
     simulate_joint,
 )
 
-from oracles import de_mc_crosscheck, gauss_jordan_rref, positional_errors, round_messages
+from oracles import (
+    de_mc_crosscheck,
+    gauss_jordan_rref,
+    positional_errors,
+    round_messages,
+    rref_encode,
+)
 
 
 class TestGraphs:
@@ -109,6 +116,11 @@ class TestGraphs:
         )
 
 
+def coupled_rank_298() -> LdpcGraph:
+    # rank 298 of 300, with free columns before the last pivot
+    return build_coupled(CoupledSpec(3, 6, 4, 2, M=60), 3)
+
+
 class TestEncoder:
     def test_roundtrip_random_codewords(self):
         g = build_regular(600, 3, 6, seed=7)
@@ -118,7 +130,7 @@ class TestEncoder:
         rng = np.random.default_rng(0)
         for _ in range(5):
             cw = enc.encode(rng.integers(0, 2, enc.k).astype(np.uint8))
-            assert enc.check(cw)
+            assert _syndrome_ok(g, 1.0 - 2.0 * cw)
 
     def test_codeword_satisfies_graph_parity(self):
         g = build_regular(300, 3, 6, seed=8)
@@ -135,12 +147,30 @@ class TestEncoder:
         assert_matches_rref(Gf2Encoder(g), g)
 
     def test_coupled_matches_column_elimination(self):
-        # rank 298 of 300, with free columns before the last pivot
-        g = build_coupled(CoupledSpec(3, 6, 4, 2, M=60), 3)
+        g = coupled_rank_298()
         enc = Gf2Encoder(g)
         assert enc.rank == 298
         assert enc.free_cols[0] < enc.pivot_cols[-1]
         assert_matches_rref(enc, g)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            lambda: build_regular(6000, 3, 6, 0),
+            lambda: build_regular(6000, 3, 6, 1),
+            lambda: build_regular(600, 3, 6, 0),
+            coupled_rank_298,
+        ],
+        ids=["6000-0", "6000-1", "600-0", "coupled"],
+    )
+    def test_encode_matches_row_oracle(self, graph):
+        g = graph()
+        enc = Gf2Encoder(g)
+        row_ints, pivot_cols = gauss_jordan_rref(g)
+        rng = np.random.default_rng(g.n_vars)
+        for _ in range(5):
+            info = rng.integers(0, 2, enc.k).astype(np.uint8)
+            np.testing.assert_array_equal(enc.encode(info), rref_encode(row_ints, pivot_cols, info))
 
     def test_duplicate_rows(self):
         # 130 columns span three words; rows 2 and 4 repeat rows 0 and 1, row 6
@@ -161,7 +191,7 @@ def assert_matches_rref(enc: Gf2Encoder, g: LdpcGraph):
     assert enc.rank == len(row_ints)
     np.testing.assert_array_equal(enc.pivot_cols, pivot_cols)
     np.testing.assert_array_equal(enc.free_cols, np.setdiff1d(np.arange(g.n_vars), pivot_cols))
-    assert enc._row_ints == row_ints
+    assert [int.from_bytes(row.tobytes(), "little") for row in enc.rows] == row_ints
 
 
 @pytest.mark.slow
