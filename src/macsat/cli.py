@@ -49,8 +49,8 @@ HASH_UNSET = {"profile_out", "summary_out"}
 
 
 def _hashable(args) -> dict:
-    """The resolved config: the flags after `_apply_config` typed the config
-    file's values into them, so a key hashes alike from a flag or a file."""
+    """The resolved config: the parsed flags, the config file's keys parsed
+    among them, so a key hashes alike from a flag or a file."""
     return {
         k: None if k in HASH_UNSET else v
         for k, v in vars(args).items()
@@ -69,9 +69,12 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The config file's lines as flag tokens for the command's own parser,
+    which types and checks them like the command line's: `key=value` becomes
+    `--key=value`, and a boolean key becomes `--key` or nothing.  Keys are the
+    first parse's attributes, so a config key never prefix-matches a flag."""
+    path = args.config
     fields = {}
     for lineno, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
         stripped = line.strip()
@@ -81,7 +84,18 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         fields[key.strip().replace("-", "_")] = value.strip()
-    return fields
+    tokens = []
+    for key, value in fields.items():
+        if key in ("func", "command", "config") or key not in vars(args):
+            raise ConfigError(f"unknown config key {key!r} for command {args.command}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            raise ConfigError(f"bad value for {key}: {value!r}")
+    return tokens
 
 
 def _check_outputs(args):
@@ -97,28 +111,6 @@ def _check_outputs(args):
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise ConfigError(f"{name} {path}: no directory {parent}")
-
-
-def _apply_config(args: argparse.Namespace, config: dict, subparser: argparse.ArgumentParser):
-    """Fill flags the user left at their defaults from the config file; a flag
-    given on the command line always wins over its config key."""
-    actions = {a.dest: a for a in subparser._actions}
-    for key, raw in config.items():
-        action = actions.get(key)
-        if action is None:
-            raise ConfigError(f"unknown config key {key!r} for command {args.command}")
-        if getattr(args, key) != action.default:
-            continue  # flag explicitly set
-        if isinstance(action, argparse._StoreTrueAction):
-            value = raw.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            try:
-                value = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        else:
-            value = raw
-        setattr(args, key, value)
 
 
 def _ensemble(spec_str: str):
@@ -140,10 +132,9 @@ def _ensemble(spec_str: str):
 
 
 def _grid(args) -> DensityGrid:
-    if args.half_range is None and args.grid_bins is None:
-        return default_grid()
-    half = args.half_range if args.half_range is not None else 30.0
-    bins = args.grid_bins if args.grid_bins is not None else 4097
+    default = default_grid()
+    half = default.half_range if args.half_range is None else args.half_range
+    bins = default.n_bins if args.grid_bins is None else args.grid_bins
     if bins < 3 or bins % 2 == 0:
         raise ConfigError("grid-bins must be an odd integer >= 3")
     try:
@@ -230,32 +221,28 @@ def _lattice(args, grid: DensityGrid) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _emit_boundary(args, kind: str, pts, meta: dict) -> int:
-    """Write a sweep's boundary polyline: CSV, or JSON under --json."""
-    meta = {**meta, "config_hash": output.config_hash(_hashable(args))}
-    bnd = output.AcprBoundary(kind, pts, meta)
+def _boundary_text(args, digest: str, kind: str, pts, meta: dict) -> str:
+    """A sweep's boundary polyline: CSV, or JSON under --json."""
+    bnd = output.AcprBoundary(kind, pts, {**meta, "config_hash": digest})
     as_json = getattr(args, "json", False)  # map-bound has no --json
-    text = bnd.json(args.no_timestamp) if as_json else bnd.csv(args.no_timestamp)
-    output.emit(text, args.output)
-    return 0
+    return bnd.json(args.no_timestamp) if as_json else bnd.csv(args.no_timestamp)
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     if isinstance(ens, CoupledSpec):
         raise ConfigError("threshold expects an uncoupled ensemble; see coupled-threshold")
     grid = _grid(args)
     res = bp_threshold(ens, args.ratio, tol=args.tol, grid=grid, genie=args.genie)
     meta = {
-        "config_hash": output.config_hash(_hashable(args)),
+        "config_hash": digest,
         "grid_bins": grid.n_bins,
         "design_rate": round(design_rate(ens), 6),
     }
-    output.emit(output.json_record(res.as_record(str(ens)), meta, args.no_timestamp), args.output)
-    return 0
+    return output.json_record(res.as_record(str(ens)), meta, args.no_timestamp)
 
 
-def cmd_coupled_threshold(args) -> int:
+def cmd_coupled_threshold(args, digest: str) -> str:
     spec = _ensemble(args.ensemble)
     if not isinstance(spec, CoupledSpec):
         raise ConfigError("coupled-threshold expects an (l,r,L,w) ensemble")
@@ -276,15 +263,14 @@ def cmd_coupled_threshold(args) -> int:
             lines.append(f"{it},{pos},{ea:.8e},{eb:.8e}")
         output.emit("\n".join(lines) + "\n", args.profile_out)
     meta = {
-        "config_hash": output.config_hash(_hashable(args)),
+        "config_hash": digest,
         "grid_bins": grid.n_bins,
         "design_rate": round(coupled_design_rate(spec), 6),
     }
-    output.emit(output.json_record(res.as_record(str(spec)), meta, args.no_timestamp), args.output)
-    return 0
+    return output.json_record(res.as_record(str(spec)), meta, args.no_timestamp)
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args, digest: str) -> str:
     try:
         rates = tuple(float(t) for t in args.rates.split(","))
     except ValueError as exc:
@@ -293,28 +279,27 @@ def cmd_capacity(args) -> int:
         raise ConfigError("rates must be R1,R2 with each rate in (0, 1)")
     with _pmap(args.jobs) as pmap:
         pts = mac_acpr_boundary(rates, _rays(args), tol=args.tol, pmap=pmap)
-    return _emit_boundary(args, "mac", pts, {"rates": args.rates})
+    return _boundary_text(args, digest, "mac", pts, {"rates": args.rates})
 
 
-def cmd_acpr(args) -> int:
+def cmd_acpr(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     with _pmap(args.jobs) as pmap:
         pts = bp_acpr(ens, _rays(args), tol=args.tol, grid=grid, pmap=pmap)
-    return _emit_boundary(args, "bp", pts, {"ensemble": str(ens), "grid_bins": grid.n_bins})
+    return _boundary_text(args, digest, "bp", pts, {"ensemble": str(ens), "grid_bins": grid.n_bins})
 
 
-def cmd_gexit(args) -> int:
+def cmd_gexit(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     bins = _lattice(args, grid)
     curve = bp_gexit_curve(ens, args.ratio, _alpha_grid(args.alphas), grid=grid, bins=bins)
-    curve.metadata["config_hash"] = output.config_hash(_hashable(args))
-    output.emit(output.gexit_csv(curve, args.no_timestamp), args.output)
-    return 0
+    curve.metadata["config_hash"] = digest
+    return output.gexit_csv(curve, args.no_timestamp)
 
 
-def cmd_map_bound(args) -> int:
+def cmd_map_bound(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     if isinstance(ens, CoupledSpec):
         raise ConfigError("map-bound applies to uncoupled ensembles")
@@ -324,10 +309,10 @@ def cmd_map_bound(args) -> int:
         with _pmap(args.jobs) as pmap:
             pts = map_boundary(ens, _rays(args), grid=grid, pmap=pmap, step=args.step, bins=bins)
         meta = {"ensemble": str(ens), "grid_bins": grid.n_bins}
-        return _emit_boundary(args, "map", pts, meta)
+        return _boundary_text(args, digest, "map", pts, meta)
     bound, curve = map_bound_sweep(ens, args.ratio, grid=grid, step=args.step, bins=bins)
     meta = {
-        "config_hash": output.config_hash(_hashable(args)),
+        "config_hash": digest,
         "grid_bins": grid.n_bins,
         "lattice": args.lattice,
     }
@@ -338,11 +323,10 @@ def cmd_map_bound(args) -> int:
         "area_target": round(2 * design_rate(ens), 6),
         "samples": len(curve.samples),
     }
-    output.emit(output.json_record(rec, meta, args.no_timestamp), args.output)
-    return 0
+    return output.json_record(rec, meta, args.no_timestamp)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     ch = ChannelPoint(args.alpha, args.ratio)
     try:
@@ -392,17 +376,15 @@ def cmd_simulate(args) -> int:
         "mode": res.mode,
         "frames": len(res.frames),
         "n": res.n_bits,
-        "config_hash": output.config_hash(_hashable(args)),
+        "config_hash": digest,
     }
-    text = "\n".join(lines) + "\n# " + json.dumps(summary) + "\n"
-    output.emit(text, args.output)
     if args.summary_out:
         rows = ["user,ber,ci_lo,ci_hi,frames,n"]
         for user in (1, 2):
             lo, hi = res.ber_confidence(user)
             rows.append(f"{user},{res.ber(user):.6e},{lo:.6e},{hi:.6e},{len(res.frames)},{res.n_bits}")
         output.emit("\n".join(rows) + "\n", args.summary_out)
-    return 0
+    return "\n".join(lines) + "\n# " + json.dumps(summary) + "\n"
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -486,17 +468,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        config = _load_config(args.config)
-        sub = ap._subparsers._group_actions[0].choices[args.command]
-        _apply_config(args, config, sub)
+        try:
+            args = ap.parse_args(argv)
+            if args.config is not None:
+                # config keys go right after the command name, so the command
+                # line's own flags come later and win
+                at = argv.index(args.command) + 1
+                args = ap.parse_args(argv[:at] + _config_argv(args) + argv[at:])
+        except SystemExit as exc:
+            return EXIT_CONFIG if exc.code not in (0, None) else 0
         _check_outputs(args)
-        return args.func(args)
+        text = args.func(args, output.config_hash(_hashable(args)))
+        output.emit(text, args.output)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

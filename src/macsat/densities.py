@@ -14,7 +14,7 @@ exactly on the quantized grid via a precomputed output-bin table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -427,41 +427,35 @@ def mix(densities: list[LlrDensity], weights) -> LlrDensity:
     return make_density(g, mass, pos, neg)
 
 
-def power_vn(a: LlrDensity, n: int, squares: list | None = None) -> LlrDensity:
-    """n-fold variable-node self-convolution; n = 0 gives the 0-LLR delta.
-
-    `squares`, when given, is the list [a, a^2, a^4, ...] of the squarings
-    done so far, extended in place, so that several powers of one density
-    square it once."""
+def _power(a: LlrDensity, n: int, conv, unit: LlrDensity, squares: list | None) -> LlrDensity:
+    """n-fold self-convolution under `conv` by repeated squaring; n = 0 gives
+    `unit`.  `squares`, when given, is the list [a, a^2, a^4, ...] of the
+    squarings done so far, extended in place, so that several powers of one
+    density square it once."""
     if n < 0:
         raise ValueError("negative power")
     if squares is None:
         squares = [a]
-    result = delta_zero(a.grid)
+    result = unit
     k = 0
     while n:
         if k == len(squares):
-            squares.append(conv_vn(squares[-1], squares[-1]))
+            squares.append(conv(squares[-1], squares[-1]))
         if n & 1:
-            result = conv_vn(result, squares[k])
+            result = conv(result, squares[k])
         n >>= 1
         k += 1
     return result
 
 
+def power_vn(a: LlrDensity, n: int, squares: list | None = None) -> LlrDensity:
+    """n-fold variable-node self-convolution; n = 0 gives the 0-LLR delta."""
+    return _power(a, n, conv_vn, delta_zero(a.grid), squares)
+
+
 def power_cn(a: LlrDensity, n: int) -> LlrDensity:
     """n-fold box-plus self-convolution; n = 0 gives the +inf delta."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = delta_inf(a.grid)
-    base = a
-    while n:
-        if n & 1:
-            result = conv_cn(result, base)
-        n >>= 1
-        if n:
-            base = conv_cn(base, base)
-    return result
+    return _power(a, n, conv_cn, delta_inf(a.grid), None)
 
 
 def _check_poly(coeffs: np.ndarray):
@@ -473,14 +467,14 @@ def _check_poly(coeffs: np.ndarray):
     return coeffs
 
 
-def _poly_apply(coeffs, a: LlrDensity, conv, power_fn, unit: LlrDensity, edge: bool) -> LlrDensity:
+def _poly_apply(coeffs, a: LlrDensity, conv, unit: LlrDensity, edge: bool, squares=None) -> LlrDensity:
     """Mixture sum_i coeffs[i] * a^(i-1) (edge perspective) or a^i (node)."""
     coeffs = _check_poly(coeffs)
     nonzero = np.nonzero(coeffs)[0]
     if nonzero.size == 1:
         # regular polynomial: one power, computed by repeated squaring
         deg = int(nonzero[0])
-        return power_fn(a, deg - 1 if edge else deg)
+        return _power(a, deg - 1 if edge else deg, conv, unit, squares)
     parts, weights = [], []
     power = unit if edge else conv(unit, a)  # degree-1 term
     for i in range(1, coeffs.size):
@@ -498,20 +492,18 @@ def poly_vn(coeffs, a: LlrDensity, squares: list | None = None) -> LlrDensity:
     coeffs is indexed by degree (coeffs[0] unused and must be 0).  A regular
     polynomial is one power_vn, which shares `squares` with other powers of a.
     """
-    power = partial(power_vn, squares=squares)
-    return _poly_apply(coeffs, a, conv_vn, power, delta_zero(a.grid), edge=True)
+    return _poly_apply(coeffs, a, conv_vn, delta_zero(a.grid), True, squares)
 
 
 def poly_cn(coeffs, a: LlrDensity) -> LlrDensity:
     """Edge-perspective check polynomial: sum_i coeffs[i] a^{boxplus(i-1)}."""
-    return _poly_apply(coeffs, a, conv_cn, power_cn, delta_inf(a.grid), edge=True)
+    return _poly_apply(coeffs, a, conv_cn, delta_inf(a.grid), True)
 
 
 def poly_vn_node(coeffs, a: LlrDensity, squares: list | None = None) -> LlrDensity:
     """Node-perspective polynomial sum_i coeffs[i] a^{*i}: a degree-i variable
     node aggregates all i of its check edges toward the function node."""
-    power = partial(power_vn, squares=squares)
-    return _poly_apply(coeffs, a, conv_vn, power, delta_zero(a.grid), edge=False)
+    return _poly_apply(coeffs, a, conv_vn, delta_zero(a.grid), False, squares)
 
 
 @cache

@@ -290,15 +290,21 @@ class Gf2Encoder:
         return self.n - self.rank
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
-        """Codeword in {0,1}: free positions carry info bits, and every pivot
-        bit is solved at once on the packed words (pivot bits are still 0
-        when `x` is packed)."""
+        """Codeword in {0,1}: free positions carry info bits, and the pivot
+        bits are solved on the packed words, `_XOR_CHUNK` reduced rows at a
+        time to bound the temporary (pivot bits are still 0 when `x` is
+        packed)."""
         if info_bits.size != self.k:
             raise ValueError(f"need {self.k} information bits")
         x = np.zeros(64 * self.rows.shape[1], dtype=np.uint8)
         x[self.free_cols] = info_bits & 1
         packed = np.packbits(x, bitorder="little").view("<u8")
-        x[self.pivot_cols] = np.bitwise_count(np.bitwise_xor.reduce(self.rows & packed, axis=1)) & 1
+        parity = np.empty(self.rank, dtype=np.uint8)
+        for c in range(0, self.rank, _XOR_CHUNK):
+            block = self.rows[c : c + _XOR_CHUNK]  # a view: `& packed` is the one temporary
+            words = np.bitwise_xor.reduce(block & packed, axis=1)
+            parity[c : c + _XOR_CHUNK] = np.bitwise_count(words) & 1
+        x[self.pivot_cols] = parity
         return x[: self.n]
 
 

@@ -93,13 +93,30 @@ class TestConfigHandling:
     def test_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("tol=0.2\ngrid_bins=257\n")
-        code, text = run_cli(
-            ["threshold", "--config", str(cfg), "--tol", "0.05", "--no-timestamp"],
-            tmp_path,
-            "t.json",
+        for tol in ("0.05", "0.005"):  # 0.005 is the default: it wins all the same
+            code, text = run_cli(
+                ["threshold", "--config", str(cfg), "--tol", tol, "--no-timestamp"],
+                tmp_path,
+                "t.json",
+            )
+            assert code == 0
+            assert json.loads(text)["tol"] == float(tol)
+
+    def test_flag_beats_config_from_sys_argv(self, tmp_path):
+        # `python -m macsat.cli` passes no argv, so main reads sys.argv itself
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("tol=0.2\n")
+        src = str(Path(macsat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["threshold", "--config", str(cfg), "--tol", "0.005", "--grid-bins", "65"]
+        out = subprocess.run(
+            [sys.executable, "-m", "macsat.cli", *argv, "--no-timestamp"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
         )
-        assert code == 0
-        assert json.loads(text)["tol"] == 0.05
+        assert json.loads(out.stdout)["tol"] == 0.005
 
     def test_missing_config_file(self, tmp_path):
         assert main(["threshold", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -243,8 +260,9 @@ class TestConfigHash:
             (["capacity", "--ray-list", "1"], ["--jobs", "2"], "jobs=2\n"),
             (["threshold", "--ensemble", "reg36"], ["--grid-bins", "129", "--tol", "0.05"],
              "tol=0.05\ngrid_bins=129\n"),
+            (["threshold", "--grid-bins", "65", "--tol", "0.1"], ["--genie"], "genie=true\n"),
         ],
-        ids=["capacity-jobs", "threshold-grid-tol"],
+        ids=["capacity-jobs", "threshold-grid-tol", "threshold-genie"],
     )
     def test_config_file_hashes_like_flags(self, tmp_path, argv, flags, config):
         # the hash is of the resolved config, wherever a value came from
@@ -378,9 +396,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command,key", [("threshold", "tol"), ("map-bound", "step")])
-    def test_nonpositive_step_in_config_is_config_error(self, command, key, tmp_path, capsys):
+    # a config value passes the same types, ranges and choices as its flag,
+    # and a key must name a flag in full
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["threshold"], "tol=0"),
+            (["map-bound"], "step=0"),
+            (["simulate", "--alpha", "1.9"], "mode=foo"),
+            (["threshold"], "genie=maybe"),
+            (["threshold"], "t=0.05"),
+            (["threshold"], "func=x"),
+        ],
+        ids=[
+            "threshold-tol", "map-bound-step", "simulate-mode", "threshold-genie",
+            "threshold-prefix", "threshold-reserved",
+        ],
+    )
+    def test_bad_config_value_is_config_error(self, argv, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"{key}=0\n")
-        assert main([command, "--config", str(cfg)]) == 2
+        cfg.write_text(line + "\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
         assert "Traceback" not in capsys.readouterr().err
