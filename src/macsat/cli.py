@@ -15,13 +15,15 @@ import multiprocessing
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, output
 from .channel import ChannelPoint, InfeasibleRayError, QuadratureError, mac_acpr_boundary
-from .coupled import coupled_run, profile_csv_rows
+from .coupled import coupled_run
 from .densities import DensityGrid, default_grid
 from .ensembles import (
     CoupledSpec,
@@ -30,7 +32,7 @@ from .ensembles import (
     named_ensemble,
     parse_ensemble_config,
 )
-from .gexit import MapBoundError, bp_gexit_curve, map_bound_sweep, map_boundary
+from .gexit import KERNEL_ORDER, MapBoundError, bp_gexit_curve, map_bound_sweep, map_boundary
 from .jointde import BracketError, bp_acpr, bp_threshold
 from .mcsim import build_coupled, build_joint, build_regular, simulate_joint
 
@@ -115,7 +117,7 @@ def _check_outputs(args):
 
 def _ensemble(spec_str: str):
     if spec_str is None:
-        raise ConfigError("an ensemble is required (name like reg36, or a config file)")
+        raise ConfigError("--ensemble is required, as a flag or a config key")
     if os.path.exists(spec_str):
         try:
             return parse_ensemble_config(_read_text(spec_str, "ensemble file"))
@@ -223,51 +225,46 @@ def _lattice(args, grid: DensityGrid) -> int:
 
 def _boundary_text(args, digest: str, kind: str, pts, meta: dict) -> str:
     """A sweep's boundary polyline: CSV, or JSON under --json."""
-    bnd = output.AcprBoundary(kind, pts, {**meta, "config_hash": digest})
-    as_json = getattr(args, "json", False)  # map-bound has no --json
-    return bnd.json(args.no_timestamp) if as_json else bnd.csv(args.no_timestamp)
+    meta = {"kind": kind, **meta, "config_hash": digest}
+    if getattr(args, "json", False):  # map-bound has no --json
+        points = [[round(h1, 8), round(h2, 8)] for h1, h2 in pts]
+        return output.json_record({"points": points}, meta, args.no_timestamp)
+    rows = [f"{h1:.8f},{h2:.8f}" for h1, h2 in pts]
+    return output.csv_text("h1,h2", rows, meta, args.no_timestamp)
 
 
 def cmd_threshold(args, digest: str) -> str:
+    """threshold and coupled-threshold: the BP threshold of an uncoupled or an
+    (l,r,L,w) ensemble, and for the latter an optional entropy profile."""
+    coupled = args.command == "coupled-threshold"
     ens = _ensemble(args.ensemble)
-    if isinstance(ens, CoupledSpec):
-        raise ConfigError("threshold expects an uncoupled ensemble; see coupled-threshold")
+    if isinstance(ens, CoupledSpec) != coupled:
+        want = "an (l,r,L,w) ensemble" if coupled else "an uncoupled ensemble; see coupled-threshold"
+        raise ConfigError(f"{args.command} expects {want}")
     grid = _grid(args)
-    res = bp_threshold(ens, args.ratio, tol=args.tol, grid=grid, genie=args.genie)
-    meta = {
-        "config_hash": digest,
-        "grid_bins": grid.n_bins,
-        "design_rate": round(design_rate(ens), 6),
-    }
-    return output.json_record(res.as_record(str(ens)), meta, args.no_timestamp)
-
-
-def cmd_coupled_threshold(args, digest: str) -> str:
-    spec = _ensemble(args.ensemble)
-    if not isinstance(spec, CoupledSpec):
-        raise ConfigError("coupled-threshold expects an (l,r,L,w) ensemble")
-    grid = _grid(args)
-    if (args.profile_out is None) != (args.profile_alpha is None):
+    if coupled and (args.profile_out is None) != (args.profile_alpha is None):
         raise ConfigError("--profile-out and --profile-alpha go together")
-    res = bp_threshold(spec, args.ratio, tol=args.tol, grid=grid)
-    if args.profile_out:
+    res = bp_threshold(ens, args.ratio, tol=args.tol, grid=grid, genie=not coupled and args.genie)
+    if coupled and args.profile_out:
         rows = []
-        coupled_run(
-            ChannelPoint(args.profile_alpha, args.ratio),
-            spec,
-            grid,
-            profile=lambda it, ea, eb: rows.append((it, ea, eb)),
-        )
-        lines = ["iteration,position,entropy_a,entropy_b"]
-        for it, pos, ea, eb in profile_csv_rows(rows):
-            lines.append(f"{it},{pos},{ea:.8e},{eb:.8e}")
-        output.emit("\n".join(lines) + "\n", args.profile_out)
-    meta = {
-        "config_hash": digest,
-        "grid_bins": grid.n_bins,
-        "design_rate": round(coupled_design_rate(spec), 6),
+        positions = range(-ens.L, ens.L + 1)
+
+        def profile(it, ent_a, ent_b):
+            rows.extend(f"{it},{p},{a:.8e},{b:.8e}" for p, a, b in zip(positions, ent_a, ent_b))
+
+        coupled_run(ChannelPoint(args.profile_alpha, args.ratio), ens, grid, profile=profile)
+        text = output.csv_text("iteration,position,entropy_a,entropy_b", rows)
+        output.emit(text, args.profile_out)
+    rate = coupled_design_rate(ens) if coupled else design_rate(ens)
+    meta = {"config_hash": digest, "grid_bins": grid.n_bins, "design_rate": round(rate, 6)}
+    rec = {
+        "ensemble": str(ens),
+        "A": res.ratio,
+        "alpha_bp": res.alpha,
+        "iters": res.iterations,
+        "tol": res.tol,
     }
-    return output.json_record(res.as_record(str(spec)), meta, args.no_timestamp)
+    return output.json_record(rec, meta, args.no_timestamp)
 
 
 def cmd_capacity(args, digest: str) -> str:
@@ -295,8 +292,19 @@ def cmd_gexit(args, digest: str) -> str:
     grid = _grid(args)
     bins = _lattice(args, grid)
     curve = bp_gexit_curve(ens, args.ratio, _alpha_grid(args.alphas), grid=grid, bins=bins)
-    curve.metadata["config_hash"] = digest
-    return output.gexit_csv(curve, args.no_timestamp)
+    meta = {
+        "ratio": args.ratio,
+        "ensemble": str(ens),
+        "grid_bins": grid.n_bins,
+        "lattice_bins": bins,
+        "order": KERNEL_ORDER,
+        "positions": (
+            "all (2L+1, boundaries included)" if isinstance(ens, CoupledSpec) else "single"
+        ),
+        "config_hash": digest,
+    }
+    rows = [f"{alpha:.6f},{g:.8e},stable" for alpha, g in curve.samples]
+    return output.csv_text("alpha,g,branch", rows, meta, args.no_timestamp)
 
 
 def cmd_map_bound(args, digest: str) -> str:
@@ -327,20 +335,20 @@ def cmd_map_bound(args, digest: str) -> str:
 
 
 def cmd_simulate(args, digest: str) -> str:
+    if args.alpha is None:
+        raise ConfigError("--alpha is required, as a flag or a config key")
     ens = _ensemble(args.ensemble)
     ch = ChannelPoint(args.alpha, args.ratio)
     try:
         if isinstance(ens, CoupledSpec):
-            spec = CoupledSpec(ens.l, ens.r, ens.L, ens.w, M=args.m_per_position or 60)
-            g1 = build_coupled(spec, args.seed)
-            g2 = build_coupled(spec, args.seed + 1)
+            build = partial(build_coupled, replace(ens, M=args.m_per_position or 60))
         else:
             lam = np.nonzero(ens.lambda_coeffs)[0]
             rho = np.nonzero(ens.rho_coeffs)[0]
             if lam.size != 1 or rho.size != 1:
                 raise ConfigError("simulate supports regular ensembles")
-            g1 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed)
-            g2 = build_regular(args.n, int(lam[0]), int(rho[0]), args.seed + 1)
+            build = partial(build_regular, args.n, int(lam[0]), int(rho[0]))
+        g1, g2 = build(args.seed), build(args.seed + 1)
     except ValueError as exc:
         raise ConfigError(f"cannot build the code graphs: {exc}") from exc
     inst = build_joint(g1, g2, args.seed + 2)
@@ -379,11 +387,11 @@ def cmd_simulate(args, digest: str) -> str:
         "config_hash": digest,
     }
     if args.summary_out:
-        rows = ["user,ber,ci_lo,ci_hi,frames,n"]
+        rows = []
         for user in (1, 2):
             lo, hi = res.ber_confidence(user)
             rows.append(f"{user},{res.ber(user):.6e},{lo:.6e},{hi:.6e},{len(res.frames)},{res.n_bits}")
-        output.emit("\n".join(rows) + "\n", args.summary_out)
+        output.emit(output.csv_text("user,ber,ci_lo,ci_hi,frames,n", rows), args.summary_out)
     return "\n".join(lines) + "\n# " + json.dumps(summary) + "\n"
 
 
@@ -410,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("coupled-threshold", help="BP threshold of an (l,r,L,w) ensemble")
-    p.add_argument("--ensemble", required=True, help="file or l,r,L,w")
+    p.add_argument("--ensemble", default=None, help="file or l,r,L,w")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--tol", type=_positive, default=5e-3)
     p.add_argument("--profile-out", help="also write a per-position entropy profile CSV")
     p.add_argument(
         "--profile-alpha", type=_nonnegative, default=None, help="alpha for the profile run"
     )
-    p.set_defaults(func=cmd_coupled_threshold)
+    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("capacity", help="MAC-ACPR boundary for a rate pair")
     p.add_argument("--rates", default="0.5,0.5")
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--n", type=_positive_int, default=20000)
     p.add_argument("--m-per-position", type=_positive_int, default=None)
-    p.add_argument("--alpha", type=_nonnegative, required=True)
+    p.add_argument("--alpha", type=_nonnegative, default=None)
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--mode", choices=("all_plus_one", "random"), default="random")
     p.add_argument("--frames", type=_positive_int, default=100)

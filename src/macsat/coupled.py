@@ -274,14 +274,3 @@ def coupled_run(
         engine, _Engine.iterate, _Engine.measure, max_iters, observe
     )
     return FixedPoint(ch, engine.full_state(), residual, halt, iterations)
-
-
-def profile_csv_rows(profiles):
-    """Flatten recorded (iteration, ent_a, ent_b) triples into CSV rows
-    (iteration, position, entropy_a, entropy_b)."""
-    rows = []
-    for it, ea, eb in profiles:
-        L = (len(ea) - 1) // 2
-        for idx, pos in enumerate(range(-L, L + 1)):
-            rows.append((it, pos, float(ea[idx]), float(eb[idx])))
-    return rows

@@ -105,10 +105,6 @@ class CoupledSpec:
     def n_positions(self) -> int:
         return 2 * self.L + 1
 
-    @property
-    def base(self) -> EnsembleSpec:
-        return regular(self.l, self.r)
-
     def __str__(self):
         s = f"coupled({self.l},{self.r},{self.L},{self.w}"
         return s + (f",M={self.M})" if self.M else ")")

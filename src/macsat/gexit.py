@@ -15,7 +15,7 @@ threshold (the area theorem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -167,7 +167,7 @@ def bp_gexit_value(
 ) -> float:
     """GEXIT value of a DE fixed point of `ens`, averaged over its positions:
     the one of an uncoupled ensemble, or all 2L+1 of a coupled chain
-    (boundary positions included, noted in curve metadata)."""
+    (boundary positions included)."""
     pairs = fp.state.extrinsic(ens)
     lat = kernel_lattice(fp.channel, pairs[0][0].grid, bins)
     return float(np.mean([lat.value(u, v) for u, v in pairs]))
@@ -180,12 +180,6 @@ class GexitCurve:
     ratio: float
     ensemble: str
     samples: list  # (alpha, g) of the stable branch, ascending alpha
-    metadata: dict = field(default_factory=dict)
-
-    def check(self, slack: float = 1e-6):
-        for _, g in self.samples:
-            if g > slack:
-                raise ValueError(f"positive GEXIT value {g}")
 
 
 class _CurveTracer:
@@ -224,17 +218,9 @@ def bp_gexit_curve(
     fixed point."""
     if grid is None:
         grid = default_grid()
-    meta = {
-        "grid_bins": grid.n_bins,
-        "lattice_bins": bins,
-        "order": KERNEL_ORDER,
-        "positions": (
-            "all (2L+1, boundaries included)" if isinstance(ens, CoupledSpec) else "single"
-        ),
-    }
     tracer = _CurveTracer(ens, ratio, grid, bins)
     samples = [(a, tracer.eval_point(a)) if a else (0.0, 0.0) for a in sorted(alphas)]
-    return GexitCurve(ratio, str(ens), samples, meta)
+    return GexitCurve(ratio, str(ens), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +304,7 @@ def map_bound_sweep(
             break
         bound = new_bound
 
-    curve = GexitCurve(
-        ratio,
-        str(ens),
-        sorted(samples.items()),
-        metadata={"grid_bins": grid.n_bins, "lattice_bins": bins, "order": KERNEL_ORDER},
-    )
-    return bound, curve
+    return bound, GexitCurve(ratio, str(ens), sorted(samples.items()))
 
 
 def _map_bound_alpha(ens: EnsembleSpec, ratio: float, **kwargs) -> float:

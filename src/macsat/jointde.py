@@ -207,15 +207,6 @@ class ThresholdResult:
     iterations: int  # total DE iterations spent
     probes: list  # (alpha, decoded) in evaluation order
 
-    def as_record(self, ensemble: str) -> dict:
-        return {
-            "ensemble": ensemble,
-            "A": self.ratio,
-            "alpha_bp": self.alpha,
-            "iters": self.iterations,
-            "tol": self.tol,
-        }
-
 
 def bp_threshold(
     ens: EnsembleSpec | CoupledSpec,

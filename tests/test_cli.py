@@ -261,8 +261,15 @@ class TestConfigHash:
             (["threshold", "--ensemble", "reg36"], ["--grid-bins", "129", "--tol", "0.05"],
              "tol=0.05\ngrid_bins=129\n"),
             (["threshold", "--grid-bins", "65", "--tol", "0.1"], ["--genie"], "genie=true\n"),
+            # the two values a command cannot run without may come from the file
+            (["simulate", "--n", "600", "--frames", "1"], ["--alpha", "1.9"], "alpha=1.9\n"),
+            (["coupled-threshold", "--grid-bins", "65", "--tol", "0.1"],
+             ["--ensemble", "3,6,4,2"], "ensemble=3,6,4,2\n"),
         ],
-        ids=["capacity-jobs", "threshold-grid-tol", "threshold-genie"],
+        ids=[
+            "capacity-jobs", "threshold-grid-tol", "threshold-genie", "simulate-alpha",
+            "coupled-threshold-ensemble",
+        ],
     )
     def test_config_file_hashes_like_flags(self, tmp_path, argv, flags, config):
         # the hash is of the resolved config, wherever a value came from
@@ -326,6 +333,9 @@ class TestExitCodes:
             ["threshold", "--ensemble", "3,6,4,0"],
             ["threshold", "--ensemble", "3,x,4,2"],
             ["threshold", "--ensemble", "reg63"],
+            # each threshold command takes its own kind of ensemble
+            ["threshold", "--ensemble", "3,6,4,2"],
+            ["coupled-threshold", "--ensemble", "reg36"],
             # numbers must be numbers, and finite
             ["capacity", "--ray-list", "abc"],
             ["acpr", "--ray-list", "x"],
@@ -388,6 +398,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--n", "600", "--frames", "1"], ["coupled-threshold", "--grid-bins", "65"]],
+        ids=["simulate-alpha", "coupled-threshold-ensemble"],
+    )
+    def test_missing_required_value_is_config_error(self, argv, tmp_path, capsys):
+        # neither a flag nor a config key gives the value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=0.1\n")
+        for extra in ([], ["--config", str(cfg)]):
+            assert main(argv + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Traceback" not in err
 
     def test_bad_degree_field_in_ensemble_file_is_config_error(self, tmp_path, capsys):
         ens = tmp_path / "bad.ens"

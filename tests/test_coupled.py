@@ -6,7 +6,6 @@ from macsat.coupled import (
     CoupledState,
     _Engine,
     coupled_run,
-    profile_csv_rows,
 )
 from macsat.densities import (
     DensityGrid,
@@ -226,18 +225,17 @@ class TestRun:
         assert all(error_prob(d) == 0.0 for d in fp.state.a_vec)
 
     def test_profile_rows(self, coarse_grid):
+        # each callback gets one entropy per position (2L+1) for each user
         spec = CoupledSpec(3, 6, 2, 2)
         rows = []
-        coupled_run(
+        fp = coupled_run(
             ChannelPoint(1.9, 1.0),
             spec,
             coarse_grid,
             profile=lambda it, ea, eb: rows.append((it, ea, eb)),
         )
-        flat = profile_csv_rows(rows)
-        iters, positions = {r[0] for r in flat}, {r[1] for r in flat}
-        assert positions == set(range(-2, 3))
-        assert all(len(r) == 4 for r in flat)
+        assert [it for it, _, _ in rows] == list(range(1, fp.iterations + 1))
+        assert all(len(ea) == len(eb) == spec.n_positions == 5 for _, ea, eb in rows)
 
     def test_general_path_nonunit_ratio(self, coarse_grid):
         spec = CoupledSpec(3, 6, 2, 2)

@@ -42,8 +42,12 @@ FAST = {
         "--grid-bins", "65", "--lattice", "8",
     ],
     "capacity.csv": ["capacity", "--ray-list", "0.5,1,2"],
+    "capacity.json": ["capacity", "--ray-list", "0.5,1,2", "--json"],
     "acpr.csv": ["acpr", "--ray-list", "0.8,1", "--grid-bins", "65", "--tol", "0.1"],
     "simulate.jsonl": ["simulate", "--n", "600", "--frames", "4", "--alpha", "1.9"],
+    "simulate_summary.jsonl": [
+        "simulate", "--n", "600", "--frames", "3", "--alpha", "1.7", "--seed", "3",
+    ],
 }
 
 SLOW = {
@@ -62,13 +66,17 @@ SLOW = {
 }
 
 # the sweeps that fan out over a worker pool
-PARALLEL = ["capacity.csv", "acpr.csv", "acpr_3642.csv", "map_bound_rays.csv", "simulate.jsonl"]
+PARALLEL = [
+    "capacity.csv", "acpr.csv", "acpr_3642.csv", "map_bound_rays.csv", "simulate.jsonl",
+    "simulate_summary.jsonl",
+]
 
 CASES = {**FAST, **SLOW}
 
 # side files: case -> (flag naming the file, golden file)
 SIDE_FILES = {
     "coupled_threshold_3642_profile.json": ("--profile-out", "coupled_profile_3642.csv"),
+    "simulate_summary.jsonl": ("--summary-out", "simulate_summary.csv"),
 }
 
 
@@ -122,7 +130,8 @@ def regenerate(names) -> int:
 def test_regenerate_rejects_unknown_name(capsys):
     assert regenerate(["no_such_case.csv"]) == 2
     err = capsys.readouterr().err
-    assert "no_such_case.csv" in err and "threshold_A1.json" in err
+    assert "no_such_case.csv" in err
+    assert all(name in err for name in ("threshold_A1.json", "capacity.json", "simulate_summary.jsonl"))
 
 
 if __name__ == "__main__":
