@@ -70,7 +70,7 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 FN_CENTRAL_STRATA = 256
 FN_TAIL_STRATA = 24
-_FN_CHUNK = 256  # partner bins per block while the operator is assembled
+_FN_CHUNK = 64  # partner bins per block while the operator is assembled (1 MB at 2049 bins)
 
 
 def _gaussian_strata():
@@ -148,7 +148,10 @@ class FnOperator:
         self.matrix = self._columns()
 
     def _columns(self) -> csc_matrix:
-        """The operator assembled column block by column block."""
+        """The operator assembled column block by column block into one
+        buffer pair.  A column holds at most one nonzero per output bin and
+        per (partner bit, stratum) pair; the buffers are sized for that worst
+        case, and the pages no block writes are never made resident."""
         y_off, w = _gaussian_strata()
         half_w = 0.5 * w
         n = self.grid.n_bins
@@ -159,34 +162,38 @@ class FnOperator:
         sign = np.array([1.0, -1.0])[:, None, None]
         y = h_t + sign * h_p + y_off[None, :, None]
 
-        rows, vals, counts = [], [], []  # nonzeros in column-major order
+        size = (n + 2) * min(n, 2 * len(w))
+        rows, vals = np.empty(size, np.int32), np.empty(size)  # column-major nonzeros
+        indptr = np.zeros(n + 3, np.int64)
         for c0 in range(0, n, _FN_CHUNK):
             m = sign * z[None, None, c0 : c0 + _FN_CHUNK]  # sign-flipped when the partner sent -1
-            self._add_columns(self._fold(fn_llr(y, m, h_t, h_p)), half_w, rows, vals, counts)
+            self._add_columns(self._fold(fn_llr(y, m, h_t, h_p)), half_w, c0, rows, vals, indptr)
         # partner messages at +inf and -inf meet the sign of the partner's bit
         llr = 2.0 * h_t * np.concatenate((y - sign * h_p, y + sign * h_p), axis=2)
-        self._add_columns(self._fold(llr), half_w, rows, vals, counts)
+        self._add_columns(self._fold(llr), half_w, n, rows, vals, indptr)
 
-        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-        return csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr), shape=(n, n + 2))
+        nnz = indptr[-1]
+        return csc_matrix((vals[:nnz], rows[:nnz], indptr), shape=(n, n + 2))
 
     def _fold(self, llr: np.ndarray) -> np.ndarray:
         """Nearest-bin indices, out-of-range values clipped to the extreme
         finite bins (saturated messages must stay finite, as in conv_vn)."""
         return np.clip(self.grid.llr_to_index(llr), 0, self.grid.n_bins - 1)
 
-    def _add_columns(self, idx, half_w, rows, vals, counts):
-        """Sum the weights that consecutive columns send to output bins idx
-        (2, Q, columns) in a dense block; append its nonzeros."""
+    def _add_columns(self, idx, half_w, c0, rows, vals, indptr):
+        """Sum the weights that the columns from c0 on send to output bins idx
+        (2, Q, columns) in a dense block; write its nonzeros after those of
+        the columns before c0."""
         n = self.grid.n_bins
         cols = idx.shape[2]
         keys = idx + n * np.arange(cols)
         weights = np.broadcast_to(half_w[None, :, None], idx.shape)
         block = np.bincount(keys.ravel(), weights=weights.ravel(), minlength=cols * n)
-        at = np.flatnonzero(block != 0).astype(np.int32)  # column * n + row
-        rows.append(at % np.int32(n))
-        vals.append(block[at])
-        counts.append(np.diff(np.searchsorted(at, np.arange(cols + 1) * n)))
+        at = np.flatnonzero(block != 0)  # column * n + row
+        start = indptr[c0]
+        rows[start : start + len(at)] = at % n
+        vals[start : start + len(at)] = block[at]
+        indptr[c0 + 1 : c0 + cols + 1] = start + np.searchsorted(at, np.arange(1, cols + 1) * n)
 
     def apply(self, partner: LlrDensity | Sequence[LlrDensity]):
         """The transform of one partner density, or of a sequence of them as a
@@ -207,15 +214,16 @@ class FnOperator:
 
 
 _FN_CACHE: dict[tuple, FnOperator] = {}
-_FN_CACHE_LIMIT = 2  # both users' operators at one channel point
 
 
 def fn_operator(grid: DensityGrid, to_user: int, ch: ChannelPoint) -> FnOperator:
     """Cached transform toward user 1 or 2 (they differ unless h1 = h2).
 
     A DE run reuses its channel point's operators and each new point starts a
-    new run, so the cache evicts its oldest entry: a run off the ray A = 1
-    keeps both its operators even after a run on the ray left one.
+    new run, so the cache holds one gain pair on one grid: both users'
+    operators, or the one they share on the ray A = 1.  A miss at any other
+    point empties it before building, so the old matrices are freed before
+    the new one is assembled.
     """
     if to_user not in (1, 2):
         raise ValueError("to_user must be 1 or 2")
@@ -223,8 +231,8 @@ def fn_operator(grid: DensityGrid, to_user: int, ch: ChannelPoint) -> FnOperator
     key = (grid, h_t, h_p)
     op = _FN_CACHE.get(key)
     if op is None:
-        if len(_FN_CACHE) >= _FN_CACHE_LIMIT:
-            del _FN_CACHE[next(iter(_FN_CACHE))]
+        if (grid, h_p, h_t) not in _FN_CACHE:
+            _FN_CACHE.clear()
         op = _FN_CACHE[key] = FnOperator(grid, h_t, h_p)
     return op
 

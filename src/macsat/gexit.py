@@ -177,8 +177,6 @@ def bp_gexit_value(
 class GexitCurve:
     """Sampled BP-GEXIT curve along one ray."""
 
-    ratio: float
-    ensemble: str
     samples: list  # (alpha, g) of the stable branch, ascending alpha
 
 
@@ -220,7 +218,7 @@ def bp_gexit_curve(
         grid = default_grid()
     tracer = _CurveTracer(ens, ratio, grid, bins)
     samples = [(a, tracer.eval_point(a)) if a else (0.0, 0.0) for a in sorted(alphas)]
-    return GexitCurve(ratio, str(ens), samples)
+    return GexitCurve(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +230,9 @@ class MapBoundError(RuntimeError):
     """The curve integral never reaches twice the design rate."""
 
 
-def map_bound(curve: GexitCurve, rate: float) -> float:
-    """Largest alpha_bar with int_{alpha_bar}^{0} g = 2 * rate, by trapezoid.
+def map_bound(pts, rate: float) -> float:
+    """Largest alpha_bar with int_{alpha_bar}^{0} g = 2 * rate, by trapezoid
+    over the curve samples pts, (alpha, g) in ascending alpha.
 
     Since g <= 0 under this parameterization the oriented integral from
     alpha_bar down to 0 is positive and increases with alpha_bar, so the
@@ -241,7 +240,6 @@ def map_bound(curve: GexitCurve, rate: float) -> float:
     cumulative trapezoid sums.  The returned value satisfies
     alpha_MAP <= alpha_bar.
     """
-    pts = curve.samples
     if len(pts) < 3:
         raise ValueError("curve too sparse")
     alphas = np.array([p[0] for p in pts])
@@ -289,7 +287,7 @@ def map_bound_sweep(
         prev_g = g
 
     def current_bound() -> float:
-        return map_bound(GexitCurve(ratio, str(ens), sorted(samples.items())), rate)
+        return map_bound(sorted(samples.items()), rate)
 
     bound = current_bound()
     span = step
@@ -304,7 +302,7 @@ def map_bound_sweep(
             break
         bound = new_bound
 
-    return bound, GexitCurve(ratio, str(ens), sorted(samples.items()))
+    return bound, GexitCurve(sorted(samples.items()))
 
 
 def _map_bound_alpha(ens: EnsembleSpec, ratio: float, **kwargs) -> float:

@@ -1,9 +1,11 @@
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import macsat.channel as channel
 from macsat.channel import (
     ChannelPoint,
     FnOperator,
@@ -199,6 +201,62 @@ class TestFnOperator:
                 assert op.matrix.shape == (coarse_grid.n_bins, coarse_grid.n_bins + 2)
                 col_sums = np.asarray(op.matrix.sum(axis=0)).ravel()
                 assert np.abs(col_sums - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("bins", [65, 513])
+    def test_block_width_changes_no_byte(self, bins, monkeypatch):
+        # each column sums its (partner bit, stratum) weights in the same
+        # order whatever the number of columns assembled per block
+        grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
+        on, off, no_partner = ChannelPoint(1.6, 1.0), ChannelPoint(1.45, 0.8), ChannelPoint(1.3, 0.0)
+        gains = [(on.h1, on.h2), (off.h1, off.h2), (off.h2, off.h1), (no_partner.h1, no_partner.h2)]
+        for h_t, h_p in gains:
+            built = []
+            for chunk in (1, 7, 64, 256, bins + 5):
+                monkeypatch.setattr(channel, "_FN_CHUNK", chunk)
+                m = FnOperator(grid, h_t, h_p).matrix
+                built.append((m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()))
+            assert all(b == built[0] for b in built), (bins, h_t, h_p)
+
+
+class TestFnCache:
+    # the cache holds the operators of one gain pair on one grid
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = channel.FnOperator
+        monkeypatch.setattr(channel, "_FN_CACHE", {})
+        monkeypatch.setattr(channel, "FnOperator", lambda *args: built.append(args) or build(*args))
+        return built
+
+    def test_new_point_on_the_ray_frees_the_old_operator_first(self, coarse_grid, monkeypatch, builds):
+        # both users share one operator on the ray A = 1, and the previous
+        # probe's is gone before the next one is assembled
+        old = weakref.ref(fn_operator(coarse_grid, 1, ChannelPoint(1.6, 1.0)))
+        assert fn_operator(coarse_grid, 2, ChannelPoint(1.6, 1.0)) is old()
+        alive_at_build = []
+        build = channel.FnOperator
+        monkeypatch.setattr(channel, "FnOperator", lambda *args: alive_at_build.append(old()) or build(*args))
+        fn_operator(coarse_grid, 1, ChannelPoint(1.7, 1.0))
+        assert alive_at_build == [None]
+        assert old() is None
+        assert len(channel._FN_CACHE) == 1
+
+    def test_off_ray_point_keeps_both_operators(self, coarse_grid, builds):
+        fn_operator(coarse_grid, 1, ChannelPoint(1.6, 1.0))
+        ch = ChannelPoint(1.45, 0.8)
+        ops = [fn_operator(coarse_grid, user, ch) for user in (1, 2)]
+        assert channel._FN_CACHE == {
+            (coarse_grid, ch.h1, ch.h2): ops[0],
+            (coarse_grid, ch.h2, ch.h1): ops[1],
+        }
+
+    def test_current_point_builds_nothing(self, coarse_grid, builds):
+        for ch in (ChannelPoint(1.6, 1.0), ChannelPoint(1.45, 0.8)):
+            ops = [fn_operator(coarse_grid, user, ch) for user in (1, 2)]
+            builds.clear()
+            for _ in range(2):
+                assert [fn_operator(coarse_grid, user, ch) for user in (1, 2)] == ops
+            assert builds == []
 
 
 # Every channel point at which the golden cases (fast and slow) and the

@@ -221,14 +221,14 @@ class TestMapBound:
     def test_synthetic_linear_curve(self):
         # g = -alpha: integral from 0 to b is b^2/2 = 2r -> b = 2 sqrt(r)
         alphas = np.linspace(0, 2.5, 2501)
-        curve = GexitCurve(1.0, "toy", [(a, -a) for a in alphas])
-        assert map_bound(curve, 0.5) == pytest.approx(2.0 * np.sqrt(0.5), abs=1e-3)
+        curve = GexitCurve([(a, -a) for a in alphas])
+        assert map_bound(curve.samples, 0.5) == pytest.approx(2.0 * np.sqrt(0.5), abs=1e-3)
 
     def test_unreachable_area(self):
         alphas = np.linspace(0, 0.5, 51)
-        curve = GexitCurve(1.0, "toy", [(a, -a) for a in alphas])
+        curve = GexitCurve([(a, -a) for a in alphas])
         with pytest.raises(MapBoundError):
-            map_bound(curve, 0.5)
+            map_bound(curve.samples, 0.5)
 
 
 class TestCoupledGexit:

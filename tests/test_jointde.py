@@ -120,9 +120,9 @@ class TestRun:
         assert run(start=cold.state, max_iters=3).iterations == 3
 
     def test_each_run_builds_its_own_two_operators(self, monkeypatch):
-        # the operator cache holds one channel point: a run off the ray
-        # builds both users' operators once, even after a run on the ray
-        # left one behind, and keeps no earlier run's operators
+        # the operator cache holds one gain pair: a run off the ray builds
+        # both users' operators once, even after a run on the ray left one
+        # behind, and keeps no earlier run's operators
         import macsat.channel as channel
 
         grid = DensityGrid(30 / 32, 30.0)
@@ -133,9 +133,10 @@ class TestRun:
         de_run(ChannelPoint(1.6, 1.0), ENS36, grid)
         for alpha in (1.4, 1.7, 2.0):
             builds.clear()
-            de_run(ChannelPoint(alpha, 0.8), ENS36, grid)
+            ch = ChannelPoint(alpha, 0.8)
+            de_run(ch, ENS36, grid)
             assert len(builds) == 2
-            assert len(channel._FN_CACHE) <= 2
+            assert set(channel._FN_CACHE) == {(grid, ch.h1, ch.h2), (grid, ch.h2, ch.h1)}
 
     def test_genie_is_single_user(self, coarse_grid):
         # the genie channel is exactly the one the analytic density describes
