@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -318,9 +318,10 @@ def bisect(holds, lo: float, hi: float, width: float) -> float:
 
 
 def ray_boundary(job, ray_grid, pmap=map) -> list[tuple[float, float]]:
-    """Boundary polyline (alpha, ray * alpha) with alpha = job(ray) per ray.  For
-    a worker pool's pmap the job must pickle: a module-level function or a
-    functools.partial of one."""
+    """Boundary polyline (alpha, ray * alpha) with alpha = job(ray) per ray,
+    for each kind of boundary: job is mac_acpr_point, jointde.threshold_alpha
+    or gexit.map_bound_alpha with every argument but the ray bound by
+    functools.partial.  For a worker pool's pmap the job must pickle."""
     rays = list(ray_grid)
     if not rays:
         raise ValueError("empty ray grid")
@@ -345,8 +346,3 @@ def mac_acpr_point(rate_pair: tuple[float, float], ray: float, tol: float = 1e-4
         if hi > 512.0:
             raise InfeasibleRayError(f"constraints unsatisfied up to alpha={hi} on ray {ray}")
     return bisect(feasible, lo, hi, tol)
-
-
-def mac_acpr_boundary(rate_pair, ray_grid, tol: float = 1e-4, pmap=map) -> list[tuple[float, float]]:
-    """MAC-ACPR boundary polyline: one (h1, h2) point per ray."""
-    return ray_boundary(partial(mac_acpr_point, tuple(rate_pair), tol=tol), ray_grid, pmap)

@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, output
-from .channel import ChannelPoint, InfeasibleRayError, QuadratureError, mac_acpr_boundary
+from .channel import (
+    ChannelPoint,
+    InfeasibleRayError,
+    QuadratureError,
+    mac_acpr_point,
+    ray_boundary,
+)
 from .coupled import coupled_run
 from .densities import DensityGrid, default_grid
 from .ensembles import (
@@ -32,8 +38,8 @@ from .ensembles import (
     named_ensemble,
     parse_ensemble_config,
 )
-from .gexit import KERNEL_ORDER, MapBoundError, bp_gexit_curve, map_bound_sweep, map_boundary
-from .jointde import BracketError, bp_acpr, bp_threshold
+from .gexit import KERNEL_ORDER, MapBoundError, bp_gexit_curve, map_bound_alpha, map_bound_sweep
+from .jointde import BracketError, bp_threshold, threshold_alpha
 from .mcsim import build_coupled, build_joint, build_regular, simulate_joint
 
 EXIT_CONFIG = 2
@@ -275,7 +281,7 @@ def cmd_capacity(args, digest: str) -> str:
     if len(rates) != 2 or not all(0.0 < r < 1.0 for r in rates):
         raise ConfigError("rates must be R1,R2 with each rate in (0, 1)")
     with _pmap(args.jobs) as pmap:
-        pts = mac_acpr_boundary(rates, _rays(args), tol=args.tol, pmap=pmap)
+        pts = ray_boundary(partial(mac_acpr_point, rates, tol=args.tol), _rays(args), pmap)
     return _boundary_text(args, digest, "mac", pts, {"rates": args.rates})
 
 
@@ -283,7 +289,8 @@ def cmd_acpr(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     with _pmap(args.jobs) as pmap:
-        pts = bp_acpr(ens, _rays(args), tol=args.tol, grid=grid, pmap=pmap)
+        job = partial(threshold_alpha, ens, tol=args.tol, grid=grid)
+        pts = ray_boundary(job, _rays(args), pmap)
     return _boundary_text(args, digest, "bp", pts, {"ensemble": str(ens), "grid_bins": grid.n_bins})
 
 
@@ -291,7 +298,7 @@ def cmd_gexit(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     bins = _lattice(args, grid)
-    curve = bp_gexit_curve(ens, args.ratio, _alpha_grid(args.alphas), grid=grid, bins=bins)
+    samples = bp_gexit_curve(ens, args.ratio, _alpha_grid(args.alphas), grid=grid, bins=bins)
     meta = {
         "ratio": args.ratio,
         "ensemble": str(ens),
@@ -303,7 +310,7 @@ def cmd_gexit(args, digest: str) -> str:
         ),
         "config_hash": digest,
     }
-    rows = [f"{alpha:.6f},{g:.8e},stable" for alpha, g in curve.samples]
+    rows = [f"{alpha:.6f},{g:.8e},stable" for alpha, g in samples]
     return output.csv_text("alpha,g,branch", rows, meta, args.no_timestamp)
 
 
@@ -315,10 +322,11 @@ def cmd_map_bound(args, digest: str) -> str:
     bins = _lattice(args, grid)
     if args.ray_list:
         with _pmap(args.jobs) as pmap:
-            pts = map_boundary(ens, _rays(args), grid=grid, pmap=pmap, step=args.step, bins=bins)
+            job = partial(map_bound_alpha, ens, grid=grid, step=args.step, bins=bins)
+            pts = ray_boundary(job, _rays(args), pmap)
         meta = {"ensemble": str(ens), "grid_bins": grid.n_bins}
         return _boundary_text(args, digest, "map", pts, meta)
-    bound, curve = map_bound_sweep(ens, args.ratio, grid=grid, step=args.step, bins=bins)
+    bound, samples = map_bound_sweep(ens, args.ratio, grid=grid, step=args.step, bins=bins)
     meta = {
         "config_hash": digest,
         "grid_bins": grid.n_bins,
@@ -329,7 +337,7 @@ def cmd_map_bound(args, digest: str) -> str:
         "A": args.ratio,
         "alpha_bar": round(bound, 6),
         "area_target": round(2 * design_rate(ens), 6),
-        "samples": len(curve.samples),
+        "samples": len(samples),
     }
     return output.json_record(rec, meta, args.no_timestamp)
 

@@ -101,10 +101,6 @@ class LlrDensity:
         object.__setattr__(self, "mass", m)
         m.flags.writeable = False
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum() + self.mass_pos_inf + self.mass_neg_inf)
-
     @cached_property
     def finite_mass(self) -> float:
         return float(self.mass.sum())

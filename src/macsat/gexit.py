@@ -15,12 +15,9 @@ threshold (the area theorem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
-from .channel import ChannelPoint, gauss_hermite, ray_boundary
+from .channel import ChannelPoint, _logaddexp_into, gauss_hermite
 from .densities import DensityGrid, LlrDensity, default_grid
 from .ensembles import CoupledSpec, EnsembleSpec, design_rate
 from .jointde import BRACKET_ALPHA_MAX, FixedPoint, de_runner
@@ -85,20 +82,12 @@ def _symbol_kernel(x: int, vals: np.ndarray, ch: ChannelPoint) -> np.ndarray:
     acc = np.zeros(n * n)
     block = max(1, LATTICE_BLOCK_ENTRIES // (n * n))
     z = np.empty((block, n, n))
-    t = np.empty_like(z)
     for q0 in range(0, c.size, block):
         dq = d[q0 : q0 + block, None, :]
-        zb, tb = z[: dq.shape[0]], t[: dq.shape[0]]
+        zb = z[: dq.shape[0]]
         np.add(u_neg, dq, out=zb[:, :n_neg])
         np.subtract(u_pos, dq, out=zb[:, n_neg:])
-        # softplus(z) = max(z, 0) + log1p(exp(-|z|)); these vectorised passes
-        # run several times faster than np.logaddexp(0, z)
-        np.abs(zb, out=tb)
-        np.negative(tb, out=tb)
-        np.exp(tb, out=tb)
-        np.log1p(tb, out=tb)
-        np.maximum(zb, 0.0, out=zb)
-        zb += tb
+        _logaddexp_into(zb, 0.0)  # softplus(z)
         acc += c[q0 : q0 + block] @ zb.reshape(-1, n * n)
 
     kappa = np.empty((n, n))
@@ -173,13 +162,6 @@ def bp_gexit_value(
     return float(np.mean([lat.value(u, v) for u, v in pairs]))
 
 
-@dataclass
-class GexitCurve:
-    """Sampled BP-GEXIT curve along one ray."""
-
-    samples: list  # (alpha, g) of the stable branch, ascending alpha
-
-
 class _CurveTracer:
     """Stable-branch sweep along one ray: the ensemble's DE per alpha,
     warm-started from the stalled state at the nearest smaller alpha, and
@@ -192,7 +174,8 @@ class _CurveTracer:
         self.run = de_runner(ens, grid)
         self.states = []  # (alpha, stalled state), ascending alpha
 
-    def eval_point(self, alpha: float) -> float:
+    def eval_point(self, alpha: float) -> tuple[float, bool]:
+        """(GEXIT value, decoded) of the fixed point at alpha."""
         start = None
         for a, st in self.states:
             if a <= alpha:
@@ -201,7 +184,7 @@ class _CurveTracer:
         if not fp.decoded:
             self.states.append((alpha, fp.state))
             self.states.sort(key=lambda t: t[0])
-        return bp_gexit_value(fp, self.ens, self.bins)
+        return bp_gexit_value(fp, self.ens, self.bins), fp.decoded
 
 
 def bp_gexit_curve(
@@ -210,15 +193,14 @@ def bp_gexit_curve(
     alphas,
     grid: DensityGrid | None = None,
     bins: int = LATTICE_BINS_DEFAULT,
-) -> GexitCurve:
-    """Stable-branch BP-GEXIT curve of an uncoupled or coupled ensemble: its
-    DE per alpha (warm-started along the sweep), GEXIT value at the resulting
-    fixed point."""
+) -> list[tuple[float, float]]:
+    """Stable-branch BP-GEXIT curve of an uncoupled or coupled ensemble as
+    (alpha, g) samples in ascending alpha: its DE per alpha (warm-started
+    along the sweep), GEXIT value at the resulting fixed point."""
     if grid is None:
         grid = default_grid()
     tracer = _CurveTracer(ens, ratio, grid, bins)
-    samples = [(a, tracer.eval_point(a)) if a else (0.0, 0.0) for a in sorted(alphas)]
-    return GexitCurve(samples)
+    return [(a, tracer.eval_point(a)[0]) if a else (0.0, 0.0) for a in sorted(alphas)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +210,13 @@ def bp_gexit_curve(
 
 class MapBoundError(RuntimeError):
     """The curve integral never reaches twice the design rate."""
+
+
+def _area(pts) -> tuple[np.ndarray, np.ndarray]:
+    """The alphas of the curve samples pts, (alpha, g) in ascending alpha, and
+    the cumulative trapezoid of -g from the first sample to each."""
+    alphas, gs = np.array(pts, dtype=float).T
+    return alphas, np.concatenate(([0.0], np.cumsum(0.5 * (-gs[1:] - gs[:-1]) * np.diff(alphas))))
 
 
 def map_bound(pts, rate: float) -> float:
@@ -242,11 +231,9 @@ def map_bound(pts, rate: float) -> float:
     """
     if len(pts) < 3:
         raise ValueError("curve too sparse")
-    alphas = np.array([p[0] for p in pts])
-    gs = np.array([p[1] for p in pts])
+    alphas, cum = _area(pts)
     if alphas[0] > 1e-9:
         raise ValueError("curve must start at alpha = 0")
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (-gs[1:] - gs[:-1]) * np.diff(alphas))))
     target = 2.0 * rate
     if cum[-1] < target:
         raise MapBoundError(
@@ -263,58 +250,46 @@ def map_bound_sweep(
     grid: DensityGrid | None = None,
     step: float = 0.01,
     bins: int = LATTICE_BINS_DEFAULT,
-) -> tuple[float, GexitCurve]:
-    """Compute alpha_bar for an ensemble: sweep the stable branch upward until
-    the area reaches 2 * design_rate, then halve the step near the crossing
-    until alpha_bar moves by less than MAP_REFINE_TO."""
+) -> tuple[float, list[tuple[float, float]]]:
+    """alpha_bar of an ensemble and the (alpha, g) samples it came from.
+
+    The stable branch is swept upward until the area passes 2 * design_rate
+    with a margin, or DE decodes (past the BP threshold g is zero, so the
+    area grows no further); then the step is halved near the crossing until
+    alpha_bar moves by less than MAP_REFINE_TO."""
     if grid is None:
         grid = default_grid()
     rate = design_rate(ens)
     target = 2.0 * rate
     tracer = _CurveTracer(ens, ratio, grid, bins)
 
-    samples: dict[float, float] = {0.0: 0.0}
-    alpha = 0.0
-    area = 0.0
-    prev_g = 0.0
-    while area < target * 1.02 + 2 * step:
-        alpha = round(alpha + step, 12)
+    pts = [(0.0, 0.0)]
+    decoded = False
+    while not decoded and _area(pts)[1][-1] < target * 1.02 + 2 * step:
+        alpha = round(pts[-1][0] + step, 12)
         if alpha > BRACKET_ALPHA_MAX:
             raise MapBoundError(f"area never reached {target} below alpha = {BRACKET_ALPHA_MAX}")
-        g = tracer.eval_point(alpha)
-        samples[alpha] = g
-        area += 0.5 * (-g - prev_g) * step
-        prev_g = g
+        g, decoded = tracer.eval_point(alpha)
+        pts.append((alpha, g))
 
-    def current_bound() -> float:
-        return map_bound(sorted(samples.items()), rate)
-
-    bound = current_bound()
+    samples = dict(pts)
+    bound = map_bound(pts, rate)
     span = step
     while span > MAP_REFINE_TO:
         span /= 2.0
         for candidate in (round(bound - span, 12), round(bound + span, 12)):
             if 0.0 < candidate and candidate not in samples:
-                samples[candidate] = tracer.eval_point(candidate)
-        new_bound = current_bound()
+                samples[candidate] = tracer.eval_point(candidate)[0]
+        new_bound = map_bound(sorted(samples.items()), rate)
         if abs(new_bound - bound) < MAP_REFINE_TO:
             bound = new_bound
             break
         bound = new_bound
 
-    return bound, GexitCurve(sorted(samples.items()))
+    return bound, sorted(samples.items())
 
 
-def _map_bound_alpha(ens: EnsembleSpec, ratio: float, **kwargs) -> float:
+def map_bound_alpha(ens: EnsembleSpec, ratio: float, **kwargs) -> float:
+    """alpha_bar alone, the per-ray job of a MAP boundary sweep
+    (`channel.ray_boundary`)."""
     return map_bound_sweep(ens, ratio, **kwargs)[0]
-
-
-def map_boundary(
-    ens: EnsembleSpec,
-    ray_grid,
-    grid: DensityGrid | None = None,
-    pmap=map,
-    **kwargs,
-) -> list[tuple[float, float]]:
-    """Outer bound on the MAP boundary: (alpha_bar(A), A * alpha_bar(A)) per ray."""
-    return ray_boundary(partial(_map_bound_alpha, ens, grid=grid, **kwargs), ray_grid, pmap)

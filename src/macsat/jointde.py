@@ -18,11 +18,10 @@ the threshold search over either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .channel import ChannelPoint, bisect, fn_operator, ray_boundary
+from .channel import ChannelPoint, bisect, fn_operator
 from .densities import (
     DensityGrid,
     LlrDensity,
@@ -241,17 +240,7 @@ def bp_threshold(
     return ThresholdResult(alpha, tol, ratio, spent, probes)
 
 
-def _threshold_alpha(ens, ratio: float, **kwargs) -> float:
+def threshold_alpha(ens, ratio: float, **kwargs) -> float:
+    """The BP threshold alone, the per-ray job of a BP boundary sweep
+    (`channel.ray_boundary`)."""
     return bp_threshold(ens, ratio, **kwargs).alpha
-
-
-def bp_acpr(
-    ens: EnsembleSpec | CoupledSpec,
-    ray_grid,
-    tol: float = 5e-3,
-    grid: DensityGrid | None = None,
-    pmap=map,
-) -> list[tuple[float, float]]:
-    """BP-ACPR boundary of an uncoupled or coupled ensemble:
-    (threshold, ratio * threshold) per ray."""
-    return ray_boundary(partial(_threshold_alpha, ens, tol=tol, grid=grid), ray_grid, pmap)

@@ -41,17 +41,6 @@ class LdpcGraph:
     def n_edges(self) -> int:
         return self.edge_var.size
 
-    def var_degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_var, minlength=self.n_vars)
-
-    def check_degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_check, minlength=self.n_checks)
-
-    def design_rate_realized(self) -> float:
-        """1 - (connected checks) / variables; degree-0 checks are vacuous."""
-        active = int(np.count_nonzero(self.check_degrees()))
-        return 1.0 - active / self.n_vars
-
 
 def _count_duplicates(edge_var, edge_check, n_vars) -> int:
     """Parallel edges: equal neighbours among the sorted (variable, check)

@@ -91,6 +91,12 @@ class BandBoxPlusTable:
         return out
 
 
+def total_mass(dens: LlrDensity) -> float:
+    """All of a density's mass, the +-inf point masses included: 1 for every
+    density the kernels produce."""
+    return float(dens.mass.sum() + dens.mass_pos_inf + dens.mass_neg_inf)
+
+
 def fftconvolve_conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     """Variable-node convolution through `scipy.signal.fftconvolve`, which
     transforms both operands on every call: the oracle for `conv_vn` and its
@@ -281,6 +287,20 @@ def four_symbol_value(kappa, coarse: DensityGrid, u_dens: LlrDensity, v_dens: Ll
     for x in range(4):
         total += 0.25 * float(vector(u_dens, PI1[x] < 0) @ kappa[x] @ vector(v_dens, PI2[x] < 0))
     return total
+
+
+def var_degrees(graph: LdpcGraph) -> np.ndarray:
+    return np.bincount(graph.edge_var, minlength=graph.n_vars)
+
+
+def check_degrees(graph: LdpcGraph) -> np.ndarray:
+    return np.bincount(graph.edge_check, minlength=graph.n_checks)
+
+
+def design_rate_realized(graph: LdpcGraph) -> float:
+    """1 - (connected checks) / variables; degree-0 checks are vacuous."""
+    active = int(np.count_nonzero(check_degrees(graph)))
+    return 1.0 - active / graph.n_vars
 
 
 def gauss_jordan_rref(graph: LdpcGraph) -> tuple[list[int], np.ndarray]:

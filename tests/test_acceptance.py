@@ -26,12 +26,12 @@ from macsat.densities import (
     symmetry_residual,
 )
 from macsat.ensembles import CoupledSpec, regular
-from macsat.gexit import map_bound, map_bound_sweep
-from macsat.jointde import _threshold_alpha, bp_threshold
+from macsat.gexit import map_bound_sweep
+from macsat.jointde import bp_threshold, threshold_alpha
 from macsat.mcsim import build_joint, build_regular, simulate_joint
 
 from conftest import random_density
-from oracles import de_mc_crosscheck, dp_dalpha, nu
+from oracles import de_mc_crosscheck, dp_dalpha, nu, total_mass
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 
@@ -53,15 +53,15 @@ def announce(criterion: str, ok: bool, detail: str):
 def area_bound_36():
     """alpha_bar for (3,6) at A=1 on the full grid (criterion 2, reused by 3/5)."""
     t0 = time.time()
-    bound, curve = map_bound_sweep(regular(3, 6), 1.0, grid=GRID_FULL)
-    return {"bound": bound, "curve": curve, "seconds": time.time() - t0}
+    bound, samples = map_bound_sweep(regular(3, 6), 1.0, grid=GRID_FULL)
+    return {"bound": bound, "samples": samples, "seconds": time.time() - t0}
 
 
 @pytest.fixture(scope="session")
 def coupled_thresholds():
     """The three criterion-3 coupled thresholds, two spawned workers."""
     specs = [CoupledSpec(3, 6, 16, 2), CoupledSpec(3, 6, 32, 4), CoupledSpec(4, 8, 16, 3)]
-    job = partial(_threshold_alpha, ratio=1.0, tol=4e-3, grid=GRID_MID)
+    job = partial(threshold_alpha, ratio=1.0, tol=4e-3, grid=GRID_MID)
     with _pmap(2) as pmap:
         alphas = pmap(job, specs)
     return {(s.l, s.r, s.L, s.w): alpha for s, alpha in zip(specs, alphas)}
@@ -87,12 +87,12 @@ class TestCriterion1:
 class TestCriterion2:
     def test_area_theorem_bound(self, area_bound_36):
         bound = area_bound_36["bound"]
-        curve = area_bound_36["curve"]
+        samples = area_bound_36["samples"]
         elapsed = area_bound_36["seconds"]
         # independent re-integration of the emitted curve up to the bound
-        pts = [(a, g) for a, g in curve.samples if a <= bound + 1e-12]
+        pts = [(a, g) for a, g in samples if a <= bound + 1e-12]
         alphas = np.array([p[0] for p in pts] + [bound])
-        gs = np.interp(alphas, [p[0] for p in curve.samples], [p[1] for p in curve.samples])
+        gs = np.interp(alphas, [p[0] for p in samples], [p[1] for p in samples])
         integral = float(np.trapezoid(-gs, alphas))
         ok = abs(bound - 1.2629) <= 0.01 and abs(integral - 1.0) <= 0.01 and elapsed <= 7200
         announce(
@@ -177,7 +177,7 @@ class TestCriterion6:
         for k in range(1000):
             op = conv_vn if rng.random() < 0.5 else conv_cn
             dens = op(dens, sym_partner)
-            assert abs(dens.total_mass - 1.0) < 1e-9
+            assert abs(total_mass(dens) - 1.0) < 1e-9
             if k % 100 == 0:
                 assert symmetry_residual(dens) < 10 * grid.bin_width
 

@@ -1,5 +1,6 @@
 import pickle
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from macsat.channel import (
     bawgn_density,
     fn_llr,
     fn_operator,
-    mac_acpr_boundary,
     mac_acpr_point,
     mac_mutual_infos,
+    ray_boundary,
 )
 from macsat.densities import (
     DensityGrid,
@@ -28,8 +29,8 @@ from macsat.densities import (
     symmetry_residual,
 )
 from macsat.ensembles import CoupledSpec, regular
-from macsat.gexit import map_boundary
-from macsat.jointde import bp_acpr
+from macsat.gexit import map_bound_alpha
+from macsat.jointde import threshold_alpha
 
 from conftest import random_density
 from oracles import dp_dalpha, logaddexp_fn_llr, logaddexp_fn_operator, nu, scatter_fn_apply
@@ -355,7 +356,7 @@ class TestBoundary:
 
     def test_corner(self):
         # at large A the corner sits at (1.03-ish, ~1.45)
-        pts = mac_acpr_boundary((0.5, 0.5), [1.42])
+        pts = ray_boundary(partial(mac_acpr_point, (0.5, 0.5)), [1.42])
         h1, h2 = pts[0]
         assert h2 == pytest.approx(1.42 * h1, rel=1e-12)
 
@@ -370,11 +371,13 @@ class TestBoundary:
             mac_acpr_point((0.5, 0.5), 0.0)
 
 
-SWEEPS = {
-    "mac": lambda rays, pmap: mac_acpr_boundary((0.5, 0.5), rays, pmap=pmap),
-    "bp": lambda rays, pmap: bp_acpr(regular(3, 6), rays, pmap=pmap),
-    "coupled": lambda rays, pmap: bp_acpr(CoupledSpec(3, 6, 4, 2), rays, pmap=pmap),
-    "map": lambda rays, pmap: map_boundary(regular(3, 6), rays, pmap=pmap),
+# the per-ray job of each boundary the CLI sweeps, bound as the CLI binds it
+JOB_GRID = DensityGrid(30.0 / 64.0, 30.0)
+JOBS = {
+    "mac": partial(mac_acpr_point, (0.5, 0.5), tol=1e-4),
+    "bp": partial(threshold_alpha, regular(3, 6), tol=5e-3, grid=JOB_GRID),
+    "coupled": partial(threshold_alpha, CoupledSpec(3, 6, 4, 2), tol=5e-3, grid=JOB_GRID),
+    "map": partial(map_bound_alpha, regular(3, 6), grid=JOB_GRID, step=0.1, bins=16),
 }
 
 
@@ -386,11 +389,12 @@ def pickling_map(job, items):
 
 
 class TestRaySweeps:
-    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("sweep", JOBS)
     def test_job_pickles_and_rays_read_once(self, sweep):
-        assert SWEEPS[sweep](iter([0.5, 2.0]), pickling_map) == [(1.0, 0.5), (1.0, 2.0)]
+        pts = ray_boundary(JOBS[sweep], iter([0.5, 2.0]), pickling_map)
+        assert pts == [(1.0, 0.5), (1.0, 2.0)]
 
-    @pytest.mark.parametrize("sweep", SWEEPS)
+    @pytest.mark.parametrize("sweep", JOBS)
     def test_empty_ray_grid_rejected(self, sweep):
         with pytest.raises(ValueError, match="empty ray grid"):
-            SWEEPS[sweep]([], map)
+            ray_boundary(JOBS[sweep], [], map)

@@ -8,7 +8,6 @@ from macsat.gexit import (
     INF_LLR,
     KERNEL_ORDER,
     LOG2E,
-    GexitCurve,
     KernelLattice,
     MapBoundError,
     bp_gexit_value,
@@ -203,9 +202,9 @@ class TestGexitValue:
 
         calls = []
         monkeypatch.setattr(jointde, "vf_density", lambda *args: calls.append(1) or vf_density(*args))
-        curve = gexit.bp_gexit_curve(ENS36, 1.0, [1.2], grid=coarse_grid, bins=16)
+        samples = gexit.bp_gexit_curve(ENS36, 1.0, [1.2], grid=coarse_grid, bins=16)
         assert len(calls) == 1
-        assert curve.samples[0][1] < 0.0
+        assert samples[0][1] < 0.0
 
     @pytest.mark.slow
     def test_fig3_sample_values(self, work_grid):
@@ -221,14 +220,14 @@ class TestMapBound:
     def test_synthetic_linear_curve(self):
         # g = -alpha: integral from 0 to b is b^2/2 = 2r -> b = 2 sqrt(r)
         alphas = np.linspace(0, 2.5, 2501)
-        curve = GexitCurve([(a, -a) for a in alphas])
-        assert map_bound(curve.samples, 0.5) == pytest.approx(2.0 * np.sqrt(0.5), abs=1e-3)
+        samples = [(a, -a) for a in alphas]
+        assert map_bound(samples, 0.5) == pytest.approx(2.0 * np.sqrt(0.5), abs=1e-3)
 
     def test_unreachable_area(self):
         alphas = np.linspace(0, 0.5, 51)
-        curve = GexitCurve([(a, -a) for a in alphas])
+        samples = [(a, -a) for a in alphas]
         with pytest.raises(MapBoundError):
-            map_bound(curve.samples, 0.5)
+            map_bound(samples, 0.5)
 
 
 class TestCoupledGexit:
@@ -266,9 +265,8 @@ class TestCurve:
         from macsat.gexit import bp_gexit_curve
 
         alphas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
-        curve = bp_gexit_curve(ENS36, 1.0, alphas, grid=work_grid)
-        assert all(g <= 1e-6 for _, g in curve.samples)
-        stable = curve.samples
+        stable = bp_gexit_curve(ENS36, 1.0, alphas, grid=work_grid)
+        assert all(g <= 1e-6 for _, g in stable)
         gs = [g for _, g in stable]
         # continuity below the drop, near-zero above the BP threshold
         for (a1, g1), (a2, g2) in zip(stable, stable[1:]):

@@ -32,6 +32,9 @@ FAST = {
         "--profile-alpha", "1.3",
     ],
     "map_bound.json": ["map-bound", "--grid-bins", "129", "--step", "0.1", "--lattice", "16"],
+    "map_bound_A2.json": [
+        "map-bound", "--ratio", "2", "--grid-bins", "129", "--step", "0.1", "--lattice", "16",
+    ],
     "gexit.csv": ["gexit", "--grid-bins", "129", "--lattice", "16", "--alphas", "0:2:0.25"],
     "gexit_3642.csv": [
         "gexit", "--ensemble", "3,6,4,2", "--ratio", "0.9", "--alphas", "0:1.6:0.8",

@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from macsat.channel import ChannelPoint
+from macsat.channel import ChannelPoint, ray_boundary
 from macsat.coupled import coupled_run
 from macsat.densities import DensityGrid, delta_zero, entropy, error_prob
 from macsat.ensembles import CoupledSpec, regular
@@ -11,11 +11,11 @@ from macsat.jointde import (
     STALL_PATIENCE,
     BracketError,
     DeState,
-    bp_acpr,
     bp_threshold,
     de_iterate,
     de_run,
     initial_state,
+    threshold_alpha,
     vf_density,
 )
 
@@ -186,7 +186,8 @@ class TestThreshold:
 @pytest.mark.slow
 class TestAcpr:
     def test_mirrored_rays(self, coarse_grid):
-        pts = bp_acpr(ENS36, [0.7, 1 / 0.7], tol=0.02, grid=coarse_grid)
+        job = partial(threshold_alpha, ENS36, tol=0.02, grid=coarse_grid)
+        pts = ray_boundary(job, [0.7, 1 / 0.7])
         (h1a, h2a), (h1b, h2b) = pts
         assert h1a == pytest.approx(h2b, abs=0.06)
         assert h2a == pytest.approx(h1b, abs=0.06)
