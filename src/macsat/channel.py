@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.special import ndtr, ndtri, roots_hermite
 
-from .densities import DensityGrid, LlrDensity, delta_at, make_density
+from .densities import DensityGrid, LlrDensity, delta_zero, make_density
 
 PI1 = np.array([1.0, 1.0, -1.0, -1.0])
 PI2 = np.array([1.0, -1.0, 1.0, -1.0])
@@ -244,7 +244,7 @@ def bawgn_density(grid: DensityGrid, h: float) -> LlrDensity:
     reductions of the function node.
     """
     if h == 0.0:
-        return delta_at(grid, 0.0)
+        return delta_zero(grid)
     mean, sd = 2.0 * h * h, 2.0 * h
     edges = (np.arange(grid.n_bins + 1) - grid.n_bins / 2.0) * grid.bin_width
     cdf = ndtr((edges - mean) / sd)

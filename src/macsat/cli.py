@@ -33,12 +33,12 @@ from .coupled import coupled_run
 from .densities import DensityGrid, default_grid
 from .ensembles import (
     CoupledSpec,
-    coupled_design_rate,
     design_rate,
     named_ensemble,
     parse_ensemble_config,
 )
-from .gexit import KERNEL_ORDER, MapBoundError, bp_gexit_curve, map_bound_alpha, map_bound_sweep
+from .gexit import KERNEL_ORDER, LATTICE_BINS_DEFAULT, MapBoundError, bp_gexit_curve
+from .gexit import map_bound_alpha, map_bound_sweep
 from .jointde import BracketError, bp_threshold, threshold_alpha
 from .mcsim import build_coupled, build_joint, build_regular, simulate_joint
 
@@ -172,8 +172,8 @@ def _alpha_grid(spec: str) -> list[float]:
         lo, hi, step = (_finite(t) for t in spec.split(":"))
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad alpha grid {spec!r}, expected lo:hi:step") from exc
-    if step <= 0 or hi <= lo:
-        raise ConfigError("alpha grid needs hi > lo and step > 0")
+    if lo < 0 or step <= 0 or hi <= lo:
+        raise ConfigError("alpha grid needs 0 <= lo < hi and step > 0")
     return list(np.round(np.arange(lo, hi + step / 2, step), 10))
 
 
@@ -261,8 +261,7 @@ def cmd_threshold(args, digest: str) -> str:
         coupled_run(ChannelPoint(args.profile_alpha, args.ratio), ens, grid, profile=profile)
         text = output.csv_text("iteration,position,entropy_a,entropy_b", rows)
         output.emit(text, args.profile_out)
-    rate = coupled_design_rate(ens) if coupled else design_rate(ens)
-    meta = {"config_hash": digest, "grid_bins": grid.n_bins, "design_rate": round(rate, 6)}
+    meta = {"config_hash": digest, "grid_bins": grid.n_bins, "design_rate": round(design_rate(ens), 6)}
     rec = {
         "ensemble": str(ens),
         "A": res.ratio,
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--alphas", default="0:2:0.01", help="lo:hi:step")
-    p.add_argument("--lattice", type=int, default=128, help="kernel lattice half-width")
+    p.add_argument("--lattice", type=int, default=LATTICE_BINS_DEFAULT, help="kernel lattice half-width")
     p.set_defaults(func=cmd_gexit)
 
     p = sub.add_parser("map-bound", help="area-theorem MAP bound along one ray")
@@ -463,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--ray-list", help="emit the MAP boundary over these rays as CSV")
     p.add_argument("--step", type=_positive, default=0.01)
-    p.add_argument("--lattice", type=int, default=128)
+    p.add_argument("--lattice", type=int, default=LATTICE_BINS_DEFAULT)
     p.set_defaults(func=cmd_map_bound)
 
     p = sub.add_parser("simulate", help="finite-length joint BP Monte-Carlo")

@@ -146,25 +146,10 @@ def delta_inf(grid: DensityGrid) -> LlrDensity:
     return LlrDensity(grid, np.zeros(grid.n_bins), 1.0, 0.0)
 
 
-def delta_neg_inf(grid: DensityGrid) -> LlrDensity:
-    return LlrDensity(grid, np.zeros(grid.n_bins), 0.0, 1.0)
-
-
 def delta_zero(grid: DensityGrid) -> LlrDensity:
     """All mass at LLR 0 (erasure / no knowledge)."""
     m = np.zeros(grid.n_bins)
     m[grid.center] = 1.0
-    return LlrDensity(grid, m, 0.0, 0.0)
-
-
-def delta_at(grid: DensityGrid, llr: float) -> LlrDensity:
-    """Point mass at the bin nearest to `llr` (helper for tests/oracles)."""
-    # no bin lies within reach of twice the half-range (nor of +-inf)
-    i = int(grid.llr_to_index(llr)) if abs(llr) < 2 * grid.half_range else -1
-    if not 0 <= i < grid.n_bins:
-        return delta_inf(grid) if llr > 0 else delta_neg_inf(grid)
-    m = np.zeros(grid.n_bins)
-    m[i] = 1.0
     return LlrDensity(grid, m, 0.0, 0.0)
 
 
@@ -454,18 +439,9 @@ def power_cn(a: LlrDensity, n: int) -> LlrDensity:
     return _power(a, n, conv_cn, delta_inf(a.grid), None)
 
 
-def _check_poly(coeffs: np.ndarray):
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 1 or coeffs.size < 2 or coeffs[0] != 0.0:
-        raise ValueError("polynomial needs degree-indexed coefficients starting at degree 1")
-    if np.any(coeffs < 0) or abs(coeffs.sum() - 1.0) > 1e-9:
-        raise ValueError("coefficients must be nonnegative and sum to 1")
-    return coeffs
-
-
 def _poly_apply(coeffs, a: LlrDensity, conv, unit: LlrDensity, edge: bool, squares=None) -> LlrDensity:
     """Mixture sum_i coeffs[i] * a^(i-1) (edge perspective) or a^i (node)."""
-    coeffs = _check_poly(coeffs)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     nonzero = np.nonzero(coeffs)[0]
     if nonzero.size == 1:
         # regular polynomial: one power, computed by repeated squaring

@@ -67,8 +67,15 @@ def regular(l: int, r: int) -> EnsembleSpec:
     return EnsembleSpec(lam, rho, name=f"reg{l}{r}")
 
 
-def design_rate(spec: EnsembleSpec) -> float:
-    """1 - int(rho)/int(lambda) with int(p) = sum_i p_i / i."""
+def design_rate(spec: EnsembleSpec | CoupledSpec) -> float:
+    """1 - int(rho)/int(lambda) with int(p) = sum_i p_i / i, or for an
+    (l, r, L, w) ensemble
+    (1 - l/r) - (l/r) * [(w+1) - 2 sum_{i=0}^{w} (i/w)^r] / (2L + 1)."""
+    if isinstance(spec, CoupledSpec):
+        l, r, L, w = spec.l, spec.r, spec.L, spec.w
+        ratio = l / r
+        boundary = (w + 1) - 2.0 * sum((i / w) ** r for i in range(w + 1))
+        return (1.0 - ratio) - ratio * boundary / (2 * L + 1)
     degrees = np.arange(max(spec.lambda_coeffs.size, spec.rho_coeffs.size))
     degrees[0] = 1
     int_lam = (spec.lambda_coeffs / degrees[: spec.lambda_coeffs.size]).sum()
@@ -108,17 +115,6 @@ class CoupledSpec:
     def __str__(self):
         s = f"coupled({self.l},{self.r},{self.L},{self.w}"
         return s + (f",M={self.M})" if self.M else ")")
-
-
-def coupled_design_rate(spec: CoupledSpec) -> float:
-    """Design rate of the (l, r, L, w) ensemble:
-
-    (1 - l/r) - (l/r) * [(w+1) - 2 sum_{i=0}^{w} (i/w)^r] / (2L + 1)
-    """
-    l, r, L, w = spec.l, spec.r, spec.L, spec.w
-    ratio = l / r
-    boundary = (w + 1) - 2.0 * sum((i / w) ** r for i in range(w + 1))
-    return (1.0 - ratio) - ratio * boundary / (2 * L + 1)
 
 
 def parse_ensemble_config(text: str):

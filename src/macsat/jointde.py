@@ -59,8 +59,8 @@ class DeState:
         """[(user 1, user 2)] variable-to-function densities L(rho(.)) at the
         one position, the input of the GEXIT value; users that share one
         density (the symmetric ray) map once."""
-        a = vf_density(ens, self.a)
-        return [(a, a if self.b is self.a else vf_density(ens, self.b))]
+        a = _variable_side(ens, self.a, False)[0]
+        return [(a, a if self.b is self.a else _variable_side(ens, self.b, False)[0])]
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,6 @@ def initial_state(grid: DensityGrid) -> DeState:
     """No-knowledge start: both users at one shared 0-LLR delta."""
     d0 = delta_zero(grid)
     return DeState(d0, d0)
-
-
-def vf_density(ens: EnsembleSpec, a: LlrDensity) -> LlrDensity:
-    """Density of variable-to-function messages, L(rho(a)): a degree-i
-    variable node forwards the sum of all i of its check messages."""
-    return poly_vn_node(ens.node_lambda, poly_cn(ens.rho_coeffs, a))
 
 
 def de_iterate(
@@ -117,8 +111,9 @@ def de_iterate(
 
 def _variable_side(ens: EnsembleSpec, a: LlrDensity, genie: bool):
     """(L(rho(a)), lambda(rho(a))) of one user: the density toward the
-    function node (the +inf delta under the genie) and the product of the
-    check messages a variable node sends back on an edge.  On a regular
+    function node, where a degree-i variable node forwards the sum of all i
+    of its check messages (the +inf delta under the genie), and the product
+    of the check messages a variable node sends back on an edge.  On a regular
     ensemble both are powers of rho(a) and share its squarings."""
     rho = poly_cn(ens.rho_coeffs, a)
     squares = [rho]

@@ -35,7 +35,6 @@ class LdpcGraph:
     edge_var: np.ndarray  # variable index per edge
     edge_check: np.ndarray  # check index per edge
     var_pos: np.ndarray | None = None  # position labels for coupled graphs
-    check_pos: np.ndarray | None = None
 
     @property
     def n_edges(self) -> int:
@@ -96,7 +95,6 @@ def build_coupled(spec: CoupledSpec, seed: int) -> LdpcGraph:
     n_checks = c_pos_count * checks_per_pos
 
     var_pos = np.repeat(np.arange(-L, L + 1), m_per)
-    check_pos = np.repeat(np.arange(-L, L + w), checks_per_pos)
 
     # stub -> check-position assignment, exact per-position counts
     edge_var = np.repeat(np.arange(n_vars, dtype=np.int64), l)
@@ -117,7 +115,7 @@ def build_coupled(spec: CoupledSpec, seed: int) -> LdpcGraph:
         chosen = rng.permutation(sockets)[: stub_idx.size]
         edge_check[stub_idx] = chosen
 
-    return LdpcGraph(n_vars, n_checks, edge_var, edge_check, var_pos, check_pos)
+    return LdpcGraph(n_vars, n_checks, edge_var, edge_check, var_pos)
 
 
 @dataclass

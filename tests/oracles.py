@@ -11,12 +11,14 @@ from unittest import mock
 
 import numpy as np
 from scipy.signal import fftconvolve
+from scipy.special import expit
 
 from macsat import channel
 from macsat.channel import PI1, PI2, ChannelPoint, FnOperator, _gaussian_strata, gauss_hermite
 from macsat.densities import (
     DensityGrid,
     LlrDensity,
+    delta_inf,
     is_delta_inf,
     is_delta_zero,
     make_density,
@@ -95,6 +97,22 @@ def total_mass(dens: LlrDensity) -> float:
     """All of a density's mass, the +-inf point masses included: 1 for every
     density the kernels produce."""
     return float(dens.mass.sum() + dens.mass_pos_inf + dens.mass_neg_inf)
+
+
+def delta_neg_inf(grid: DensityGrid) -> LlrDensity:
+    """All mass at -inf (perfect knowledge of the wrong sign)."""
+    return LlrDensity(grid, np.zeros(grid.n_bins), 0.0, 1.0)
+
+
+def delta_at(grid: DensityGrid, llr: float) -> LlrDensity:
+    """Point mass at the bin nearest to `llr`."""
+    # no bin lies within reach of twice the half-range (nor of +-inf)
+    i = int(grid.llr_to_index(llr)) if abs(llr) < 2 * grid.half_range else -1
+    if not 0 <= i < grid.n_bins:
+        return delta_inf(grid) if llr > 0 else delta_neg_inf(grid)
+    m = np.zeros(grid.n_bins)
+    m[i] = 1.0
+    return LlrDensity(grid, m, 0.0, 0.0)
 
 
 def fftconvolve_conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
@@ -213,8 +231,8 @@ def dp_dalpha(x: int, y, ch: ChannelPoint):
 
 def lift(u: float, v: float) -> np.ndarray:
     """Extrinsic pair (u, v) lifted to the posterior 4-vector over symbols."""
-    su = 1.0 / (1.0 + np.exp(-u))
-    sv = 1.0 / (1.0 + np.exp(-v))
+    su = expit(u)
+    sv = expit(v)
     return np.array([su * sv, su * (1 - sv), (1 - su) * sv, (1 - su) * (1 - sv)])
 
 

@@ -21,7 +21,6 @@ from macsat.channel import (
 from macsat.densities import (
     DensityGrid,
     delta_inf,
-    delta_neg_inf,
     delta_zero,
     entropy,
     error_prob,
@@ -33,7 +32,14 @@ from macsat.gexit import map_bound_alpha
 from macsat.jointde import threshold_alpha
 
 from conftest import random_density
-from oracles import dp_dalpha, logaddexp_fn_llr, logaddexp_fn_operator, nu, scatter_fn_apply
+from oracles import (
+    delta_neg_inf,
+    dp_dalpha,
+    logaddexp_fn_llr,
+    logaddexp_fn_operator,
+    nu,
+    scatter_fn_apply,
+)
 
 
 def kolmogorov(a, b) -> float:
@@ -93,6 +99,12 @@ class TestFnTransform:
         partner = random_density(work_grid, rng, symmetric=True)
         out = fn_operator(work_grid, 1, ch).apply(partner)
         assert kolmogorov(out, bawgn_density(work_grid, 1.3)) < 0.01
+
+    def test_zero_gain_bawgn_is_zero_delta(self, tiny_grid):
+        # h = 0 carries no information: the 0-LLR delta, byte for byte
+        got, ref = bawgn_density(tiny_grid, 0.0), delta_zero(tiny_grid)
+        assert got.mass.tobytes() == ref.mass.tobytes()
+        assert (got.mass_pos_inf, got.mass_neg_inf) == (ref.mass_pos_inf, ref.mass_neg_inf)
 
     def test_known_partner_reduces_to_bawgn(self, work_grid):
         # partner perfectly known: its contribution cancels exactly

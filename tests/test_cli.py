@@ -358,6 +358,8 @@ class TestExitCodes:
             ["threshold", "--tol", "z"],
             ["simulate", "--alpha", "1.9", "--n", "x"],
             ["simulate", "--alpha", "1.9", "--seed", "y"],
+            # a gain is nonnegative, so an alpha grid starts at 0 or above
+            ["gexit", "--alphas=-1:1:0.5"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):

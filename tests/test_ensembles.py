@@ -6,7 +6,6 @@ import pytest
 from macsat.ensembles import (
     CoupledSpec,
     EnsembleSpec,
-    coupled_design_rate,
     design_rate,
     named_ensemble,
     parse_ensemble_config,
@@ -62,23 +61,23 @@ class TestDesignRate:
 
 class TestCoupledRate:
     def test_large_l_limit(self):
-        assert coupled_design_rate(CoupledSpec(3, 6, 100000, 2)) == pytest.approx(0.5, abs=1e-4)
+        assert design_rate(CoupledSpec(3, 6, 100000, 2)) == pytest.approx(0.5, abs=1e-4)
 
     def test_3_6_16_2_exact(self):
         expect = exact_coupled_rate(3, 6, 16, 2)
-        got = coupled_design_rate(CoupledSpec(3, 6, 16, 2))
+        got = design_rate(CoupledSpec(3, 6, 16, 2))
         assert got == pytest.approx(float(expect), abs=1e-12)
         assert got == pytest.approx(0.485322, abs=5e-7)
 
     def test_3_6_32_4_exact_rational(self):
         expect = exact_coupled_rate(3, 6, 32, 4)
-        got = coupled_design_rate(CoupledSpec(3, 6, 32, 4))
+        got = design_rate(CoupledSpec(3, 6, 32, 4))
         assert got == pytest.approx(float(expect), abs=1e-12)
 
     def test_rate_loss_halves_when_l_doubles(self):
         base = design_rate(regular(3, 6))
-        loss16 = base - coupled_design_rate(CoupledSpec(3, 6, 16, 2))
-        loss32 = base - coupled_design_rate(CoupledSpec(3, 6, 32, 2))
+        loss16 = base - design_rate(CoupledSpec(3, 6, 16, 2))
+        loss32 = base - design_rate(CoupledSpec(3, 6, 32, 2))
         assert loss16 > 0 and loss32 > 0
         assert loss16 / loss32 == pytest.approx(2.0, rel=0.05)
 

@@ -13,7 +13,7 @@ from macsat.gexit import (
     bp_gexit_value,
     map_bound,
 )
-from macsat.jointde import DeState, FixedPoint, de_run, vf_density
+from macsat.jointde import DeState, FixedPoint, _variable_side, de_run
 
 from conftest import random_density
 from oracles import four_symbol_value, gexit_kernel, lift, loop_kernel_lattice, nu
@@ -195,16 +195,18 @@ class TestGexitValue:
         assert abs(bp_gexit_value(fp, ENS36)) < 1e-9
 
     def test_symmetric_fixed_point_maps_once(self, coarse_grid, monkeypatch):
-        # at A = 1 both users share one density, so one curve point needs a
+        # at A = 1 both users share one density, so one GEXIT value needs a
         # single variable-to-function map
-        import macsat.gexit as gexit
         import macsat.jointde as jointde
 
+        fp = de_run(ChannelPoint(1.2, 1.0), ENS36, coarse_grid)
+        assert fp.state.a is fp.state.b
         calls = []
-        monkeypatch.setattr(jointde, "vf_density", lambda *args: calls.append(1) or vf_density(*args))
-        samples = gexit.bp_gexit_curve(ENS36, 1.0, [1.2], grid=coarse_grid, bins=16)
+        monkeypatch.setattr(
+            jointde, "_variable_side", lambda *args: calls.append(1) or _variable_side(*args)
+        )
+        assert bp_gexit_value(fp, ENS36, bins=16) < 0.0
         assert len(calls) == 1
-        assert samples[0][1] < 0.0
 
     @pytest.mark.slow
     def test_fig3_sample_values(self, work_grid):

@@ -11,12 +11,12 @@ from macsat.jointde import (
     STALL_PATIENCE,
     BracketError,
     DeState,
+    _variable_side,
     bp_threshold,
     de_iterate,
     de_run,
     initial_state,
     threshold_alpha,
-    vf_density,
 )
 
 ENS36 = regular(3, 6)
@@ -141,7 +141,6 @@ class TestRun:
     def test_genie_is_single_user(self, coarse_grid):
         # the genie channel is exactly the one the analytic density describes
         from macsat.channel import bawgn_density
-        from macsat.densities import conv_vn, poly_cn, poly_vn
 
         ch = ChannelPoint(1.3, 1.0)
         st = initial_state(coarse_grid)
@@ -209,5 +208,5 @@ class TestVfDensity:
         a = random_density(tiny_grid, rng)
         rho_a = poly_cn(ENS36.rho_coeffs, a)
         expect = conv_vn(conv_vn(rho_a, rho_a), rho_a)
-        got = vf_density(ENS36, a)
+        got = _variable_side(ENS36, a, False)[0]
         np.testing.assert_allclose(got.mass, expect.mass, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from macsat.channel import ChannelPoint, fn_operator
 from macsat.densities import DensityGrid, delta_zero
-from macsat.ensembles import CoupledSpec, coupled_design_rate
+from macsat.ensembles import CoupledSpec, design_rate
 from macsat.mcsim import (
     Gf2Encoder,
     JointInstance,
@@ -63,11 +63,13 @@ class TestGraphs:
         assert g.n_checks == 10 * 30
         assert np.all(var_degrees(g) == 3)
         deg = check_degrees(g)
-        bulk = deg[(g.check_pos >= -3) & (g.check_pos <= 4)]
+        checks_per_pos = spec.l * spec.M // spec.r
+        pos_of_check = np.arange(g.n_checks) // checks_per_pos - spec.L
+        bulk = deg[(pos_of_check >= -3) & (pos_of_check <= 4)]
         assert np.all(bulk == 6)
         # checks only reach variables within their window
         for e in range(0, g.n_edges, 97):
-            cp = g.check_pos[g.edge_check[e]]
+            cp = pos_of_check[g.edge_check[e]]
             vp = g.var_pos[g.edge_var[e]]
             assert cp - spec.w + 1 <= vp <= cp
 
@@ -75,7 +77,7 @@ class TestGraphs:
         spec = CoupledSpec(3, 6, 4, 2, M=240)
         g = build_coupled(spec, seed=4)
         assert design_rate_realized(g) == pytest.approx(
-            coupled_design_rate(spec), abs=3.0 / spec.M
+            design_rate(spec), abs=3.0 / spec.M
         )
 
     @pytest.mark.parametrize("dups", [0, 1, 40])
@@ -312,7 +314,7 @@ class TestCoupledInstance:
         spec = CoupledSpec(3, 6, 8, 2, M=120)
         g = build_coupled(spec, 7)
         assert design_rate_realized(g) == pytest.approx(
-            coupled_design_rate(spec), abs=3.0 / spec.M
+            design_rate(spec), abs=3.0 / spec.M
         )
 
 
