@@ -1,9 +1,11 @@
 """Command-line surface: reproducible figure-generating sweeps.
 
 Every command reads an optional key=value config file, lets flags override
-individual keys, embeds the resolved-config hash in its output header, and is
-deterministic given (config, seed).  Exit codes: 0 success, 2 config error,
-3 numeric failure.
+individual keys, and embeds the resolved-config hash in its output header.
+Each command takes only the flags it reads, so one computation has one hash.
+Every command is deterministic given its config; `simulate` draws its codes,
+codewords and noise from `--seed`, the one seeded command.  Exit codes:
+0 success, 2 config error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .ensembles import (
     design_rate,
     named_ensemble,
     parse_ensemble_config,
+    read_key_values,
 )
 from .gexit import KERNEL_ORDER, LATTICE_BINS_DEFAULT, MapBoundError, bp_gexit_curve
 from .gexit import map_bound_alpha, map_bound_sweep
@@ -50,20 +53,12 @@ class ConfigError(Exception):
     pass
 
 
-HASH_EXCLUDED = {"output", "config", "no_timestamp", "func", "command", "jobs"}
-# side-output paths hash as unset: where a file goes never moves the hash, and
-# a run that writes no side file keeps the hash it always had
-HASH_UNSET = {"profile_out", "summary_out"}
-
-
-def _hashable(args) -> dict:
-    """The resolved config: the parsed flags, the config file's keys parsed
-    among them, so a key hashes alike from a flag or a file."""
-    return {
-        k: None if k in HASH_UNSET else v
-        for k, v in vars(args).items()
-        if k not in HASH_EXCLUDED
-    }
+# the hash is of the resolved config: the parsed flags, the config file's keys
+# parsed among them, so a key hashes alike from a flag or a file; where the
+# outputs go and how many workers compute them never move it
+HASH_EXCLUDED = {
+    "output", "profile_out", "summary_out", "config", "no_timestamp", "func", "command", "jobs"
+}
 
 
 def _read_text(path: str, what: str) -> str:
@@ -83,17 +78,13 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
     `--key=value`, and a boolean key becomes `--key` or nothing.  Keys are the
     first parse's attributes, so a config key never prefix-matches a flag."""
     path = args.config
-    fields = {}
-    for lineno, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        fields[key.strip().replace("-", "_")] = value.strip()
+    try:
+        fields = read_key_values(_read_text(path, "config file"), where=f"{path}:")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     tokens = []
     for key, value in fields.items():
+        key = key.replace("-", "_")
         if key in ("func", "command", "config") or key not in vars(args):
             raise ConfigError(f"unknown config key {key!r} for command {args.command}")
         flag = "--" + key.replace("_", "-")
@@ -108,17 +99,25 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
 
 def _check_outputs(args):
     """Every file the command will write names a file in an existing
-    directory, checked before any computation runs."""
+    directory, and no two outputs share a file or stdout, checked before any
+    computation runs."""
+    taken = {}
     for flag in ("output", "profile_out", "summary_out"):
         path = getattr(args, flag, None)
-        if path in (None, "-"):
+        if path is None and flag != "output":  # no side file
             continue
         name = "--" + flag.replace("_", "-")
-        if os.path.isdir(path):
+        if path in (None, "-"):
+            dest = "stdout"
+        elif os.path.isdir(path):
             raise ConfigError(f"{name} {path} is a directory")
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise ConfigError(f"{name} {path}: no directory {parent}")
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{name} {path}: no directory {os.path.dirname(path)}")
+        else:
+            dest = os.path.realpath(path)
+        if dest in taken:
+            raise ConfigError(f"{taken[dest]} and {name} both write to {dest}")
+        taken[dest] = name
 
 
 def _ensemble(spec_str: str):
@@ -143,38 +142,16 @@ def _grid(args) -> DensityGrid:
     default = default_grid()
     half = default.half_range if args.half_range is None else args.half_range
     bins = default.n_bins if args.grid_bins is None else args.grid_bins
-    if bins < 3 or bins % 2 == 0:
-        raise ConfigError("grid-bins must be an odd integer >= 3")
     try:
         return DensityGrid(bin_width=2.0 * half / (bins - 1), half_range=half)
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
-def _rays(args) -> list[float]:
-    if args.ray_list:
-        try:
-            rays = [_finite(t) for t in args.ray_list.split(",") if t]
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"bad ray list {args.ray_list!r}: {exc}") from exc
-    else:
-        count = args.rays or 16
-        # tangent-spaced angles cover both asymptotes of the boundary
-        angles = np.linspace(0.06, np.pi / 2 - 0.06, count)
-        rays = list(np.tan(angles))
-    if not rays or any(r <= 0 for r in rays):
-        raise ConfigError("rays must be positive ratios h2/h1")
-    return rays
-
-
-def _alpha_grid(spec: str) -> list[float]:
-    try:
-        lo, hi, step = (_finite(t) for t in spec.split(":"))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"bad alpha grid {spec!r}, expected lo:hi:step") from exc
-    if lo < 0 or step <= 0 or hi <= lo:
-        raise ConfigError("alpha grid needs 0 <= lo < hi and step > 0")
-    return list(np.round(np.arange(lo, hi + step / 2, step), 10))
+def _rays(args):
+    # --ray-list, or --rays (default 16) tangent-spaced ratios, which cover
+    # both asymptotes of the boundary
+    return args.ray_list or np.tan(np.linspace(0.06, np.pi / 2 - 0.06, args.rays or 16))
 
 
 @contextmanager
@@ -205,7 +182,6 @@ def _number(kind, noun: str, holds):
     return parse
 
 
-_finite = _number(float, "a finite number", math.isfinite)
 # --ratio and the gains
 _nonnegative = _number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 # --tol, --step and --half-range: a bisection or sweep with a zero or
@@ -216,6 +192,19 @@ _positive_int = _number(int, "an integer > 0", lambda v: v > 0)
 # --seed: the seeded generators' 64-bit keys hold it and the small offsets the
 # graph and frame streams add to it
 _seed = _number(int, "an integer in [0, 2**63)", lambda v: 0 <= v < 2**63)
+_grid_bins = _number(int, "an odd integer >= 3", lambda v: v >= 3 and v % 2 == 1)
+# --ray-list: ratios h2/h1
+_ray_list = _number(
+    lambda text: tuple(float(t) for t in text.split(",")),
+    "comma-separated finite ratios > 0",
+    lambda rays: all(0 < r < math.inf for r in rays),
+)
+# --alphas lo:hi:step: a gain is nonnegative, so the grid starts at 0 or above
+_alpha_range = _number(
+    lambda text: tuple(float(t) for t in text.split(":")),
+    "finite lo:hi:step with 0 <= lo < hi and step > 0",
+    lambda g: len(g) == 3 and 0 <= g[0] < g[1] < math.inf and 0 < g[2] < math.inf,
+)
 
 
 def _lattice(args, grid: DensityGrid) -> int:
@@ -297,7 +286,9 @@ def cmd_gexit(args, digest: str) -> str:
     ens = _ensemble(args.ensemble)
     grid = _grid(args)
     bins = _lattice(args, grid)
-    samples = bp_gexit_curve(ens, args.ratio, _alpha_grid(args.alphas), grid=grid, bins=bins)
+    lo, hi, step = args.alphas
+    alphas = list(np.round(np.arange(lo, hi + step / 2, step), 10))
+    samples = bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=bins)
     meta = {
         "ratio": args.ratio,
         "ensemble": str(ens),
@@ -322,7 +313,7 @@ def cmd_map_bound(args, digest: str) -> str:
     if args.ray_list:
         with _pmap(args.jobs) as pmap:
             job = partial(map_bound_alpha, ens, grid=grid, step=args.step, bins=bins)
-            pts = ray_boundary(job, _rays(args), pmap)
+            pts = ray_boundary(job, args.ray_list, pmap)
         meta = {"ensemble": str(ens), "grid_bins": grid.n_bins}
         return _boundary_text(args, digest, "map", pts, meta)
     bound, samples = map_bound_sweep(ens, args.ratio, grid=grid, step=args.step, bins=bins)
@@ -402,16 +393,6 @@ def cmd_simulate(args, digest: str) -> str:
     return "\n".join(lines) + "\n# " + json.dumps(summary) + "\n"
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--output", "-o", help="output path (default stdout)")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size for sweeps")
-    p.add_argument("--no-timestamp", action="store_true", help="byte-stable headers")
-    p.add_argument("--half-range", type=_positive, default=None, help="grid LLR half range")
-    p.add_argument("--grid-bins", type=int, default=None, help="odd number of LLR bins")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="macsat", description=__doc__)
     ap.add_argument("--version", action="version", version=f"macsat {__version__}")
@@ -436,16 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="MAC-ACPR boundary for a rate pair")
     p.add_argument("--rates", default="0.5,0.5")
-    p.add_argument("--rays", type=_positive_int, default=None, help="number of rays")
-    p.add_argument("--ray-list", help="explicit comma-separated ratios")
     p.add_argument("--tol", type=_positive, default=1e-4)
     p.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("acpr", help="BP-ACPR boundary of an ensemble")
     p.add_argument("--ensemble", default="reg36")
-    p.add_argument("--rays", type=_positive_int, default=None)
-    p.add_argument("--ray-list")
     p.add_argument("--tol", type=_positive, default=5e-3)
     p.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
     p.set_defaults(func=cmd_acpr)
@@ -453,14 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gexit", help="BP-GEXIT curve along one ray")
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
-    p.add_argument("--alphas", default="0:2:0.01", help="lo:hi:step")
+    p.add_argument("--alphas", type=_alpha_range, default="0:2:0.01", help="lo:hi:step")
     p.add_argument("--lattice", type=int, default=LATTICE_BINS_DEFAULT, help="kernel lattice half-width")
     p.set_defaults(func=cmd_gexit)
 
     p = sub.add_parser("map-bound", help="area-theorem MAP bound along one ray")
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
-    p.add_argument("--ray-list", help="emit the MAP boundary over these rays as CSV")
+    p.add_argument("--ray-list", type=_ray_list, help="emit the MAP boundary over these rays as CSV")
     p.add_argument("--step", type=_positive, default=0.01)
     p.add_argument("--lattice", type=int, default=LATTICE_BINS_DEFAULT)
     p.set_defaults(func=cmd_map_bound)
@@ -475,10 +452,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=_positive_int, default=100)
     p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--summary-out", help="also write a summary CSV")
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    for sp in sub.choices.values():
-        _add_common(sp)
+    # the flags of several commands: each command takes the ones it reads
+    for name, p in sub.choices.items():
+        p.add_argument("--config", help="key=value config file; flags override")
+        p.add_argument("--output", "-o", help="output path (default stdout)")
+        p.add_argument("--no-timestamp", action="store_true", help="byte-stable headers")
+        if name in ("capacity", "acpr"):  # one way to give the rays
+            rays = p.add_mutually_exclusive_group()
+            rays.add_argument("--rays", type=_positive_int, default=None, help="number of rays (default 16)")
+            rays.add_argument("--ray-list", type=_ray_list, help="explicit comma-separated ratios")
+        # density evolution runs on a grid; a sweep fans out over a worker pool
+        if name in ("threshold", "coupled-threshold", "acpr", "gexit", "map-bound"):
+            p.add_argument("--half-range", type=_positive, default=None, help="grid LLR half range")
+            p.add_argument("--grid-bins", type=_grid_bins, default=None, help="odd number of LLR bins")
+        if name in ("capacity", "acpr", "map-bound", "simulate"):
+            p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size for sweeps")
     return ap
 
 
@@ -496,7 +487,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return EXIT_CONFIG if exc.code not in (0, None) else 0
         _check_outputs(args)
-        text = args.func(args, output.config_hash(_hashable(args)))
+        resolved = {k: v for k, v in vars(args).items() if k not in HASH_EXCLUDED}
+        text = args.func(args, output.config_hash(resolved))
         output.emit(text, args.output)
         return 0
     except ConfigError as exc:

@@ -117,22 +117,29 @@ class CoupledSpec:
         return s + (f",M={self.M})" if self.M else ")")
 
 
-def parse_ensemble_config(text: str):
-    """Parse the key-value ensemble file format.
-
-    Fields: kind=regular|irregular|coupled, lambda=[...], rho=[...], l, r, L, w
-    (and optionally M).  Returns an EnsembleSpec or CoupledSpec.
-    """
+def read_key_values(text: str, where: str = "line ") -> dict[str, str]:
+    """The stripped key=value pairs of `text`, one a line, skipping blank and
+    '#' lines; a later key wins.  A line without '=' raises ValueError naming
+    it as `where` followed by its number."""
     fields = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected key=value, got {stripped!r}")
+            raise ValueError(f"{where}{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         fields[key.strip()] = value.strip()
+    return fields
 
+
+def parse_ensemble_config(text: str):
+    """Parse the key-value ensemble file format.
+
+    Fields: kind=regular|irregular|coupled, lambda=[...], rho=[...], l, r, L, w
+    (and optionally M).  Returns an EnsembleSpec or CoupledSpec.
+    """
+    fields = read_key_values(text)
     kind = fields.get("kind")
     if kind == "regular":
         return regular(int(fields["l"]), int(fields["r"]))

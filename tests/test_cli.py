@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import macsat
-from macsat.cli import main
+from macsat.cli import build_parser, main
 
 
 def run_cli(args, tmp_path, name):
@@ -265,10 +266,14 @@ class TestConfigHash:
             (["simulate", "--n", "600", "--frames", "1"], ["--alpha", "1.9"], "alpha=1.9\n"),
             (["coupled-threshold", "--grid-bins", "65", "--tol", "0.1"],
              ["--ensemble", "3,6,4,2"], "ensemble=3,6,4,2\n"),
+            # the list flags parse alike from either source
+            (["capacity"], ["--ray-list", "0.5,1"], "ray_list=0.5,1\n"),
+            (["gexit", "--grid-bins", "65", "--lattice", "8"], ["--alphas", "0:0.4:0.2"],
+             "alphas=0:0.4:0.2\n"),
         ],
         ids=[
             "capacity-jobs", "threshold-grid-tol", "threshold-genie", "simulate-alpha",
-            "coupled-threshold-ensemble",
+            "coupled-threshold-ensemble", "capacity-ray-list", "gexit-alphas",
         ],
     )
     def test_config_file_hashes_like_flags(self, tmp_path, argv, flags, config):
@@ -360,6 +365,17 @@ class TestExitCodes:
             ["simulate", "--alpha", "1.9", "--seed", "y"],
             # a gain is nonnegative, so an alpha grid starts at 0 or above
             ["gexit", "--alphas=-1:1:0.5"],
+            # lists and grids are checked as they are parsed
+            ["capacity", "--ray-list", ""],
+            ["capacity", "--ray-list", "1,-2"],
+            ["map-bound", "--ray-list", "0"],
+            ["gexit", "--alphas", "0:1"],
+            ["gexit", "--alphas", "1:0:0.5"],
+            ["threshold", "--grid-bins", "8"],
+            ["acpr", "--grid-bins", "1"],
+            # the rays come as a count or as a list, not both
+            ["capacity", "--rays", "4", "--ray-list", "1"],
+            ["acpr", "--ray-list", "1", "--rays", "4"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):
@@ -382,6 +398,20 @@ class TestExitCodes:
         "profile_in_missing_directory": [
             "coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3",
             "--profile-out", "{dir}/no/p.csv",
+        ],
+        # two outputs that would overwrite each other, by any name of the file
+        "summary_is_output": [
+            "simulate", "--alpha", "1.9", "--summary-out", "{dir}/s", "--output", "{dir}/./s",
+        ],
+        "profile_is_output": [
+            "coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3",
+            "--profile-out", "{dir}/p.csv", "--output", "{dir}/p.csv",
+        ],
+        # stdout is one destination: `-` or an unset --output
+        "summary_and_output_to_stdout": ["simulate", "--alpha", "1.9", "--summary-out", "-"],
+        "profile_and_output_to_stdout": [
+            "coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3",
+            "--profile-out", "-", "--output", "-",
         ],
     }  # fmt: skip
 
@@ -433,10 +463,17 @@ class TestExitCodes:
             (["threshold"], "genie=maybe"),
             (["threshold"], "t=0.05"),
             (["threshold"], "func=x"),
+            (["capacity"], "ray_list=1,x"),
+            (["gexit"], "alphas=0:1"),
+            (["threshold"], "grid_bins=8"),
+            # a key and a flag cannot give the rays two ways either
+            (["capacity", "--ray-list", "1"], "rays=4"),
+            (["acpr", "--rays", "4"], "ray_list=1"),
         ],
         ids=[
             "threshold-tol", "map-bound-step", "simulate-mode", "threshold-genie",
-            "threshold-prefix", "threshold-reserved",
+            "threshold-prefix", "threshold-reserved", "capacity-ray-list", "gexit-alphas",
+            "threshold-grid-bins", "capacity-rays-key", "acpr-ray-list-key",
         ],
     )
     def test_bad_config_value_is_config_error(self, argv, line, tmp_path, capsys):
@@ -444,3 +481,57 @@ class TestExitCodes:
         cfg.write_text(line + "\n")
         assert main(argv + ["--config", str(cfg)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    # (command, flag, value) for each flag a command does not read
+    UNREAD = [
+        ("threshold", "--seed", "1"), ("coupled-threshold", "--seed", "1"),
+        ("capacity", "--seed", "1"), ("acpr", "--seed", "1"), ("gexit", "--seed", "1"),
+        ("map-bound", "--seed", "1"),
+        ("threshold", "--jobs", "2"), ("coupled-threshold", "--jobs", "2"), ("gexit", "--jobs", "2"),
+        ("capacity", "--half-range", "20"), ("capacity", "--grid-bins", "65"),
+        ("simulate", "--half-range", "20"), ("simulate", "--grid-bins", "65"),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("cmd,flag,value", UNREAD, ids=[" ".join(u[:2]) for u in UNREAD])
+    def test_unread_flag_is_config_error(self, cmd, flag, value, tmp_path, capsys, monkeypatch):
+        # a flag that changes nothing would only change the hash; it is refused
+        # while the arguments are parsed, before the output paths are checked
+        import macsat.cli as cli
+
+        def never(args):
+            raise AssertionError(f"{cmd} accepted {flag}")
+
+        monkeypatch.setattr(cli, "_check_outputs", never)
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        for argv, named in (([cmd, flag, value], flag), ([cmd, "--config", str(cfg)], repr(key))):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
+
+
+class TestFlags:
+    COMMON = {"config", "output", "no_timestamp"}
+    GRID = {"half_range", "grid_bins"}
+    FLAGS = {
+        "threshold": {"ensemble", "ratio", "tol", "genie"} | GRID,
+        "coupled-threshold": {"ensemble", "ratio", "tol", "profile_out", "profile_alpha"} | GRID,
+        "capacity": {"rates", "rays", "ray_list", "tol", "json", "jobs"},
+        "acpr": {"ensemble", "rays", "ray_list", "tol", "json", "jobs"} | GRID,
+        "gexit": {"ensemble", "ratio", "alphas", "lattice"} | GRID,
+        "map-bound": {"ensemble", "ratio", "ray_list", "step", "lattice", "jobs"} | GRID,
+        "simulate": {
+            "ensemble", "n", "m_per_position", "alpha", "ratio", "mode", "frames", "iters",
+            "summary_out", "seed", "jobs",
+        },
+    }  # fmt: skip
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {a.dest for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == {name: flags | self.COMMON for name, flags in self.FLAGS.items()}
+        assert sum(map(len, got.values())) == 73

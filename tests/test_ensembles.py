@@ -9,6 +9,7 @@ from macsat.ensembles import (
     design_rate,
     named_ensemble,
     parse_ensemble_config,
+    read_key_values,
     regular,
 )
 
@@ -108,6 +109,13 @@ class TestConfig:
     def test_errors_carry_line_info(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_ensemble_config("kind=regular\nbogus line\n")
+
+    def test_key_value_lines(self):
+        # the one reader of ensemble and CLI config files
+        text = "# comment\n\n  a = 1 \nb=x=y\na=2\n"
+        assert read_key_values(text) == {"a": "2", "b": "x=y"}
+        with pytest.raises(ValueError, match="^run.cfg:3: expected key=value"):
+            read_key_values("a=1\n\nbogus\n", where="run.cfg:")
 
     def test_named(self):
         assert design_rate(named_ensemble("reg48")) == pytest.approx(0.5)
