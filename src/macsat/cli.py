@@ -98,7 +98,7 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
 
 
 def _check_outputs(args):
-    """Every file the command will write names a file in an existing
+    """Every file the command will write has a non-empty name in an existing
     directory, and no two outputs share a file or stdout, checked before any
     computation runs."""
     taken = {}
@@ -107,6 +107,8 @@ def _check_outputs(args):
         if path is None and flag != "output":  # no side file
             continue
         name = "--" + flag.replace("_", "-")
+        if path == "":
+            raise ConfigError(f"{name} is an empty path")
         if path in (None, "-"):
             dest = "stdout"
         elif os.path.isdir(path):

@@ -17,16 +17,16 @@ One engine runs the recursion over a fold of the chain: positions -L..L of
 both users or, on the symmetric ray (A = 1, equal codes, symmetric start),
 positions 0..L of user 1 read through p -> |p| with the user as its own
 partner, since b = a and a_{-i} = a_i hold there (the user-exchange
-reduction of uncoupled DE together with spatial mirror symmetry).  The
-per-position updates are pure functions of the densities they read, so the
-engine memoizes each step on their identity: check-node outputs on their
-window, a branch (t_i, g) on its check-node outputs, a position on the
-branches it reads.  Positions whose branches did not change (the decoded
-region behind the wave and the inert bulk ahead of it) are skipped
-bit-exactly, and both users' updates read one memo of each user's branches.
-A sweep runs in two phases per user: the positions that miss the memo send
-their partner densities through the user's function node in one batched
-apply, then finish one by one.
+reduction of uncoupled DE together with spatial mirror symmetry).  A sweep
+is staged: each user's check windows are box-plus'ed once, each position's
+(t_i, g) is formed once and read by both users' updates, the positions whose
+own g is not the +inf delta send their partner densities through the user's
+function node in one batched apply, and each finishes with the product with
+g and the freeze.  A window of +inf deltas, and a position whose own g is
+the +inf delta (the decoded region behind the wave), yield the +inf delta
+without a box-plus or a function-node column.  The engine keeps no memo:
+a live density changes from each sweep to the next until it freezes, so a
+sweep has nothing to reuse.
 The GEXIT extrinsic profile takes its window averages t_i from the same
 engine.  Runs use the halting rule of `jointde`, whose threshold search and
 GEXIT curves serve coupled ensembles through `jointde.de_runner`.
@@ -35,7 +35,6 @@ GEXIT curves serve coupled ensembles through `jointde.de_runner`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .densities import (
     delta_zero,
     entropy,
     error_prob,
+    is_delta_inf,
     mix,
     power_cn,
     power_vn,
@@ -76,21 +76,8 @@ class CoupledState:
         (Gamma = t_i^{*l} of each window), the input of the position-averaged
         GEXIT value."""
         eng = _Engine(spec, self)
-        gammas = [
-            tuple(power_vn(eng.inner(u, i), spec.l) for i in eng.positions)
-            for u in range(len(eng.vecs))
-        ]
+        gammas = [tuple(power_vn(t, spec.l) for t in eng.inners(u)) for u in range(len(eng.vecs))]
         return list(zip(*eng.unfold(gammas)))
-
-
-class _Pending(NamedTuple):
-    """A position update that missed the memo, waiting for the function node:
-    the branches (g_own, t_par, g_par) it read and the partner's
-    variable-to-function density."""
-
-    i: int
-    branches: tuple
-    vf: LlrDensity
 
 
 def _is_symmetric_state(st: CoupledState) -> bool:
@@ -101,7 +88,7 @@ def _is_symmetric_state(st: CoupledState) -> bool:
 
 
 class _Engine:
-    """The coupled recursion over one fold of the chain, with per-user memos.
+    """The coupled recursion over one fold of the chain, as a staged sweep.
 
     `vecs` holds one tuple of densities per evolving user over positions
     lo..L: -L..L of both users, or 0..L of user 1 on the symmetric fold,
@@ -109,6 +96,10 @@ class _Engine:
     The symmetric fold serves a start whose users and mirror positions share
     their density objects, on the symmetric ray; without a channel point the
     engine only reads windows (no updates), so the start alone decides.
+    A sweep box-plus'es each user's check windows once, forms each user's
+    (t_i, g) once per position, sends the positions whose own g is not the
+    +inf delta through the user's function node in one batched apply, and
+    finishes them one by one.
     """
 
     def __init__(self, spec: CoupledSpec, start: CoupledState, ch=None):
@@ -124,8 +115,6 @@ class _Engine:
         self.vecs = [start.a_vec[spec.L :]] if self.symmetric else [start.a_vec, start.b_vec]
         self.partner = (0,) if self.symmetric else (1, 0)
         self._weights = np.full(spec.w, 1.0 / spec.w)
-        # per user: (kind, position) -> (input objects, value)
-        self._memo = [{} for _ in self.vecs]
 
     def _at(self, vec, p: int) -> LlrDensity:
         if self.symmetric:
@@ -139,91 +128,54 @@ class _Engine:
         full = [tuple(self._at(vec, p) for p in range(-L, L + 1)) for vec in vecs]
         return full[0], full[-1]
 
-    def _recall(self, u: int, key, inputs):
-        """The value stored under `key` if `inputs` are the very objects it
-        was computed from, else None; the memo keeps them alive, so identity
-        is stable."""
-        hit = self._memo[u].get(key)
-        if hit is not None and all(x is y for x, y in zip(hit[0], inputs)):
-            return hit[1]
-        return None
+    def _average(self, xs: list) -> LlrDensity:
+        """The uniform mixture of a window of densities; the +inf delta when
+        all of them are (their mixture normalizes to it exactly)."""
+        return self.dinf if all(map(is_delta_inf, xs)) else mix(xs, self._weights)
 
-    def _memoized(self, u: int, key, inputs, compute):
-        """compute(), reused while `inputs` are the objects it last ran on."""
-        value = self._recall(u, key, inputs)
-        if value is None:
-            value = compute()
-            self._memo[u][key] = (inputs, value)
-        return value
+    def inners(self, u: int) -> list:
+        """The window averages t_i of user u over the evolving positions.
 
-    def _z(self, u: int, c: int) -> LlrDensity:
-        """Check-node output of user u's window ending at check position c."""
-        xs = [self._at(self.vecs[u], p) for p in range(c - self.spec.w + 1, c + 1)]
-        return self._memoized(
-            u, ("z", c), xs, lambda: power_cn(mix(xs, self._weights), self.spec.r - 1)
-        )
+        Each check window c in [lo, L + w - 1] is box-plus'ed once; a window
+        of +inf deltas gives the +inf delta, which box-plus keeps."""
+        w = self.spec.w
+        zs = []
+        for c in range(self.lo, self.spec.L + w):
+            x = self._average([self._at(self.vecs[u], p) for p in range(c - w + 1, c + 1)])
+            zs.append(x if x is self.dinf else power_cn(x, self.spec.r - 1))
+        return [self._average(zs[j : j + w]) for j in range(len(self.positions))]
 
-    def _zs(self, u: int, i: int) -> list:
-        return [self._z(u, i + j) for j in range(self.spec.w)]
-
-    def inner(self, u: int, i: int) -> LlrDensity:
-        """The window average t_i of user u at position i."""
-        return mix(self._zs(u, i), self._weights)
-
-    def _branch(self, u: int, i: int) -> tuple[LlrDensity, LlrDensity]:
-        """(t_i, g = t_i^{*(l-1)}) of user u at position i, memoized on the
-        check densities t_i averages: the user's own update and its
-        partner's read one computation."""
-        zs = self._zs(u, i)
-
-        def compute():
-            t = mix(zs, self._weights)
-            return t, power_vn(t, self.spec.l - 1)
-
-        return self._memoized(u, ("branch", i), zs, compute)
-
-    def update_position(self, u: int, i: int) -> LlrDensity | _Pending:
-        """The first phase of the update of user u at position i: the new
-        variable-to-check density when the branches it reads are the objects
-        its memo holds, else the pending update with the partner's
-        variable-to-function density conv_vn(g_par, t_par)."""
-        _, g_own = self._branch(u, i)
-        t_par, g_par = self._branch(self.partner[u], i)  # on the symmetric fold, the own pair
-        branches = (g_own, t_par, g_par)
-        done = self._recall(u, ("position", i), branches)
-        return done if done is not None else _Pending(i, branches, conv_vn(g_par, t_par))
-
-    def _finish(self, u: int, pending: _Pending, fn_out: LlrDensity) -> LlrDensity:
-        """The second phase: the function-node output times g_own, frozen to
-        the +inf delta once its error probability falls below
-        FREEZE_ERROR_PROB, and memoized on the branches it read."""
-        out = conv_vn(fn_out, pending.branches[0])
-        if error_prob(out) < FREEZE_ERROR_PROB:
-            out = self.dinf
-        # hand back the previous object when the update reproduced it
-        # bit-exactly, so the neighbours' memo keys keep hitting
-        prev = self._at(self.vecs[u], pending.i)
-        if (
-            out.mass_pos_inf == prev.mass_pos_inf
-            and out.mass_neg_inf == prev.mass_neg_inf
-            and np.array_equal(out.mass, prev.mass)
-        ):
-            out = prev
-        self._memo[u][("position", pending.i)] = (pending.branches, out)
-        return out
+    def update_position(self, u: int, i: int, branches: list) -> LlrDensity | None:
+        """The first phase of the update of user u at position i, given each
+        user's (t, g) per position: the partner's variable-to-function
+        density conv_vn(g_par, t_par), or None when the own g is the +inf
+        delta.  The update is then the frozen +inf delta: conv_vn with a g
+        of no finite mass leaves none."""
+        j = i - self.lo
+        _, g_own = branches[u][j]
+        t_par, g_par = branches[self.partner[u]][j]  # on the symmetric fold, the own pair
+        return None if is_delta_inf(g_own) else conv_vn(g_par, t_par)
 
     def iterate(self) -> "_Engine":
         """One Jacobi sweep in place; returns self, the state run_to_halt steps.
 
-        Per user, the positions that miss the memo go through the user's
-        function node in one batched apply, then finish one by one."""
+        Per user, the live positions go through the user's function node in
+        one batched apply, then take the product with g_own and the freeze
+        to the +inf delta once the error probability falls below
+        FREEZE_ERROR_PROB."""
+        branches = [
+            [(t, t if t is self.dinf else power_vn(t, self.spec.l - 1)) for t in self.inners(u)]
+            for u in range(len(self.vecs))
+        ]
         vecs = []
         for u, fn in enumerate(self.fns):
-            vec = [self.update_position(u, i) for i in self.positions]
-            misses = [j for j, x in enumerate(vec) if isinstance(x, _Pending)]
-            if misses:
-                for j, fn_out in zip(misses, fn.apply([vec[j].vf for j in misses])):
-                    vec[j] = self._finish(u, vec[j], fn_out)
+            vfs = [self.update_position(u, i, branches) for i in self.positions]
+            live = [j for j, vf in enumerate(vfs) if vf is not None]
+            vec = [self.dinf] * len(vfs)
+            if live:
+                for j, fn_out in zip(live, fn.apply([vfs[j] for j in live])):
+                    out = conv_vn(fn_out, branches[u][j][1])
+                    vec[j] = self.dinf if error_prob(out) < FREEZE_ERROR_PROB else out
             vecs.append(tuple(vec))
         self.vecs = vecs
         return self

@@ -392,6 +392,12 @@ class TestExitCodes:
         "ensemble_is_directory": ["threshold", "--ensemble", "{dir}"],
         "output_in_missing_directory": ["threshold", "--output", "{dir}/no/x.json"],
         "output_is_directory": ["threshold", "--output", "{dir}"],
+        # an empty path names no file
+        "output_empty": ["capacity", "--ray-list", "1", "--output", ""],
+        "summary_empty": ["simulate", "--alpha", "1.9", "--summary-out", ""],
+        "profile_empty": [
+            "coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3", "--profile-out", "",
+        ],
         "summary_in_missing_directory": [
             "simulate", "--alpha", "1.9", "--summary-out", "{dir}/no/s.csv",
         ],
@@ -422,7 +428,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("computation ran before the paths were checked")
 
-        for name in ("bp_threshold", "coupled_run", "simulate_joint", "build_regular"):
+        for name in ("bp_threshold", "coupled_run", "simulate_joint", "build_regular", "ray_boundary"):
             monkeypatch.setattr(cli, name, never)
         (tmp_path / "latin1.cfg").write_bytes("tol=0.1 # \xe9t\xe9\n".encode("latin-1"))
         argv = [arg.format(dir=tmp_path) for arg in self.UNUSABLE_PATHS[case]]
@@ -469,11 +475,16 @@ class TestExitCodes:
             # a key and a flag cannot give the rays two ways either
             (["capacity", "--ray-list", "1"], "rays=4"),
             (["acpr", "--rays", "4"], "ray_list=1"),
+            # an empty path, as for the flags
+            (["capacity", "--ray-list", "1"], "output="),
+            (["simulate", "--alpha", "1.9"], "summary_out="),
+            (["coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3"], "profile_out="),
         ],
         ids=[
             "threshold-tol", "map-bound-step", "simulate-mode", "threshold-genie",
             "threshold-prefix", "threshold-reserved", "capacity-ray-list", "gexit-alphas",
-            "threshold-grid-bins", "capacity-rays-key", "acpr-ray-list-key",
+            "threshold-grid-bins", "capacity-rays-key", "acpr-ray-list-key", "capacity-output",
+            "simulate-summary-out", "coupled-threshold-profile-out",
         ],
     )
     def test_bad_config_value_is_config_error(self, argv, line, tmp_path, capsys):

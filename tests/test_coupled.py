@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -135,8 +138,8 @@ class TestIterate:
 
 
     def test_check_windows_computed_once_per_user(self, coarse_grid, monkeypatch):
-        # both users' updates read each user's check windows from one memo,
-        # so a sweep box-plus'es each window c in [-L, L + w - 1] once
+        # a sweep box-plus'es each user's windows c in [-L, L + w - 1] once,
+        # before any update reads them; no window here is all +inf deltas
         import macsat.coupled as coupled
 
         calls = []
@@ -170,8 +173,9 @@ class TestIterate:
         assert len(calls) == 2 * SPEC.n_positions
 
     def test_decoded_state_is_reused_across_sweeps(self, monkeypatch):
-        # once a sweep reproduces every position, the next one reads all of
-        # them from the memo: no function-node column, the same objects back
+        # a decoded run ends with every position frozen to the +inf delta, so
+        # every own g is the +inf delta: no sweep sends a function-node
+        # column, and each hands back the engine's one +inf delta object
         grid = DensityGrid(30 / 64, 30.0)
         ch = ChannelPoint(1.8, 0.7)
         fp = coupled_run(ch, SPEC, grid)
@@ -183,12 +187,55 @@ class TestIterate:
             FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x)
         )
         first = eng.iterate().vecs
-        # one batched apply per user, a column per position
-        assert columns == [SPEC.n_positions] * 2
-        columns.clear()
+        assert columns == []
+        assert all(x is eng.dinf for v in first for x in v)
         second = eng.iterate().vecs
         assert columns == []
         assert all(x is y for u, v in zip(first, second) for x, y in zip(u, v))
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["fold", "full-chain"])
+    def test_inert_windows_and_positions_are_skipped(self, coarse_grid, monkeypatch, symmetric):
+        # outer positions |p| > 2 are +inf deltas: a sweep box-plus'es only the
+        # windows holding a live density and sends only the positions with a
+        # live own window (positions i - w + 1 .. i + w - 1) through the
+        # function node; the others come back as the +inf delta
+        import macsat.coupled as coupled
+
+        L, w = SPEC.L, SPEC.w
+        rng = np.random.default_rng(5)
+        dinf = delta_inf(coarse_grid)
+
+        def chain():
+            live = [random_density(coarse_grid, rng, symmetric=True) for _ in range(5)]
+            if symmetric:  # mirror positions share their objects
+                live = live[2:0:-1] + live[:3]
+            return (dinf,) * (L - 2) + tuple(live) + (dinf,) * (L - 2)
+
+        a = chain()
+        start = CoupledState(a, a if symmetric else chain(), L)
+        ch = ChannelPoint(1.4, 1.0 if symmetric else 0.7)
+        eng = _Engine(SPEC, start, ch)
+        assert eng.symmetric == symmetric
+
+        def live(lo, hi):
+            return any(abs(p) <= 2 for p in range(lo, hi + 1))
+
+        windows = [c for c in range(eng.lo, L + w) if live(c - w + 1, c)]
+        positions = [i for i in eng.positions if live(i - w + 1, i + w - 1)]
+        calls, columns = [], []
+        monkeypatch.setattr(coupled, "power_cn", lambda *args: calls.append(1) or power_cn(*args))
+        apply = FnOperator.apply
+        monkeypatch.setattr(
+            FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x)
+        )
+        vecs = eng.iterate().vecs
+        users = len(vecs)
+        assert users == (1 if symmetric else 2)
+        assert len(calls) == users * len(windows) < users * (L + w - eng.lo)
+        assert columns == [len(positions)] * users
+        for vec in vecs:
+            for i, d in zip(eng.positions, vec):
+                assert (i in positions) != (d is eng.dinf)
 
 
 class TestRun:
@@ -331,3 +378,54 @@ class TestExtrinsic:
         if symmetric:
             assert all(ga is gb for ga, gb in prof)
             assert all(prof[4 - i][0] is prof[4 + i][0] for i in range(5))
+
+
+def _density_bytes(d) -> bytes:
+    return d.mass.tobytes() + struct.pack("<2d", d.mass_pos_inf, d.mass_neg_inf)
+
+
+class TestPinned:
+    # SHA-256 of the final state (every density's mass bytes and +-inf
+    # masses, then halt, iterations and residual) and of the extrinsic
+    # profile; a change in any bit of a sweep moves them
+    GRID_65 = DensityGrid(30 / 32, 30.0)
+    GRID_129 = DensityGrid(30 / 64, 30.0)
+    RUNS = {
+        # cut as the freeze begins: the end positions are +inf deltas, the rest live
+        "fold": (ChannelPoint(1.45, 1.0), GRID_129, True, 35),
+        "full-chain": (ChannelPoint(1.45, 1.0), GRID_129, False, 35),
+        "off-ray": (ChannelPoint(1.6, 0.9), GRID_65, True, 30_000),
+        "stall": (ChannelPoint(1.2, 1.0), GRID_129, True, 30_000),
+    }
+
+    @pytest.mark.parametrize(
+        "case,halt,iterations,state_digest,extrinsic_digest",
+        [
+            ("fold", "max_iters", 35,
+             "7f6d8af91f683631c5b8b7501e7d87e375cd3f0aaedde5b7a0f01483678095f1",
+             "58180b183c7b14954387fa961f01f56877f00fed09648dc74feeb52abfbc39b6"),
+            ("full-chain", "max_iters", 35,
+             "b673d78d53912f02266c201c19d391c2fb35ab6308092c9f7f0dfd644608450b",
+             "58180b183c7b14954387fa961f01f56877f00fed09648dc74feeb52abfbc39b6"),
+            ("off-ray", "success", 35,
+             "f9f42b5bfe143e3e39cb88093fd28e27f700ad638f19671faf069c10915c47c1",
+             "84be196154a3161c52fbb0b5f5e4ecfbe40cc0baeb8842da53fb3a3c1e48c5ba"),
+            ("stall", "stall", 104,
+             "8f7ff5663584f63f642325ba31e7313ddd12acc43eed0a71d91794f3536bac08",
+             "1e2f73e751229eed15ba682e1effe1c2268b4573ab3b6db9a36c55a253e475b3"),
+        ],
+    )  # fmt: skip
+    def test_pinned_runs(self, case, halt, iterations, state_digest, extrinsic_digest):
+        ch, grid, shared, max_iters = self.RUNS[case]
+        fp = coupled_run(ch, SPEC, grid, max_iters, start=zero_start(grid, SPEC, shared))
+        assert (fp.halt, fp.iterations) == (halt, iterations)
+        h = hashlib.sha256()
+        for d in fp.state.a_vec + fp.state.b_vec:
+            h.update(_density_bytes(d))
+        h.update(repr((fp.halt, fp.iterations, fp.residual)).encode())
+        assert h.hexdigest() == state_digest
+        h = hashlib.sha256()
+        for pair in fp.state.extrinsic(SPEC):
+            for d in pair:
+                h.update(_density_bytes(d))
+        assert h.hexdigest() == extrinsic_digest
