@@ -17,7 +17,6 @@ import multiprocessing
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -210,7 +209,7 @@ _alpha_range = _number(
 
 
 def _lattice(args, grid: DensityGrid) -> int:
-    if args.lattice < 1 or grid.k_max % args.lattice:
+    if grid.k_max % args.lattice:
         raise ConfigError(f"lattice {args.lattice} must divide the grid half-width {grid.k_max}")
     return args.lattice
 
@@ -341,7 +340,9 @@ def cmd_simulate(args, digest: str) -> str:
     ch = ChannelPoint(args.alpha, args.ratio)
     try:
         if isinstance(ens, CoupledSpec):
-            build = partial(build_coupled, replace(ens, M=args.m_per_position or 60))
+            build = partial(build_coupled, ens, args.m_per_position or 60)
+        elif args.m_per_position is not None:
+            raise ConfigError("--m-per-position sizes a coupled ensemble; use --n")
         else:
             lam = np.nonzero(ens.lambda_coeffs)[0]
             rho = np.nonzero(ens.rho_coeffs)[0]
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--alphas", type=_alpha_range, default="0:2:0.01", help="lo:hi:step")
-    p.add_argument("--lattice", type=int, default=LATTICE_BINS_DEFAULT, help="kernel lattice half-width")
+    p.add_argument("--lattice", type=_positive_int, default=LATTICE_BINS_DEFAULT, help="kernel lattice half-width")
     p.set_defaults(func=cmd_gexit)
 
     p = sub.add_parser("map-bound", help="area-theorem MAP bound along one ray")
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--ray-list", type=_ray_list, help="emit the MAP boundary over these rays as CSV")
     p.add_argument("--step", type=_positive, default=0.01)
-    p.add_argument("--lattice", type=int, default=LATTICE_BINS_DEFAULT)
+    p.add_argument("--lattice", type=_positive_int, default=LATTICE_BINS_DEFAULT)
     p.set_defaults(func=cmd_map_bound)
 
     p = sub.add_parser("simulate", help="finite-length joint BP Monte-Carlo")

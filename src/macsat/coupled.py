@@ -103,6 +103,8 @@ class _Engine:
     """
 
     def __init__(self, spec: CoupledSpec, start: CoupledState, ch=None):
+        if start.L != spec.L:
+            raise ValueError(f"start has {len(start.a_vec)} positions, {spec} has {spec.n_positions}")
         grid = start.a_vec[0].grid
         self.symmetric = _is_symmetric_state(start) and (ch is None or ch.ratio == 1.0)
         self.spec = spec

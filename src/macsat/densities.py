@@ -439,43 +439,36 @@ def power_cn(a: LlrDensity, n: int) -> LlrDensity:
     return _power(a, n, conv_cn, delta_inf(a.grid), None)
 
 
-def _poly_apply(coeffs, a: LlrDensity, conv, unit: LlrDensity, edge: bool, squares=None) -> LlrDensity:
-    """Mixture sum_i coeffs[i] * a^(i-1) (edge perspective) or a^i (node)."""
+def _poly_apply(coeffs, a: LlrDensity, conv, unit: LlrDensity, shift: int, squares=None) -> LlrDensity:
+    """Mixture sum_i coeffs[i] * a^(i - shift): shift 1 is the edge
+    perspective, 0 the node perspective.  Each degree's power is taken by
+    repeated squaring on one list of squarings of a (`squares` when given)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    nonzero = np.nonzero(coeffs)[0]
-    if nonzero.size == 1:
-        # regular polynomial: one power, computed by repeated squaring
-        deg = int(nonzero[0])
-        return _power(a, deg - 1 if edge else deg, conv, unit, squares)
-    parts, weights = [], []
-    power = unit if edge else conv(unit, a)  # degree-1 term
-    for i in range(1, coeffs.size):
-        if coeffs[i] > 0:
-            parts.append(power)
-            weights.append(coeffs[i])
-        if i + 1 < coeffs.size:
-            power = conv(power, a)
-    return mix(parts, np.asarray(weights) / sum(weights)) if len(parts) > 1 else parts[0]
+    degrees = np.flatnonzero(coeffs)
+    squares = [a] if squares is None else squares
+    parts = [_power(a, int(i) - shift, conv, unit, squares) for i in degrees]
+    weights = coeffs[degrees]
+    return mix(parts, weights / weights.sum()) if len(parts) > 1 else parts[0]
 
 
 def poly_vn(coeffs, a: LlrDensity, squares: list | None = None) -> LlrDensity:
     """Edge-perspective variable polynomial: sum_i coeffs[i] a^{*(i-1)}.
 
-    coeffs is indexed by degree (coeffs[0] unused and must be 0).  A regular
-    polynomial is one power_vn, which shares `squares` with other powers of a.
+    coeffs is indexed by degree (coeffs[0] must be 0).  Its powers share
+    `squares` with other powers of a.
     """
-    return _poly_apply(coeffs, a, conv_vn, delta_zero(a.grid), True, squares)
+    return _poly_apply(coeffs, a, conv_vn, delta_zero(a.grid), 1, squares)
 
 
 def poly_cn(coeffs, a: LlrDensity) -> LlrDensity:
     """Edge-perspective check polynomial: sum_i coeffs[i] a^{boxplus(i-1)}."""
-    return _poly_apply(coeffs, a, conv_cn, delta_inf(a.grid), True)
+    return _poly_apply(coeffs, a, conv_cn, delta_inf(a.grid), 1)
 
 
 def poly_vn_node(coeffs, a: LlrDensity, squares: list | None = None) -> LlrDensity:
     """Node-perspective polynomial sum_i coeffs[i] a^{*i}: a degree-i variable
     node aggregates all i of its check edges toward the function node."""
-    return _poly_apply(coeffs, a, conv_vn, delta_zero(a.grid), False, squares)
+    return _poly_apply(coeffs, a, conv_vn, delta_zero(a.grid), 0, squares)
 
 
 @cache

@@ -90,31 +90,27 @@ class CoupledSpec:
     """(l, r, L, w) spatially coupled ensemble.
 
     Variable positions run over [-L, L]; the w-wide smoothing window couples
-    neighbouring positions.  M (variables per position) only matters for the
-    finite Monte-Carlo instantiation.
+    neighbouring positions.  The size of a finite instance is not part of the
+    ensemble: `mcsim.build_coupled` takes it.
     """
 
     l: int
     r: int
     L: int
     w: int
-    M: int = 0
 
     def __post_init__(self):
         if self.l < 2 or self.r <= self.l:
             raise ValueError("need l >= 2 and r > l")
         if self.w < 1 or self.L < 1:
             raise ValueError("need w >= 1 and L >= 1")
-        if self.M and (self.l * self.M) % self.r != 0:
-            raise ValueError("l*M must be divisible by r")
 
     @property
     def n_positions(self) -> int:
         return 2 * self.L + 1
 
     def __str__(self):
-        s = f"coupled({self.l},{self.r},{self.L},{self.w}"
-        return s + (f",M={self.M})" if self.M else ")")
+        return f"coupled({self.l},{self.r},{self.L},{self.w})"
 
 
 def read_key_values(text: str, where: str = "line ") -> dict[str, str]:
@@ -133,29 +129,30 @@ def read_key_values(text: str, where: str = "line ") -> dict[str, str]:
     return fields
 
 
-def parse_ensemble_config(text: str):
-    """Parse the key-value ensemble file format.
+# the keys each kind of ensemble file takes besides `kind`
+_KEYS = {"regular": ("l", "r"), "irregular": ("lambda", "rho"), "coupled": ("l", "r", "L", "w")}
 
-    Fields: kind=regular|irregular|coupled, lambda=[...], rho=[...], l, r, L, w
-    (and optionally M).  Returns an EnsembleSpec or CoupledSpec.
+
+def parse_ensemble_config(text: str):
+    """Parse the key-value ensemble file format into an EnsembleSpec or
+    CoupledSpec: kind=regular with keys l, r; kind=irregular with lambda=[...]
+    and rho=[...], edge-perspective coefficients indexed by degree; or
+    kind=coupled with l, r, L, w.  A key the kind does not read raises
+    ValueError: the size of a simulated coupled graph is not part of the
+    ensemble but `simulate --m-per-position`.
     """
     fields = read_key_values(text)
-    kind = fields.get("kind")
-    if kind == "regular":
-        return regular(int(fields["l"]), int(fields["r"]))
+    kind = fields.pop("kind", None)
+    if kind not in _KEYS:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    unread = sorted(fields.keys() - set(_KEYS[kind]))
+    if unread:
+        hint = "; the coupled graph size is simulate --m-per-position" if "M" in unread else ""
+        raise ValueError(f"a {kind} ensemble takes no key {', '.join(map(repr, unread))}{hint}")
     if kind == "irregular":
-        lam = np.asarray(json.loads(fields["lambda"]), dtype=float)
-        rho = np.asarray(json.loads(fields["rho"]), dtype=float)
-        return EnsembleSpec(lam, rho)
-    if kind == "coupled":
-        return CoupledSpec(
-            l=int(fields["l"]),
-            r=int(fields["r"]),
-            L=int(fields["L"]),
-            w=int(fields["w"]),
-            M=int(fields.get("M", 0)),
-        )
-    raise ValueError(f"unknown ensemble kind {kind!r}")
+        return EnsembleSpec(*(np.asarray(json.loads(fields[k]), dtype=float) for k in _KEYS[kind]))
+    sizes = [int(fields[k]) for k in _KEYS[kind]]
+    return regular(*sizes) if kind == "regular" else CoupledSpec(*sizes)
 
 
 def named_ensemble(name: str):

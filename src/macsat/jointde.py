@@ -113,8 +113,8 @@ def _variable_side(ens: EnsembleSpec, a: LlrDensity, genie: bool):
     """(L(rho(a)), lambda(rho(a))) of one user: the density toward the
     function node, where a degree-i variable node forwards the sum of all i
     of its check messages (the +inf delta under the genie), and the product
-    of the check messages a variable node sends back on an edge.  On a regular
-    ensemble both are powers of rho(a) and share its squarings."""
+    of the check messages a variable node sends back on an edge.  Both take
+    their powers of rho(a) from one list of its squarings."""
     rho = poly_cn(ens.rho_coeffs, a)
     squares = [rho]
     vf = delta_inf(a.grid) if genie else poly_vn_node(ens.node_lambda, rho, squares)

@@ -72,20 +72,22 @@ def build_regular(n: int, l: int, r: int, seed: int) -> LdpcGraph:
     return LdpcGraph(n, m, edge_var, edge_check)
 
 
-def build_coupled(spec: CoupledSpec, seed: int) -> LdpcGraph:
-    """Coupled Tanner graph: M variables per position in [-L, L], (l/r)M
-    checks per position in [-L, L+w-1].
+def build_coupled(spec: CoupledSpec, m_per_position: int, seed: int) -> LdpcGraph:
+    """Coupled Tanner graph: M = `m_per_position` variables per position in
+    [-L, L], (l/r)M checks per position in [-L, L+w-1] (requires r | l*M).
 
     Each position's l*M variable stubs are split exactly evenly over the w
     check positions above it (requires w | l*M); within a check position the
     incoming stubs land on a uniform subset of the r*(l/r)M sockets, so bulk
     checks have degree exactly r and boundary checks are partially filled.
     """
-    l, r, L, w, m_per = spec.l, spec.r, spec.L, spec.w, spec.M
+    l, r, L, w, m_per = spec.l, spec.r, spec.L, spec.w, m_per_position
     if m_per <= 0:
-        raise ValueError("spec.M must be set for instantiation")
+        raise ValueError("M must be positive")
     if (l * m_per) % w != 0:
         raise ValueError("l*M must be divisible by w")
+    if (l * m_per) % r != 0:
+        raise ValueError("l*M must be divisible by r")
     rng = _rng_for(seed)
 
     n_pos = 2 * L + 1

@@ -205,6 +205,18 @@ class TestSimulateCommand:
         _, t2 = run_cli(args, tmp_path, "s2.jsonl")
         assert t1 == t2
 
+    def test_coupled_size_is_the_flag_not_an_ensemble_key(self, tmp_path, capsys):
+        ens = tmp_path / "c.ens"
+        ens.write_text("kind=coupled\nl=3\nr=6\nL=2\nw=2\nM=120\n")
+        args = ["simulate", "--ensemble", str(ens), "--alpha", "1.9", "--frames", "1", "--iters", "5"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "'M'" in err and "--m-per-position" in err and "Traceback" not in err
+        ens.write_text("kind=coupled\nl=3\nr=6\nL=2\nw=2\n")
+        code, text = run_cli(args + ["--m-per-position", "120"], tmp_path, "c.jsonl")
+        assert code == 0
+        assert json.loads(text.strip().splitlines()[-1].lstrip("# "))["n"] == 5 * 120
+
 
 class TestGexitCommand:
     def test_csv_columns(self, tmp_path):
@@ -376,6 +388,11 @@ class TestExitCodes:
             # the rays come as a count or as a list, not both
             ["capacity", "--rays", "4", "--ray-list", "1"],
             ["acpr", "--ray-list", "1", "--rays", "4"],
+            # a lattice is a positive size
+            ["gexit", "--lattice", "0"],
+            ["map-bound", "--lattice", "0"],
+            # the size of a coupled graph does not size an uncoupled one
+            ["simulate", "--alpha", "1.9", "--m-per-position", "60"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):
@@ -479,12 +496,13 @@ class TestExitCodes:
             (["capacity", "--ray-list", "1"], "output="),
             (["simulate", "--alpha", "1.9"], "summary_out="),
             (["coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3"], "profile_out="),
+            (["simulate", "--alpha", "1.9"], "m_per_position=60"),
         ],
         ids=[
             "threshold-tol", "map-bound-step", "simulate-mode", "threshold-genie",
             "threshold-prefix", "threshold-reserved", "capacity-ray-list", "gexit-alphas",
             "threshold-grid-bins", "capacity-rays-key", "acpr-ray-list-key", "capacity-output",
-            "simulate-summary-out", "coupled-threshold-profile-out",
+            "simulate-summary-out", "coupled-threshold-profile-out", "simulate-uncoupled-m",
         ],
     )
     def test_bad_config_value_is_config_error(self, argv, line, tmp_path, capsys):

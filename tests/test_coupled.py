@@ -308,6 +308,13 @@ class TestRun:
         assert fp.residual == np.inf
         assert all(d is fp.state.a_vec[0] for d in fp.state.a_vec + fp.state.b_vec)
 
+    @pytest.mark.parametrize("L, shared", [(6, True), (3, False)], ids=["longer-fold", "shorter-full-chain"])
+    def test_start_of_another_chain_length_rejected(self, tiny_grid, L, shared):
+        # a start of 2L'+1 positions is not a start of the 2L+1-position chain
+        start = zero_start(tiny_grid, CoupledSpec(3, 6, L, 2), shared)
+        with pytest.raises(ValueError, match="positions"):
+            coupled_run(ChannelPoint(1.5, 1.0), SPEC, tiny_grid, max_iters=1, start=start)
+
 
 @pytest.mark.slow
 class TestWaveStability:

@@ -415,6 +415,41 @@ class TestPolynomials:
         assert power_vn(a, 0).mass[tiny_grid.center] == 1.0
         assert power_cn(a, 0).mass_pos_inf == 1.0
 
+    @staticmethod
+    def _identical(x, y):
+        return np.array_equal(x.mass, y.mass) and (x.mass_pos_inf, x.mass_neg_inf) == (
+            y.mass_pos_inf,
+            y.mass_neg_inf,
+        )
+
+    def test_regular_profile_is_one_power(self, coarse_grid):
+        # every power of a density is taken by repeated squaring, so a
+        # regular profile is bit for bit the power of its one degree
+        rng = np.random.default_rng(15)
+        a = random_density(coarse_grid, rng, symmetric=True)
+        lam, rho = np.zeros(4), np.zeros(7)
+        lam[3] = rho[6] = 1.0
+        assert self._identical(poly_vn(lam, a), power_vn(a, 2))
+        assert self._identical(poly_vn_node(lam, a), power_vn(a, 3))
+        assert self._identical(poly_cn(rho, a), power_cn(a, 5))
+        assert self._identical(poly_vn(rho, a), power_vn(a, 5))
+        assert self._identical(poly_vn_node(rho, a), power_vn(a, 6))
+
+    def test_profile_with_gap_is_mix_of_powers(self, coarse_grid):
+        # degrees 2 and 4: each term is the power of its degree, not a running
+        # product over the degrees between (the clipped convolutions are not
+        # associative, so the two differ in the last bits)
+        rng = np.random.default_rng(16)
+        a = random_density(coarse_grid, rng, symmetric=True)
+        coeffs = np.array([0, 0, 0.3, 0, 0.7])
+        weights = coeffs[[2, 4]] / coeffs[[2, 4]].sum()
+        node = mix([power_vn(a, 2), power_vn(a, 4)], weights)
+        edge = mix([power_vn(a, 1), power_vn(a, 3)], weights)
+        check = mix([power_cn(a, 1), power_cn(a, 3)], weights)
+        assert self._identical(poly_vn_node(coeffs, a), node)
+        assert self._identical(poly_vn(coeffs, a), edge)
+        assert self._identical(poly_cn(coeffs, a), check)
+
 
 class TestFunctionals:
     def test_entropy_two_point(self, tiny_grid):

@@ -12,6 +12,7 @@ from macsat.ensembles import (
     read_key_values,
     regular,
 )
+from macsat.mcsim import build_coupled
 
 
 def exact_coupled_rate(l, r, L, w) -> Fraction:
@@ -87,8 +88,11 @@ class TestCoupledRate:
             CoupledSpec(1, 6, 4, 2)
         with pytest.raises(ValueError):
             CoupledSpec(3, 6, 0, 2)
-        with pytest.raises(ValueError):
-            CoupledSpec(3, 6, 4, 2, M=61)  # l*M not divisible by r
+        # the size of a finite instance is checked where the graph is built
+        with pytest.raises(ValueError, match="divisible by r"):
+            build_coupled(CoupledSpec(3, 6, 4, 3), 63, 0)  # l*M not divisible by r
+        with pytest.raises(ValueError, match="divisible by w"):
+            build_coupled(CoupledSpec(3, 6, 4, 4), 2, 0)  # l*M not divisible by w
 
 
 class TestConfig:
@@ -103,8 +107,23 @@ class TestConfig:
         np.testing.assert_allclose(ens.lambda_coeffs, [0, 0, 0.5, 0.5])
 
     def test_coupled(self):
-        spec = parse_ensemble_config("kind=coupled\nl=3\nr=6\nL=16\nw=2\nM=120\n")
-        assert spec == CoupledSpec(3, 6, 16, 2, M=120)
+        spec = parse_ensemble_config("kind=coupled\nl=3\nr=6\nL=16\nw=2\n")
+        assert spec == CoupledSpec(3, 6, 16, 2)
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("kind=regular\nl=3\nr=6\nL=16\n", "'L'"),
+            ("kind=irregular\nlambda=[0, 0, 0, 1]\nrho=[0, 0, 0, 0, 0, 0, 1]\nl=3\n", "'l'"),
+            ("kind=coupled\nl=3\nr=6\nL=16\nw=2\nlambda=[0, 0, 0, 1]\n", "'lambda'"),
+            # the graph size is not part of the ensemble
+            ("kind=coupled\nl=3\nr=6\nL=16\nw=2\nM=120\n", "'M'.*--m-per-position"),
+        ],
+        ids=["regular", "irregular", "coupled", "coupled-M"],
+    )
+    def test_unread_key_rejected(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            parse_ensemble_config(text)
 
     def test_errors_carry_line_info(self):
         with pytest.raises(ValueError, match="line 2"):

@@ -56,14 +56,14 @@ class TestGraphs:
         assert np.array_equal(g1.edge_check, g2.edge_check)
 
     def test_coupled_structure(self):
-        spec = CoupledSpec(3, 6, 4, 2, M=60)
-        g = build_coupled(spec, seed=3)
+        spec, M = CoupledSpec(3, 6, 4, 2), 60
+        g = build_coupled(spec, M, seed=3)
         assert g.n_vars == 9 * 60
         # 30 checks per position over [-L, L+w-1]
         assert g.n_checks == 10 * 30
         assert np.all(var_degrees(g) == 3)
         deg = check_degrees(g)
-        checks_per_pos = spec.l * spec.M // spec.r
+        checks_per_pos = spec.l * M // spec.r
         pos_of_check = np.arange(g.n_checks) // checks_per_pos - spec.L
         bulk = deg[(pos_of_check >= -3) & (pos_of_check <= 4)]
         assert np.all(bulk == 6)
@@ -74,11 +74,9 @@ class TestGraphs:
             assert cp - spec.w + 1 <= vp <= cp
 
     def test_coupled_rate_accounting(self):
-        spec = CoupledSpec(3, 6, 4, 2, M=240)
-        g = build_coupled(spec, seed=4)
-        assert design_rate_realized(g) == pytest.approx(
-            design_rate(spec), abs=3.0 / spec.M
-        )
+        spec, M = CoupledSpec(3, 6, 4, 2), 240
+        g = build_coupled(spec, M, seed=4)
+        assert design_rate_realized(g) == pytest.approx(design_rate(spec), abs=3.0 / M)
 
     @pytest.mark.parametrize("dups", [0, 1, 40])
     def test_duplicate_count_matches_unique(self, dups):
@@ -113,8 +111,8 @@ class TestGraphs:
         assert _count_duplicates(g.edge_var, g.edge_check, n) == survivors
 
     def test_matching_is_position_aligned_bijection(self):
-        spec = CoupledSpec(3, 6, 4, 2, M=60)
-        inst = build_joint(build_coupled(spec, 1), build_coupled(spec, 2), 3)
+        spec = CoupledSpec(3, 6, 4, 2)
+        inst = build_joint(build_coupled(spec, 60, 1), build_coupled(spec, 60, 2), 3)
         assert np.array_equal(np.sort(inst.matching), np.arange(inst.graph1.n_vars))
         np.testing.assert_array_equal(
             inst.graph1.var_pos, inst.graph2.var_pos[inst.matching]
@@ -123,7 +121,7 @@ class TestGraphs:
 
 def coupled_rank_298() -> LdpcGraph:
     # rank 298 of 300, with free columns before the last pivot
-    return build_coupled(CoupledSpec(3, 6, 4, 2, M=60), 3)
+    return build_coupled(CoupledSpec(3, 6, 4, 2), 60, 3)
 
 
 class TestEncoder:
@@ -298,8 +296,8 @@ class TestCoupledInstance:
         # alpha between the coupled (~1.26) and uncoupled (~1.69) thresholds:
         # the finite instance decodes and the wave footprint shows boundary
         # positions clearing before the center
-        spec = CoupledSpec(3, 6, 8, 2, M=600)
-        inst = build_joint(build_coupled(spec, 41), build_coupled(spec, 42), 43)
+        spec, M = CoupledSpec(3, 6, 8, 2), 600
+        inst = build_joint(build_coupled(spec, M, 41), build_coupled(spec, M, 42), 43)
         ch = ChannelPoint(1.5, 1.0)
         partial = positional_errors(inst, ch, max_iters=25, seed=44)
         full = positional_errors(inst, ch, max_iters=400, seed=44)
@@ -308,14 +306,12 @@ class TestCoupledInstance:
         ends = partial[:2].sum() + partial[-2:].sum()
         mid = partial[L - 1 : L + 2].sum()
         assert ends < mid
-        assert full.sum() <= spec.M * spec.n_positions * 5e-3
+        assert full.sum() <= M * spec.n_positions * 5e-3
 
     def test_rate_matches_realized_graph(self):
-        spec = CoupledSpec(3, 6, 8, 2, M=120)
-        g = build_coupled(spec, 7)
-        assert design_rate_realized(g) == pytest.approx(
-            design_rate(spec), abs=3.0 / spec.M
-        )
+        spec, M = CoupledSpec(3, 6, 8, 2), 120
+        g = build_coupled(spec, M, 7)
+        assert design_rate_realized(g) == pytest.approx(design_rate(spec), abs=3.0 / M)
 
 
 @pytest.mark.slow
