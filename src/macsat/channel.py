@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.special import ndtr, ndtri, roots_hermite
 
 from .densities import DensityGrid, LlrDensity, delta_zero, make_density
+
+# scipy is imported inside the few set-up functions that need it, none of
+# which runs once per DE iteration, so the Monte-Carlo decoder, which needs
+# only ChannelPoint and fn_llr from here, runs on numpy alone.
 
 PI1 = np.array([1.0, 1.0, -1.0, -1.0])
 PI2 = np.array([1.0, -1.0, 1.0, -1.0])
@@ -60,6 +62,8 @@ class ChannelPoint:
 @cache
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y and weights w such that E[f(Y)] ~ sum w f(mu + y) for Y ~ N(mu, 1)."""
+    from scipy.special import roots_hermite
+
     t, w = roots_hermite(order)
     return t * np.sqrt(2.0), w / np.sqrt(np.pi)
 
@@ -82,6 +86,8 @@ def _gaussian_strata():
     ~2^-FN_TAIL_STRATA / FN_CENTRAL_STRATA.  Returns (quantile nodes, exact
     masses).
     """
+    from scipy.special import ndtri
+
     base = 1.0 / FN_CENTRAL_STRATA
     tail = base * 2.0 ** (-np.arange(FN_TAIL_STRATA, 0, -1))
     lower = np.concatenate(([0.0], tail, np.arange(1, FN_CENTRAL_STRATA // 2 + 1) * base))
@@ -147,11 +153,14 @@ class FnOperator:
         # a threshold search from run to run; both sum in column order
         self.matrix = self._columns()
 
-    def _columns(self) -> csc_matrix:
-        """The operator assembled column block by column block into one
-        buffer pair.  A column holds at most one nonzero per output bin and
-        per (partner bit, stratum) pair; the buffers are sized for that worst
-        case, and the pages no block writes are never made resident."""
+    def _columns(self):
+        """The operator as a CSC matrix, assembled column block by column
+        block into one buffer pair.  A column holds at most one nonzero per
+        output bin and per (partner bit, stratum) pair; the buffers are sized
+        for that worst case, and the pages no block writes are never made
+        resident."""
+        from scipy.sparse import csc_matrix
+
         y_off, w = _gaussian_strata()
         half_w = 0.5 * w
         n = self.grid.n_bins
@@ -243,6 +252,8 @@ def bawgn_density(grid: DensityGrid, h: float) -> LlrDensity:
     Serves as the closed-form oracle for the h2 = 0 and known-partner
     reductions of the function node.
     """
+    from scipy.special import ndtr
+
     if h == 0.0:
         return delta_zero(grid)
     mean, sd = 2.0 * h * h, 2.0 * h

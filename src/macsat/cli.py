@@ -340,6 +340,8 @@ def cmd_simulate(args, digest: str) -> str:
     ch = ChannelPoint(args.alpha, args.ratio)
     try:
         if isinstance(ens, CoupledSpec):
+            if args.n is not None:
+                raise ConfigError("--n sizes an uncoupled ensemble; use --m-per-position")
             build = partial(build_coupled, ens, args.m_per_position or 60)
         elif args.m_per_position is not None:
             raise ConfigError("--m-per-position sizes a coupled ensemble; use --n")
@@ -348,7 +350,7 @@ def cmd_simulate(args, digest: str) -> str:
             rho = np.nonzero(ens.rho_coeffs)[0]
             if lam.size != 1 or rho.size != 1:
                 raise ConfigError("simulate supports regular ensembles")
-            build = partial(build_regular, args.n, int(lam[0]), int(rho[0]))
+            build = partial(build_regular, args.n or 20000, int(lam[0]), int(rho[0]))
         g1, g2 = build(args.seed), build(args.seed + 1)
     except ValueError as exc:
         raise ConfigError(f"cannot build the code graphs: {exc}") from exc
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-length joint BP Monte-Carlo")
     p.add_argument("--ensemble", default="reg36")
-    p.add_argument("--n", type=_positive_int, default=20000)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--m-per-position", type=_positive_int, default=None)
     p.add_argument("--alpha", type=_nonnegative, default=None)
     p.add_argument("--ratio", type=_nonnegative, default=1.0)

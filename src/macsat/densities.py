@@ -4,9 +4,11 @@ A density lives on a uniform grid of LLR bins plus two point masses at +/-inf.
 All densities are conditioned on the transmission of a +1, so a "good" density
 piles mass on positive LLRs and a perfectly decoded message is the delta at
 +inf.  Variable-node combining is ordinary addition of LLRs, a linear
-convolution done as a product of real FFTs at one fixed length per grid; each
-density transforms its masses at most once and keeps the spectrum, so a
-squaring or a density convolved again costs no further forward transform.
+convolution done as a product of numpy's real FFTs (the pocketfft kernels
+that scipy.fft runs, so the bits are fftconvolve's) at one fixed length per
+grid; each density transforms its masses at most once and keeps the
+spectrum, so a squaring or a density convolved again costs no further
+forward transform.
 Check-node combining is the box-plus rule 2*atanh(tanh(x/2)*tanh(y/2)), done
 exactly on the quantized grid via a precomputed output-bin table.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 LOG2E = 1.0 / np.log(2.0)
 
@@ -68,7 +70,11 @@ class DensityGrid:
     @cached_property
     def fft_len(self) -> int:
         """Real-FFT length of the variable-node convolution: the fast length
-        at or above the 4k+1 entries of a full linear convolution."""
+        at or above the 4k+1 entries of a full linear convolution.  scipy is
+        imported here, once per grid, so that code without density algebra
+        (the Monte-Carlo decoder) never loads it."""
+        from scipy.fft import next_fast_len
+
         return next_fast_len(4 * self.k_max + 1, real=True)
 
 

@@ -300,22 +300,39 @@ class TestConfigHash:
         assert texts[0] == texts[1]
 
 
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded in a fresh interpreter that ran `code`, so
+    that only what the package itself pulls in is seen."""
+    src = str(Path(macsat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 class TestImport:
-    def test_cli_import_leaves_out_scipy_signal(self):
-        # scipy.signal costs about a second and 45 MB in every process that
-        # imports macsat, each --jobs worker included; a fresh interpreter
-        # shows what the package itself pulls in
-        src = str(Path(macsat.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, macsat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "[]"
+    # scipy costs about 0.3 s and 20 MB in every process that loads it, each
+    # --jobs worker included; only the density algebra needs it
+
+    def test_cli_import_leaves_out_scipy(self):
+        assert scipy_modules_after("import macsat.cli") == []
+
+    def test_simulate_leaves_out_scipy(self):
+        argv = ["simulate", "--n", "600", "--frames", "2", "--alpha", "1.9", "--no-timestamp"]
+        assert scipy_modules_after(f"from macsat.cli import main; main({argv!r})") == []
+
+    def test_threshold_loads_scipy_on_use(self):
+        argv = ["threshold", "--grid-bins", "65", "--tol", "0.1", "--no-timestamp"]
+        loaded = scipy_modules_after(f"from macsat.cli import main; main({argv!r})")
+        assert "scipy.sparse" in loaded
+        # scipy.signal would add about a second and 45 MB more
+        assert not any(m.startswith("scipy.signal") for m in loaded)
 
 
 class TestExitCodes:
@@ -391,8 +408,10 @@ class TestExitCodes:
             # a lattice is a positive size
             ["gexit", "--lattice", "0"],
             ["map-bound", "--lattice", "0"],
-            # the size of a coupled graph does not size an uncoupled one
+            # the size of a coupled graph does not size an uncoupled one, nor
+            # the reverse
             ["simulate", "--alpha", "1.9", "--m-per-position", "60"],
+            ["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2", "--n", "600"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):
@@ -400,6 +419,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "invalid _" not in err  # argparse naming a private type function
+
+    def test_n_with_coupled_ensemble_names_its_size_flag(self, capsys):
+        argv = ["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2", "--n", "1200"]
+        assert main(argv) == 2
+        assert "--m-per-position" in capsys.readouterr().err
 
     # inputs that cannot be read and outputs that cannot be written; each
     # output is refused before any computation runs
@@ -497,12 +521,14 @@ class TestExitCodes:
             (["simulate", "--alpha", "1.9"], "summary_out="),
             (["coupled-threshold", "--ensemble", "3,6,4,2", "--profile-alpha", "1.3"], "profile_out="),
             (["simulate", "--alpha", "1.9"], "m_per_position=60"),
+            (["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2"], "n=600"),
         ],
         ids=[
             "threshold-tol", "map-bound-step", "simulate-mode", "threshold-genie",
             "threshold-prefix", "threshold-reserved", "capacity-ray-list", "gexit-alphas",
             "threshold-grid-bins", "capacity-rays-key", "acpr-ray-list-key", "capacity-output",
             "simulate-summary-out", "coupled-threshold-profile-out", "simulate-uncoupled-m",
+            "simulate-coupled-n",
         ],
     )
     def test_bad_config_value_is_config_error(self, argv, line, tmp_path, capsys):

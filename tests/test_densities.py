@@ -3,6 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
+from macsat import densities
 from macsat.cli import _grid, build_parser
 from macsat.densities import (
     BoxPlusTable,
@@ -158,18 +159,15 @@ class TestConvVnSpectrum:
         assert same_bits(conv_vn(fresh, b), conv_vn(a, b))
 
     def test_square_transforms_once(self, monkeypatch):
-        # count pocketfft's real forward transforms, the calls below any
-        # scipy.fft or scipy.signal entry point
-        from scipy.fft._pocketfft import pypocketfft
-
-        r2c = pypocketfft.r2c
+        # count the real forward transforms that densities calls
+        rfft = densities.rfft
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return r2c(*args, **kwargs)
+            return rfft(*args, **kwargs)
 
-        monkeypatch.setattr(pypocketfft, "r2c", counted)
+        monkeypatch.setattr(densities, "rfft", counted)
         grid = DensityGrid(bin_width=60.0 / 2048, half_range=30.0)
         a = random_density(grid, np.random.default_rng(5))
         power_vn(a, 2)
