@@ -135,13 +135,13 @@ class FnOperator:
     channel output is integrated over a stratified partition of its Gaussian
     law (exact stratum masses, one representative quantile each).  Each (partner bit, stratum)
     pair moves half the stratum's mass of a partner bin to one output bin, so
-    the transform is linear: a sparse n x (n+2) matrix that depends only on
-    (grid, h_t, h_p).  Its columns are the partner's finite bins, then +inf
-    and -inf; column j holds the summed weights that partner bin j sends to
-    each output bin, and sums to 1.  Each application is one sparse
+    the transform is linear: a sparse n x (n+1) matrix that depends only on
+    (grid, h_t, h_p).  Its columns are the partner's finite bins, then +inf;
+    column j holds the summed weights that partner bin j sends to each
+    output bin, and sums to 1.  Each application is one sparse
     matrix-vector product, and the partners of one coupled sweep share one
     sparse product (`apply` of a sequence).  Output LLRs are clipped into
-    the finite bins, so the result has no mass at +-inf.
+    the finite bins, so the result has no mass at +inf.
     """
 
     def __init__(self, grid: DensityGrid, h_target: float, h_partner: float):
@@ -171,18 +171,17 @@ class FnOperator:
         sign = np.array([1.0, -1.0])[:, None, None]
         y = h_t + sign * h_p + y_off[None, :, None]
 
-        size = (n + 2) * min(n, 2 * len(w))
+        size = (n + 1) * min(n, 2 * len(w))
         rows, vals = np.empty(size, np.int32), np.empty(size)  # column-major nonzeros
-        indptr = np.zeros(n + 3, np.int64)
+        indptr = np.zeros(n + 2, np.int64)
         for c0 in range(0, n, _FN_CHUNK):
             m = sign * z[None, None, c0 : c0 + _FN_CHUNK]  # sign-flipped when the partner sent -1
             self._add_columns(self._fold(fn_llr(y, m, h_t, h_p)), half_w, c0, rows, vals, indptr)
-        # partner messages at +inf and -inf meet the sign of the partner's bit
-        llr = 2.0 * h_t * np.concatenate((y - sign * h_p, y + sign * h_p), axis=2)
-        self._add_columns(self._fold(llr), half_w, n, rows, vals, indptr)
+        # a partner message at +inf meets the sign of the partner's bit
+        self._add_columns(self._fold(2.0 * h_t * (y - sign * h_p)), half_w, n, rows, vals, indptr)
 
         nnz = indptr[-1]
-        return csc_matrix((vals[:nnz], rows[:nnz], indptr), shape=(n, n + 2))
+        return csc_matrix((vals[:nnz], rows[:nnz], indptr), shape=(n, n + 1))
 
     def _fold(self, llr: np.ndarray) -> np.ndarray:
         """Nearest-bin indices, out-of-range values clipped to the extreme
@@ -213,10 +212,10 @@ class FnOperator:
         partners = (partner,) if single else partner
         if any(d.grid != self.grid for d in partners):
             raise ValueError("partner density on wrong grid")
-        x = np.empty((len(partners), self.grid.n_bins + 2))
+        x = np.empty((len(partners), self.grid.n_bins + 1))
         for row, d in zip(x, partners):
-            row[:-2] = d.mass
-            row[-2:] = d.mass_pos_inf, d.mass_neg_inf
+            row[:-1] = d.mass
+            row[-1] = d.mass_pos_inf
         out = self.matrix @ x.T
         results = [make_density(self.grid, col) for col in out.T]
         return results[0] if single else results

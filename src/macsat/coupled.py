@@ -183,9 +183,11 @@ class _Engine:
         return self
 
     def measure(self) -> tuple[float, float]:
-        """Mean entropy over the evolving positions, largest error probability."""
-        ds = [d for vec in self.vecs for d in vec]
-        return float(np.mean(_entropies(ds))), max(error_prob(d) for d in ds)
+        """Mean entropy over positions -L..L of both users, largest error
+        probability.  The fold takes each density's entropy once and reads it
+        at every position it stands for, so it halts as the full chain does."""
+        a, b = self.unfold([_entropies(vec) for vec in self.vecs])
+        return float(np.mean(a + b)), max(error_prob(d) for vec in self.vecs for d in vec)
 
     def full_state(self) -> CoupledState:
         return CoupledState(*self.unfold(self.vecs), self.spec.L)

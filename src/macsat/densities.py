@@ -1,14 +1,15 @@
 """Quantized LLR densities and the convolution algebra used by density evolution.
 
-A density lives on a uniform grid of LLR bins plus two point masses at +/-inf.
+A density lives on a uniform grid of LLR bins plus one point mass at +inf.
 All densities are conditioned on the transmission of a +1, so a "good" density
 piles mass on positive LLRs and a perfectly decoded message is the delta at
-+inf.  Variable-node combining is ordinary addition of LLRs, a linear
-convolution done as a product of numpy's real FFTs (the pocketfft kernels
-that scipy.fft runs, so the bits are fftconvolve's) at one fixed length per
-grid; each density transforms its masses at most once and keeps the
-spectrum, so a squaring or a density convolved again costs no further
-forward transform.
++inf.  DE carries only symmetric densities, a(-z) = e^-z a(z), and symmetry
+leaves no mass at -inf, so there is no point mass there.  Variable-node
+combining is ordinary addition of LLRs, a linear convolution done as a
+product of numpy's real FFTs (the pocketfft kernels that scipy.fft runs, so
+the bits are fftconvolve's) at one fixed length per grid; each density
+transforms its masses at most once and keeps the spectrum, so a squaring or
+a density convolved again costs no further forward transform.
 Check-node combining is the box-plus rule 2*atanh(tanh(x/2)*tanh(y/2)), done
 exactly on the quantized grid via a precomputed output-bin table.
 """
@@ -86,7 +87,7 @@ def default_grid() -> DensityGrid:
 
 @dataclass(frozen=True)
 class LlrDensity:
-    """Probability masses per LLR bin plus point masses at +/-inf.
+    """Probability masses per LLR bin plus a point mass at +inf.
 
     Instances are immutable values: the mass vector is frozen after
     construction and every operation returns a fresh density, so sweeps can
@@ -98,7 +99,6 @@ class LlrDensity:
     grid: DensityGrid
     mass: np.ndarray
     mass_pos_inf: float = 0.0
-    mass_neg_inf: float = 0.0
 
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=np.float64)
@@ -132,31 +132,33 @@ def make_density(
 
     Tiny negative entries from floating-point roundoff are clipped; the total
     is rescaled to exactly 1 provided it is already 1 within 1e-9 (anything
-    worse is a bug upstream, not roundoff).
+    worse is a bug upstream, not roundoff).  Mass given at -inf is clipped
+    into the lowest finite bin, as conv_vn clips its out-of-range mass.
     """
     mass = np.asarray(mass, dtype=np.float64)
     low = min(mass.min(initial=0.0), pos_inf, neg_inf)
     if low < -1e-9:
         raise ValueError(f"negative mass {low}")
     mass = np.maximum(mass, 0.0)
+    if neg_inf > 0.0:
+        mass[0] += neg_inf
     pos_inf = max(float(pos_inf), 0.0)
-    neg_inf = max(float(neg_inf), 0.0)
-    total = mass.sum() + pos_inf + neg_inf
+    total = mass.sum() + pos_inf
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"total mass {total} too far from 1")
-    return LlrDensity(grid, mass / total, pos_inf / total, neg_inf / total)
+    return LlrDensity(grid, mass / total, pos_inf / total)
 
 
 def delta_inf(grid: DensityGrid) -> LlrDensity:
     """All mass at +inf (perfect knowledge of a transmitted +1)."""
-    return LlrDensity(grid, np.zeros(grid.n_bins), 1.0, 0.0)
+    return LlrDensity(grid, np.zeros(grid.n_bins), 1.0)
 
 
 def delta_zero(grid: DensityGrid) -> LlrDensity:
     """All mass at LLR 0 (erasure / no knowledge)."""
     m = np.zeros(grid.n_bins)
     m[grid.center] = 1.0
-    return LlrDensity(grid, m, 0.0, 0.0)
+    return LlrDensity(grid, m)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +181,7 @@ def conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     LLR must stay finite so that later additions can still outweigh it
     (folding it to -inf would manufacture unrecoverable wrong-certainty and
     destabilize the coupled decoding wave, since the infinities are absorbing
-    under addition).  The true +/-inf point masses combine by saturation:
-    +inf absorbs any finite value and the measure-zero pairing of +inf with
-    -inf is resolved to the 0 bin.
+    under addition).  The +inf point mass absorbs any finite value.
     """
     _check_same_grid(a, b)
     if is_delta_zero(a):
@@ -203,10 +203,7 @@ def conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     a_fin = a.finite_mass
     b_fin = b.finite_mass
     pos = a.mass_pos_inf * (b_fin + b.mass_pos_inf) + b.mass_pos_inf * a_fin
-    neg = a.mass_neg_inf * (b_fin + b.mass_neg_inf) + b.mass_neg_inf * a_fin
-    core[k] += a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf
-
-    return make_density(g, core, pos, neg)
+    return make_density(g, core, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +373,13 @@ def conv_cn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     # anything box-plussed with an erasure is an erasure
     mass[c] = ms[0] + a0 + b0 - a0 * b0
 
-    # +inf is the identity, -inf reflects.  Without infinite mass these terms
-    # are exact zeros, and adding them changes no entry (none is -0.0: the
-    # bincount sums start at +0.0), so they are skipped.
-    if a.mass_pos_inf or a.mass_neg_inf or b.mass_pos_inf or b.mass_neg_inf:
+    # +inf is the identity.  Without infinite mass these terms are exact
+    # zeros, and adding them changes no entry (none is -0.0: the bincount
+    # sums start at +0.0), so they are skipped.
+    if a.mass_pos_inf or b.mass_pos_inf:
         mass += a.mass_pos_inf * fin_nz_b + b.mass_pos_inf * fin_nz_a
-        mass += a.mass_neg_inf * fin_nz_b[::-1] + b.mass_neg_inf * fin_nz_a[::-1]
 
-    pos = a.mass_pos_inf * b.mass_pos_inf + a.mass_neg_inf * b.mass_neg_inf
-    neg = a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf
-
-    return make_density(g, mass, pos, neg)
+    return make_density(g, mass, a.mass_pos_inf * b.mass_pos_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +399,11 @@ def mix(densities: list[LlrDensity], weights) -> LlrDensity:
         if d.grid != g:
             raise GridMismatchError("mixture over mismatched grids")
     mass = np.zeros(g.n_bins)
-    pos = neg = 0.0
+    pos = 0.0
     for wgt, d in zip(weights, densities):
         mass += wgt * d.mass
         pos += wgt * d.mass_pos_inf
-        neg += wgt * d.mass_neg_inf
-    return make_density(g, mass, pos, neg)
+    return make_density(g, mass, pos)
 
 
 def _power(a: LlrDensity, n: int, conv, unit: LlrDensity, squares: list | None) -> LlrDensity:
@@ -485,20 +477,16 @@ def _entropy_kernel(grid: DensityGrid) -> np.ndarray:
 def entropy(a: LlrDensity) -> float:
     """Entropy functional sum a(z) log2(1 + e^-z), in bits.
 
-    Equals H(X|Y) in [0, 1] for symmetric densities.  Mass at -inf was folded
-    from beyond -half_range, so it is charged the boundary kernel value.
+    Equals H(X|Y) in [0, 1] for symmetric densities; the +inf mass costs
+    nothing.
     """
-    kern = _entropy_kernel(a.grid)
-    h = float(a.mass @ kern)
-    if a.mass_neg_inf:
-        h += a.mass_neg_inf * float(np.logaddexp(0.0, a.grid.half_range) * LOG2E)
-    return h
+    return float(a.mass @ _entropy_kernel(a.grid))
 
 
 def error_prob(a: LlrDensity) -> float:
     """Probability of a sign error: negative mass plus half the 0-bin mass."""
     c = a.grid.center
-    return float(a.mass[:c].sum() + 0.5 * a.mass[c] + a.mass_neg_inf)
+    return float(a.mass[:c].sum() + 0.5 * a.mass[c])
 
 
 def symmetry_residual(a: LlrDensity) -> float:

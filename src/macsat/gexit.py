@@ -18,20 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelPoint, _logaddexp_into, gauss_hermite
-from .densities import DensityGrid, LlrDensity, default_grid
+from .densities import LOG2E, DensityGrid, LlrDensity, default_grid
 from .ensembles import CoupledSpec, EnsembleSpec, design_rate
 from .jointde import BRACKET_ALPHA_MAX, FixedPoint, de_runner
 
-LOG2E = 1.0 / np.log(2.0)
-INF_LLR = 1000.0  # sentinel LLR for the +/-inf point masses inside kernels
+INF_LLR = 1000.0  # sentinel LLR of the +/-inf lattice entries inside kernels
 
 KERNEL_ORDER = 129
 LATTICE_BINS_DEFAULT = 128  # coarse half-width of the (u, v) kernel lattice
 MAP_REFINE_TO = 1e-3  # map_bound_sweep stops once alpha_bar moves by less
 
 
-def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float, float]:
-    """Conservative rebinning of a fine-grid density onto the kernel lattice."""
+def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float]:
+    """Conservative rebinning of a fine-grid density onto the kernel
+    lattice: (finite masses, +inf mass)."""
     ratio = dens.grid.k_max / coarse.k_max
     if abs(ratio - round(ratio)) > 1e-9:
         raise ValueError("lattice size must divide the density grid")
@@ -39,7 +39,7 @@ def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float, fl
     k = np.arange(-dens.grid.k_max, dens.grid.k_max + 1)
     idx = np.rint(k / ratio).astype(np.int64) + coarse.k_max
     mass = np.bincount(idx, weights=dens.mass, minlength=coarse.n_bins)
-    return mass, dens.mass_pos_inf, dens.mass_neg_inf
+    return mass, dens.mass_pos_inf
 
 
 LATTICE_BLOCK_ENTRIES = 1 << 17  # softplus scratch per block of nodes: 1 MB
@@ -101,10 +101,12 @@ class KernelLattice:
     """kappa_x tabulated on a coarse (u, v) lattice for one channel point.
 
     The lattice is the density grid decimated to `bins` half-width plus two
-    sentinel rows/columns for the +/-inf point masses.  Per symbol the build
-    costs one softplus per lattice entry and Gauss-Hermite node, summed over
-    the nodes in blocks by a matrix product (`_symbol_kernel`); everything
-    else is 1-D in v.  Evaluating a fixed point is then a bilinear form, so
+    sentinel rows/columns at +inf and -inf.  A density has no -inf mass, so
+    its vector holds 0 there; the -inf entry is reached only through the
+    reflection R below, which moves the +inf mass into it.  Per symbol the
+    build costs one softplus per lattice entry and Gauss-Hermite node, summed
+    over the nodes in blocks by a matrix product (`_symbol_kernel`);
+    everything else is 1-D in v.  Evaluating a fixed point is then a bilinear form, so
     every fixed point at one channel (the 2L+1 positions of a coupled state)
     reuses the expensive part.
 
@@ -129,8 +131,8 @@ class KernelLattice:
         self.kappa1 = _symbol_kernel(1, vals, ch) if ch.slopes()[1] != 0.0 else None
 
     def _vector(self, dens: LlrDensity) -> np.ndarray:
-        mass, pinf, ninf = _rebin(dens, self.coarse)
-        return np.concatenate((mass, [pinf, ninf]))
+        mass, pinf = _rebin(dens, self.coarse)
+        return np.concatenate((mass, [pinf, 0.0]))
 
     def value(self, u_dens: LlrDensity, v_dens: LlrDensity) -> float:
         """BP-GEXIT value for extrinsic variable-to-function densities."""

@@ -18,7 +18,6 @@ from macsat.channel import PI1, PI2, ChannelPoint, FnOperator, _gaussian_strata,
 from macsat.densities import (
     DensityGrid,
     LlrDensity,
-    delta_inf,
     is_delta_inf,
     is_delta_zero,
     make_density,
@@ -94,25 +93,19 @@ class BandBoxPlusTable:
 
 
 def total_mass(dens: LlrDensity) -> float:
-    """All of a density's mass, the +-inf point masses included: 1 for every
+    """All of a density's mass, the +inf point mass included: 1 for every
     density the kernels produce."""
-    return float(dens.mass.sum() + dens.mass_pos_inf + dens.mass_neg_inf)
-
-
-def delta_neg_inf(grid: DensityGrid) -> LlrDensity:
-    """All mass at -inf (perfect knowledge of the wrong sign)."""
-    return LlrDensity(grid, np.zeros(grid.n_bins), 0.0, 1.0)
+    return float(dens.mass.sum() + dens.mass_pos_inf)
 
 
 def delta_at(grid: DensityGrid, llr: float) -> LlrDensity:
-    """Point mass at the bin nearest to `llr`."""
-    # no bin lies within reach of twice the half-range (nor of +-inf)
-    i = int(grid.llr_to_index(llr)) if abs(llr) < 2 * grid.half_range else -1
+    """Point mass at the bin nearest to `llr`, which must lie on the grid."""
+    i = int(grid.llr_to_index(llr))
     if not 0 <= i < grid.n_bins:
-        return delta_inf(grid) if llr > 0 else delta_neg_inf(grid)
+        raise ValueError(f"LLR {llr} lies off the grid")
     m = np.zeros(grid.n_bins)
     m[i] = 1.0
-    return LlrDensity(grid, m, 0.0, 0.0)
+    return LlrDensity(grid, m)
 
 
 def fftconvolve_conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
@@ -134,9 +127,7 @@ def fftconvolve_conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
     a_fin = float(a.mass.sum())
     b_fin = float(b.mass.sum())
     pos = a.mass_pos_inf * (b_fin + b.mass_pos_inf) + b.mass_pos_inf * a_fin
-    neg = a.mass_neg_inf * (b_fin + b.mass_neg_inf) + b.mass_neg_inf * a_fin
-    core[k] += a.mass_pos_inf * b.mass_neg_inf + a.mass_neg_inf * b.mass_pos_inf
-    return make_density(g, core, pos, neg)
+    return make_density(g, core, pos)
 
 
 def scatter_fn_apply(grid: DensityGrid, h_target: float, h_partner: float, partner: LlrDensity) -> LlrDensity:
@@ -165,11 +156,9 @@ def scatter_fn_apply(grid: DensityGrid, h_target: float, h_partner: float, partn
         )
         vals = half_w[:, None] * partner.mass[None, :]
         acc += np.bincount(fold(out).ravel(), weights=vals.ravel(), minlength=n)
-        # a partner message at +-inf meets the sign of the partner's bit
+        # a partner message at +inf meets the sign of the partner's bit
         at_pos = 2.0 * h_target * (y - s * h_partner)
-        at_neg = 2.0 * h_target * (y + s * h_partner)
         acc += np.bincount(fold(at_pos), weights=partner.mass_pos_inf * half_w, minlength=n)
-        acc += np.bincount(fold(at_neg), weights=partner.mass_neg_inf * half_w, minlength=n)
     return make_density(grid, acc)
 
 
@@ -291,15 +280,14 @@ def loop_kernel_lattice(ch: ChannelPoint, grid: DensityGrid, bins: int, order: i
 
 def four_symbol_value(kappa, coarse: DensityGrid, u_dens: LlrDensity, v_dens: LlrDensity) -> float:
     """GEXIT value as the average of the four per-symbol bilinear forms, each
-    density rebinned and reflected (finite bins reversed, +-inf swapped) where
-    the symbol's bit is -1."""
+    density rebinned and reflected (finite bins reversed, its +inf mass moved
+    to the -inf entry) where the symbol's bit is -1."""
 
     def vector(dens, reflect):
-        mass, pinf, ninf = _rebin(dens, coarse)
+        mass, pinf = _rebin(dens, coarse)
         if reflect:
-            mass = mass[::-1]
-            pinf, ninf = ninf, pinf
-        return np.concatenate((mass, [pinf, ninf]))
+            return np.concatenate((mass[::-1], [0.0, pinf]))
+        return np.concatenate((mass, [pinf, 0.0]))
 
     total = 0.0
     for x in range(4):
@@ -436,9 +424,7 @@ def de_mc_crosscheck(
     edges = (np.arange(grid.n_bins + 1) - grid.n_bins / 2.0) * grid.bin_width
     counts = np.histogram(np.clip(msgs, -LLR_CLIP + 1e-9, LLR_CLIP - 1e-9), bins=edges)[0]
     emp_cdf = np.concatenate(([0.0], np.cumsum(counts) / msgs.size))
-    de_cdf = np.concatenate(
-        ([de_density.mass_neg_inf], de_density.mass_neg_inf + np.cumsum(de_density.mass))
-    )
+    de_cdf = np.concatenate(([0.0], np.cumsum(de_density.mass)))
     distance = float(np.abs(emp_cdf - de_cdf).max())
     return {
         "kolmogorov": distance,

@@ -33,7 +33,6 @@ from macsat.jointde import threshold_alpha
 
 from conftest import random_density
 from oracles import (
-    delta_neg_inf,
     dp_dalpha,
     logaddexp_fn_llr,
     logaddexp_fn_operator,
@@ -43,9 +42,7 @@ from oracles import (
 
 
 def kolmogorov(a, b) -> float:
-    ca = np.concatenate(([a.mass_neg_inf], a.mass_neg_inf + np.cumsum(a.mass)))
-    cb = np.concatenate(([b.mass_neg_inf], b.mass_neg_inf + np.cumsum(b.mass)))
-    return float(np.abs(ca - cb).max())
+    return float(np.abs(np.cumsum(a.mass) - np.cumsum(b.mass)).max())
 
 
 class TestChannelDensity:
@@ -104,7 +101,7 @@ class TestFnTransform:
         # h = 0 carries no information: the 0-LLR delta, byte for byte
         got, ref = bawgn_density(tiny_grid, 0.0), delta_zero(tiny_grid)
         assert got.mass.tobytes() == ref.mass.tobytes()
-        assert (got.mass_pos_inf, got.mass_neg_inf) == (ref.mass_pos_inf, ref.mass_neg_inf)
+        assert got.mass_pos_inf == ref.mass_pos_inf
 
     def test_known_partner_reduces_to_bawgn(self, work_grid):
         # partner perfectly known: its contribution cancels exactly
@@ -125,7 +122,7 @@ class TestFnTransform:
         edges = (np.arange(work_grid.n_bins + 1) - work_grid.n_bins / 2) * work_grid.bin_width
         counts = np.histogram(np.clip(m, -29.99, 29.99), bins=edges)[0] / n
         emp = np.concatenate(([0.0], np.cumsum(counts)))
-        ref = np.concatenate(([out.mass_neg_inf], out.mass_neg_inf + np.cumsum(out.mass)))
+        ref = np.concatenate(([0.0], np.cumsum(out.mass)))
         assert np.abs(emp - ref).max() < 0.01
 
     def test_output_symmetric(self, work_grid):
@@ -172,7 +169,7 @@ class TestFnOperator:
         grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
         rng = np.random.default_rng(bins)
         partners = [random_density(grid, rng, inf_mass=0.3) for _ in range(2)]
-        partners += [delta_inf(grid), delta_neg_inf(grid)]
+        partners += [delta_inf(grid)]
         for ch in self.POINTS:
             for h_t, h_p in ((ch.h1, ch.h2), (ch.h2, ch.h1)):
                 op = FnOperator(grid, h_t, h_p)
@@ -180,26 +177,26 @@ class TestFnOperator:
                     got = op.apply(partner)
                     ref = scatter_fn_apply(grid, h_t, h_p, partner)
                     assert np.abs(got.mass - ref.mass).max() <= 1e-12 * np.abs(ref.mass).max()
-                    assert got.mass_pos_inf == got.mass_neg_inf == 0.0
+                    assert got.mass_pos_inf == 0.0
 
     @pytest.mark.parametrize("bins", [513, 2049])
     def test_batched_apply_matches_columns(self, bins):
-        # one sparse product for several partners, +-inf mass included, has
+        # one sparse product for several partners, +inf mass included, has
         # the bits of each partner's own matrix-vector product
         grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
         rng = np.random.default_rng(bins + 1)
         partners = [random_density(grid, rng, inf_mass=0.3) for _ in range(5)]
-        partners += [delta_inf(grid), delta_neg_inf(grid), delta_zero(grid)]
+        partners += [delta_inf(grid), delta_zero(grid)]
         for ch in self.POINTS:
             op = FnOperator(grid, ch.h2, ch.h1)
             batch = op.apply(partners)
             assert len(batch) == len(partners)
             for partner, got in zip(partners, batch):
-                x = np.concatenate((partner.mass, (partner.mass_pos_inf, partner.mass_neg_inf)))
+                x = np.append(partner.mass, partner.mass_pos_inf)
                 want = make_density(grid, op.matrix @ x)
                 for d in (got, op.apply(partner), op.apply([partner])[0]):
                     assert d.mass.tobytes() == want.mass.tobytes()
-                    assert d.mass_pos_inf == d.mass_neg_inf == 0.0
+                    assert d.mass_pos_inf == 0.0
 
     def test_apply_rejects_partner_on_other_grid(self, coarse_grid):
         op = FnOperator(coarse_grid, 1.0, 1.0)
@@ -211,7 +208,7 @@ class TestFnOperator:
         for ch in self.POINTS + (ChannelPoint(0.0, 1.0), ChannelPoint(2.5, 0.0)):
             for h_t, h_p in ((ch.h1, ch.h2), (ch.h2, ch.h1)):
                 op = FnOperator(coarse_grid, h_t, h_p)
-                assert op.matrix.shape == (coarse_grid.n_bins, coarse_grid.n_bins + 2)
+                assert op.matrix.shape == (coarse_grid.n_bins, coarse_grid.n_bins + 1)
                 col_sums = np.asarray(op.matrix.sum(axis=0)).ravel()
                 assert np.abs(col_sums - 1.0).max() <= 1e-14
 

@@ -79,6 +79,23 @@ class TestCapacityCommand:
         assert code == 3
 
 
+class TestMapBoundCommand:
+    def test_ray_list_matches_single_ray_bound(self, tmp_path):
+        # the ray sweep's point on A = 1 is the alpha_bar of the one-ray run
+        # (golden map_bound.json), on both axes
+        code, text = run_cli(
+            ["map-bound", "--ray-list", "1", "--grid-bins", "129", "--step", "0.1",
+             "--lattice", "16", "--no-timestamp"],
+            tmp_path,
+            "map.csv",
+        )  # fmt: skip
+        assert code == 0
+        lines = [l for l in text.splitlines() if l and not l.startswith("#")]
+        assert lines == ["h1,h2", "1.26443385,1.26443385"]
+        golden = json.loads((Path(__file__).parent / "golden" / "map_bound.json").read_text())
+        assert abs(float(lines[1].split(",")[0]) - golden["alpha_bar"]) <= 5e-7
+
+
 class TestConfigHandling:
     def test_config_file_fills_defaults(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -412,6 +429,8 @@ class TestExitCodes:
             # the reverse
             ["simulate", "--alpha", "1.9", "--m-per-position", "60"],
             ["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2", "--n", "600"],
+            # a rate pair is two numbers
+            ["capacity", "--rates", "0.5,x"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):

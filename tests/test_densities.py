@@ -31,7 +31,6 @@ from oracles import (
     BandBoxPlusTable,
     boxplus_scalar,
     delta_at,
-    delta_neg_inf,
     fftconvolve_conv_vn,
     total_mass,
 )
@@ -104,10 +103,6 @@ class TestConvVn:
         out = conv_vn(delta_inf(tiny_grid), a)
         assert out.mass_pos_inf == pytest.approx(1.0)
 
-    def test_pos_inf_meets_neg_inf_at_zero(self, tiny_grid):
-        out = conv_vn(delta_inf(tiny_grid), delta_neg_inf(tiny_grid))
-        assert out.mass[tiny_grid.center] == pytest.approx(1.0)
-
     def test_gaussian_sum_monte_carlo(self):
         # symmetric N(m, 2m) inputs: sum has mean m1+m2, variance 2(m1+m2)
         grid = DensityGrid(30 / 512, 30.0)
@@ -129,11 +124,7 @@ class TestConvVn:
 
 
 def same_bits(x, y) -> bool:
-    return (
-        x.mass.tobytes() == y.mass.tobytes()
-        and x.mass_pos_inf == y.mass_pos_inf
-        and x.mass_neg_inf == y.mass_neg_inf
-    )
+    return x.mass.tobytes() == y.mass.tobytes() and x.mass_pos_inf == y.mass_pos_inf
 
 
 class TestConvVnSpectrum:
@@ -147,15 +138,15 @@ class TestConvVnSpectrum:
         rng = np.random.default_rng(bins)
         a, b = random_density(grid, rng, inf_mass=0.2), random_density(grid, rng, inf_mass=0.2)
         ab = conv_vn(a, b)
-        d0, dinf, dneg = delta_zero(grid), delta_inf(grid), delta_neg_inf(grid)
+        d0, dinf = delta_zero(grid), delta_inf(grid)
         cases = [
             (a, b), (b, a), (a, a), (ab, a), (ab, ab),  # fresh and cached spectra
-            (d0, a), (a, d0), (dinf, dinf), (dinf, a), (a, dneg), (dinf, dneg),
+            (d0, a), (a, d0), (dinf, dinf), (dinf, a), (a, dinf),
         ]  # fmt: skip
         for x, y in cases:
             assert same_bits(conv_vn(x, y), fftconvolve_conv_vn(x, y))
         # a spectrum computed before a call is the one the call would compute
-        fresh = LlrDensity(grid, a.mass.copy(), a.mass_pos_inf, a.mass_neg_inf)
+        fresh = LlrDensity(grid, a.mass.copy(), a.mass_pos_inf)
         assert same_bits(conv_vn(fresh, b), conv_vn(a, b))
 
     def test_square_transforms_once(self, monkeypatch):
@@ -290,7 +281,7 @@ class TestSquaringPass:
     def test_conv_cn_square_matches_two_operands(self, grid):
         rng = np.random.default_rng(grid.n_bins + 1)
         a = random_density(grid, rng, inf_mass=0.2)
-        twin = LlrDensity(grid, a.mass.copy(), a.mass_pos_inf, a.mass_neg_inf)
+        twin = LlrDensity(grid, a.mass.copy(), a.mass_pos_inf)
         assert same_bits(conv_cn(a, a), conv_cn(a, twin))
 
     def test_power_cn_five_squares_twice(self, monkeypatch):
@@ -395,6 +386,17 @@ class TestPolynomials:
         ref = conv_vn(conv_vn(a, a), a)
         np.testing.assert_allclose(out.mass, ref.mass, atol=1e-12)
 
+    def test_neg_inf_mass_lands_on_lowest_bin(self, tiny_grid):
+        # a density has no -inf mass: make_density clips it into the lowest
+        # finite bin, which charges it the same entropy and sign error
+        mass = np.zeros(tiny_grid.n_bins)
+        mass[tiny_grid.center] = 0.5
+        d = make_density(tiny_grid, mass, 0.2, 0.3)
+        assert (d.mass[0], d.mass[tiny_grid.center], d.mass_pos_inf) == (0.3, 0.5, 0.2)
+        assert error_prob(d) == pytest.approx(0.3 + 0.25)
+        assert entropy(d) == pytest.approx(0.5 + 0.3 * np.log2(1 + np.exp(tiny_grid.half_range)))
+        assert mass[0] == 0.0  # the caller's array is left alone
+
     def test_unnormalized_rejected(self, tiny_grid):
         a = delta_zero(tiny_grid)
         # a defect of 1e-8 is beyond roundoff (the kernels stay below 1e-14)
@@ -415,10 +417,7 @@ class TestPolynomials:
 
     @staticmethod
     def _identical(x, y):
-        return np.array_equal(x.mass, y.mass) and (x.mass_pos_inf, x.mass_neg_inf) == (
-            y.mass_pos_inf,
-            y.mass_neg_inf,
-        )
+        return np.array_equal(x.mass, y.mass) and x.mass_pos_inf == y.mass_pos_inf
 
     def test_regular_profile_is_one_power(self, coarse_grid):
         # every power of a density is taken by repeated squaring, so a

@@ -46,7 +46,6 @@ class TestIteration:
             for want in (split.a, split.b):
                 assert np.array_equal(shared.a.mass, want.mass)
                 assert shared.a.mass_pos_inf == want.mass_pos_inf
-                assert shared.a.mass_neg_inf == want.mass_neg_inf
 
     @pytest.mark.parametrize("ratio,calls", [(1.0, 5), (0.8, 10)])
     def test_rho_squared_once_per_user(self, coarse_grid, monkeypatch, ratio, calls):
