@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .densities import DensityGrid, LlrDensity, delta_zero, make_density
+from .densities import DensityGrid, DensityRows, LlrDensity, delta_zero, make_density
 
 # scipy is imported inside the few set-up functions that need it, none of
 # which runs once per DE iteration, so the Monte-Carlo decoder, which needs
@@ -203,21 +203,24 @@ class FnOperator:
         vals[start : start + len(at)] = block[at]
         indptr[c0 + 1 : c0 + cols + 1] = start + np.searchsorted(at, np.arange(1, cols + 1) * n)
 
-    def apply(self, partner: LlrDensity | Sequence[LlrDensity]):
-        """The transform of one partner density, or of a sequence of them as a
-        list: one sparse product with a column per partner.  CSC sums each
-        column in the same order whatever the batch, so every result has the
-        bits of its own matrix-vector product."""
+    def apply(self, partner: LlrDensity | Sequence[LlrDensity] | DensityRows):
+        """The transform of one partner density, of a sequence of them as a
+        list, or of a stack of them as a stack: one sparse product with a
+        column per partner.  CSC sums each column in the same order whatever
+        the batch, so every result has the bits of its own matrix-vector
+        product."""
         single = isinstance(partner, LlrDensity)
-        partners = (partner,) if single else partner
-        if any(d.grid != self.grid for d in partners):
+        rows = partner if isinstance(partner, DensityRows) else DensityRows.of([partner] if single else partner)
+        if rows.grid != self.grid:
             raise ValueError("partner density on wrong grid")
-        x = np.empty((len(partners), self.grid.n_bins + 1))
-        for row, d in zip(x, partners):
-            row[:-1] = d.mass
-            row[-1] = d.mass_pos_inf
-        out = self.matrix @ x.T
-        results = [make_density(self.grid, col) for col in out.T]
+        x = np.empty((len(rows), self.grid.n_bins + 1))
+        x[:, :-1] = rows.mass
+        x[:, -1] = rows.pos
+        # each column normalized on its own, as a contiguous row
+        out = DensityRows.make(self.grid, np.ascontiguousarray((self.matrix @ x.T).T), np.zeros(len(rows)))
+        if isinstance(partner, DensityRows):
+            return out
+        results = [out.density(j) for j in range(len(out))]
         return results[0] if single else results
 
 
@@ -316,10 +319,13 @@ class InfeasibleRayError(RuntimeError):
 
 
 def bisect(holds, lo: float, hi: float, width: float) -> float:
-    """Midpoint of [lo, hi] once bisection has narrowed it to `width`;
+    """Midpoint of [lo, hi] once bisection has narrowed it to `width`, or
+    to adjacent doubles when `width` is finer than their spacing;
     holds(alpha) must be false at lo, true at hi and monotone in between."""
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if holds(mid):
             hi = mid
         else:

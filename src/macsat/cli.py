@@ -40,7 +40,7 @@ from .ensembles import (
     read_key_values,
 )
 from .gexit import KERNEL_ORDER, LATTICE_BINS_DEFAULT, MapBoundError, bp_gexit_curve
-from .gexit import map_bound_alpha, map_bound_sweep
+from .gexit import MAP_STEP_MIN, map_bound_alpha, map_bound_sweep
 from .jointde import BracketError, bp_threshold, threshold_alpha
 from .mcsim import build_coupled, build_joint, build_regular, simulate_joint
 
@@ -185,9 +185,12 @@ def _number(kind, noun: str, holds):
 
 # --ratio and the gains
 _nonnegative = _number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
-# --tol, --step and --half-range: a bisection or sweep with a zero or
-# negative step would never end
+# --tol and --half-range: a bisection with a zero or negative width would
+# never end (one finer than the doubles ends at adjacent doubles)
 _positive = _number(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+# map-bound --step: the sweep rounds each alpha to 12 decimals, so a smaller
+# step would never advance it
+_map_step = _number(float, f"a finite number >= {MAP_STEP_MIN:g}", lambda v: MAP_STEP_MIN <= v < math.inf)
 # the sizes and counts (--n, --frames, --rays, ...)
 _positive_int = _number(int, "an integer > 0", lambda v: v > 0)
 # --seed: the seeded generators' 64-bit keys hold it and the small offsets the
@@ -200,11 +203,14 @@ _ray_list = _number(
     "comma-separated finite ratios > 0",
     lambda rays: all(0 < r < math.inf for r in rays),
 )
-# --alphas lo:hi:step: a gain is nonnegative, so the grid starts at 0 or above
+# --alphas lo:hi:step: a gain is nonnegative, so the grid starts at 0 or
+# above; the grid is rounded to GEXIT_ALPHA_DECIMALS, so a finer step would
+# repeat samples
+GEXIT_ALPHA_DECIMALS = 10
 _alpha_range = _number(
     lambda text: tuple(float(t) for t in text.split(":")),
-    "finite lo:hi:step with 0 <= lo < hi and step > 0",
-    lambda g: len(g) == 3 and 0 <= g[0] < g[1] < math.inf and 0 < g[2] < math.inf,
+    f"finite lo:hi:step with 0 <= lo < hi and step >= 1e-{GEXIT_ALPHA_DECIMALS}",
+    lambda g: len(g) == 3 and 0 <= g[0] < g[1] < math.inf and 10.0**-GEXIT_ALPHA_DECIMALS <= g[2] < math.inf,
 )
 
 
@@ -288,7 +294,7 @@ def cmd_gexit(args, digest: str) -> str:
     grid = _grid(args)
     bins = _lattice(args, grid)
     lo, hi, step = args.alphas
-    alphas = list(np.round(np.arange(lo, hi + step / 2, step), 10))
+    alphas = list(np.round(np.arange(lo, hi + step / 2, step), GEXIT_ALPHA_DECIMALS))
     samples = bp_gexit_curve(ens, args.ratio, alphas, grid=grid, bins=bins)
     meta = {
         "ratio": args.ratio,
@@ -443,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="reg36")
     p.add_argument("--ratio", type=_nonnegative, default=1.0)
     p.add_argument("--ray-list", type=_ray_list, help="emit the MAP boundary over these rays as CSV")
-    p.add_argument("--step", type=_positive, default=0.01)
+    p.add_argument("--step", type=_map_step, default=0.01)
     p.add_argument("--lattice", type=_positive_int, default=LATTICE_BINS_DEFAULT)
     p.set_defaults(func=cmd_map_bound)
 

@@ -17,14 +17,19 @@ One engine runs the recursion over a fold of the chain: positions -L..L of
 both users or, on the symmetric ray (A = 1, equal codes, symmetric start),
 positions 0..L of user 1 read through p -> |p| with the user as its own
 partner, since b = a and a_{-i} = a_i hold there (the user-exchange
-reduction of uncoupled DE together with spatial mirror symmetry).  A sweep
-is staged: each user's check windows are box-plus'ed once, each position's
-(t_i, g) is formed once and read by both users' updates, the positions whose
-own g is not the +inf delta send their partner densities through the user's
-function node in one batched apply, and each finishes with the product with
-g and the freeze.  A window of +inf deltas, and a position whose own g is
-the +inf delta (the decoded region behind the wave), yield the +inf delta
-without a box-plus or a function-node column.  The engine keeps no memo:
+reduction of uncoupled DE together with spatial mirror symmetry).  Each
+user's fold is one stack of densities (`densities.DensityRows`), and since
+the recursion is Jacobi each stage of a sweep is one array operation over
+all positions: the check-window averages are one weighted sum over an index
+map of the fold and its termination, the live windows are box-plus'ed
+together (the magnitude passes one row at a time), each position's (t_i, g)
+is formed once and read by both users' updates, the positions whose own g
+is not the +inf delta send their partner densities through the user's
+function node in one batched apply, and the product with g and the freeze
+finish them; every transform is one FFT along the positions.  A window of
++inf deltas, and a position whose own g is the +inf delta (the decoded
+region behind the wave), yield the +inf delta through a row mask, without a
+box-plus, a transform or a function-node column.  The engine keeps no memo:
 a live density changes from each sweep to the next until it freezes, so a
 sweep has nothing to reuse.
 The GEXIT extrinsic profile takes its window averages t_i from the same
@@ -41,16 +46,13 @@ import numpy as np
 from .channel import ChannelPoint, fn_operator
 from .densities import (
     DensityGrid,
-    LlrDensity,
-    conv_vn,
+    DensityRows,
+    conv_vn_rows,
     delta_inf,
     delta_zero,
-    entropy,
-    error_prob,
-    is_delta_inf,
-    mix,
-    power_cn,
-    power_vn,
+    mix_rows,
+    power_cn_rows,
+    power_vn_rows,
 )
 from .ensembles import CoupledSpec
 from .jointde import FixedPoint, run_to_halt
@@ -76,8 +78,8 @@ class CoupledState:
         (Gamma = t_i^{*l} of each window), the input of the position-averaged
         GEXIT value."""
         eng = _Engine(spec, self)
-        gammas = [tuple(power_vn(t, spec.l) for t in eng.inners(u)) for u in range(len(eng.vecs))]
-        return list(zip(*eng.unfold(gammas)))
+        gammas = [power_vn_rows(eng.inners(u), spec.l) for u in range(len(eng.rows))]
+        return list(zip(*eng.unfold([[g.density(j) for j in range(len(g))] for g in gammas])))
 
 
 def _is_symmetric_state(st: CoupledState) -> bool:
@@ -88,18 +90,24 @@ def _is_symmetric_state(st: CoupledState) -> bool:
 
 
 class _Engine:
-    """The coupled recursion over one fold of the chain, as a staged sweep.
+    """The coupled recursion over one fold of the chain, as a staged sweep on
+    position-stacked arrays.
 
-    `vecs` holds one tuple of densities per evolving user over positions
-    lo..L: -L..L of both users, or 0..L of user 1 on the symmetric fold,
-    where positions are read through p -> |p| and user 1 is its own partner.
-    The symmetric fold serves a start whose users and mirror positions share
+    `rows` holds one DensityRows per evolving user over positions lo..L:
+    -L..L of both users, or 0..L of user 1 on the symmetric fold, where
+    positions are read through p -> |p| and user 1 is its own partner.  The
+    symmetric fold serves a start whose users and mirror positions share
     their density objects, on the symmetric ray; without a channel point the
     engine only reads windows (no updates), so the start alone decides.
-    A sweep box-plus'es each user's check windows once, forms each user's
-    (t_i, g) once per position, sends the positions whose own g is not the
-    +inf delta through the user's function node in one batched apply, and
-    finishes them one by one.
+    Each stage of a sweep is one operation over all positions of a user:
+    the check-window averages are one weighted sum over an index map of the
+    fold and its termination (a +inf-delta row), the live windows are
+    box-plus'ed together, (t_i, g) is formed once per position, the
+    positions whose own g is not the +inf delta send their partner densities
+    through the user's function node in one batched apply, and the product
+    with g and the freeze finish them.  Rows the density operations answer
+    by an early return (+inf-delta windows and positions, the 0-LLR deltas
+    of the start) never reach a transform or a magnitude pass.
     """
 
     def __init__(self, spec: CoupledSpec, start: CoupledState, ch=None):
@@ -108,55 +116,80 @@ class _Engine:
         grid = start.a_vec[0].grid
         self.symmetric = _is_symmetric_state(start) and (ch is None or ch.ratio == 1.0)
         self.spec = spec
+        self.grid = grid
         self.dinf = delta_inf(grid)
         users = (1,) if self.symmetric else (1, 2)
         # fns[u]: the function-node operator toward user u
         self.fns = () if ch is None else tuple(fn_operator(grid, u, ch) for u in users)
-        self.lo = 0 if self.symmetric else -spec.L
-        self.positions = range(self.lo, spec.L + 1)
-        self.vecs = [start.a_vec[spec.L :]] if self.symmetric else [start.a_vec, start.b_vec]
+        L, w = spec.L, spec.w
+        self.lo = 0 if self.symmetric else -L
+        self.positions = range(self.lo, L + 1)
+        self._vecs = [start.a_vec[L:]] if self.symmetric else [start.a_vec, start.b_vec]
+        self.rows = [DensityRows.of(vec) for vec in self._vecs]
+        self._inert = None  # rows that are the +inf delta object, once a sweep ran
         self.partner = (0,) if self.symmetric else (1, 0)
-        self._weights = np.full(spec.w, 1.0 / spec.w)
+        self._weights = np.full(w, 1.0 / w)
+        # check window c in [lo, L + w - 1], slot j: the row of position
+        # c - w + 1 + j, or the termination row n outside the chain
+        n = len(self.positions)
+        p = np.arange(self.lo, L + w)[:, None] + np.arange(1 - w, 1)
+        if self.symmetric:
+            p = np.abs(p)
+        self._checks = np.where((self.lo <= p) & (p <= L), p - self.lo, n)
+        self._inner = np.arange(n)[:, None] + np.arange(w)  # position j: windows j..j+w-1
 
-    def _at(self, vec, p: int) -> LlrDensity:
+    def _at(self, vec, p: int):
         if self.symmetric:
             p = abs(p)
         return vec[p - self.lo] if self.lo <= p <= self.spec.L else self.dinf
 
     def unfold(self, vecs) -> tuple:
-        """(a, b) over positions -L..L from per-user lists over the fold; on
-        the symmetric fold both are user 1's chain."""
+        """(a, b) over positions -L..L from per-user sequences over the fold;
+        on the symmetric fold both are user 1's chain."""
         L = self.spec.L
         full = [tuple(self._at(vec, p) for p in range(-L, L + 1)) for vec in vecs]
         return full[0], full[-1]
 
-    def _average(self, xs: list) -> LlrDensity:
-        """The uniform mixture of a window of densities; the +inf delta when
-        all of them are (their mixture normalizes to it exactly)."""
-        return self.dinf if all(map(is_delta_inf, xs)) else mix(xs, self._weights)
+    @property
+    def vecs(self) -> list:
+        """One tuple of densities per evolving user over the fold; a row a
+        sweep left at the +inf delta is the engine's one +inf delta."""
+        if self._vecs is None:
+            self._vecs = [
+                tuple(self.dinf if inert[j] else rows.density(j) for j in range(len(rows)))
+                for rows, inert in zip(self.rows, self._inert)
+            ]
+        return self._vecs
 
-    def inners(self, u: int) -> list:
+    def _average(self, rows: DensityRows, index: np.ndarray) -> DensityRows:
+        """Row r is the uniform mixture of rows index[r]; the +inf delta when
+        all of them are (their mixture normalizes to it exactly)."""
+        out = DensityRows.delta_inf(self.grid, len(index))
+        live = ~rows.inf[index].all(axis=1)
+        return out.put(live, mix_rows(rows, index[live], self._weights)) if live.any() else out
+
+    def inners(self, u: int) -> DensityRows:
         """The window averages t_i of user u over the evolving positions.
 
         Each check window c in [lo, L + w - 1] is box-plus'ed once; a window
         of +inf deltas gives the +inf delta, which box-plus keeps."""
-        w = self.spec.w
-        zs = []
-        for c in range(self.lo, self.spec.L + w):
-            x = self._average([self._at(self.vecs[u], p) for p in range(c - w + 1, c + 1)])
-            zs.append(x if x is self.dinf else power_cn(x, self.spec.r - 1))
-        return [self._average(zs[j : j + w]) for j in range(len(self.positions))]
+        rows = self.rows[u]
+        ends = DensityRows(self.grid, np.vstack((rows.mass, np.zeros(self.grid.n_bins))), np.append(rows.pos, 1.0))
+        x = self._average(ends, self._checks)
+        live = ~x.inf
+        z = x.put(live, power_cn_rows(x.take(live), self.spec.r - 1)) if live.any() else x
+        return self._average(z, self._inner)
 
-    def update_position(self, u: int, i: int, branches: list) -> LlrDensity | None:
-        """The first phase of the update of user u at position i, given each
-        user's (t, g) per position: the partner's variable-to-function
-        density conv_vn(g_par, t_par), or None when the own g is the +inf
-        delta.  The update is then the frozen +inf delta: conv_vn with a g
+    def update_position(self, u: int, branches: list) -> tuple:
+        """The first phase of the stage of user u, given each user's (t, g):
+        the rows whose own g is not the +inf delta, and at those rows the
+        partner's variable-to-function density conv_vn(g_par, t_par).  At
+        the other rows the update is the frozen +inf delta: conv_vn with a g
         of no finite mass leaves none."""
-        j = i - self.lo
-        _, g_own = branches[u][j]
-        t_par, g_par = branches[self.partner[u]][j]  # on the symmetric fold, the own pair
-        return None if is_delta_inf(g_own) else conv_vn(g_par, t_par)
+        _, g_own = branches[u]
+        t_par, g_par = branches[self.partner[u]]  # on the symmetric fold, the own pair
+        live = ~g_own.inf
+        return live, conv_vn_rows(g_par, t_par, where=live)
 
     def iterate(self) -> "_Engine":
         """One Jacobi sweep in place; returns self, the state run_to_halt steps.
@@ -165,36 +198,33 @@ class _Engine:
         one batched apply, then take the product with g_own and the freeze
         to the +inf delta once the error probability falls below
         FREEZE_ERROR_PROB."""
-        branches = [
-            [(t, t if t is self.dinf else power_vn(t, self.spec.l - 1)) for t in self.inners(u)]
-            for u in range(len(self.vecs))
-        ]
-        vecs = []
+        branches = []
+        for u in range(len(self.rows)):
+            t = self.inners(u)
+            branches.append((t, power_vn_rows(t, self.spec.l - 1)))
+        rows, inert = [], []
         for u, fn in enumerate(self.fns):
-            vfs = [self.update_position(u, i, branches) for i in self.positions]
-            live = [j for j, vf in enumerate(vfs) if vf is not None]
-            vec = [self.dinf] * len(vfs)
-            if live:
-                for j, fn_out in zip(live, fn.apply([vfs[j] for j in live])):
-                    out = conv_vn(fn_out, branches[u][j][1])
-                    vec[j] = self.dinf if error_prob(out) < FREEZE_ERROR_PROB else out
-            vecs.append(tuple(vec))
-        self.vecs = vecs
+            live, vf = self.update_position(u, branches)
+            out = DensityRows.delta_inf(self.grid, len(live))
+            if live.any():
+                fn_out = out.put(live, fn.apply(vf.take(live)))
+                out = conv_vn_rows(fn_out, branches[u][1], where=live)
+                live &= ~(out.error_probs() < FREEZE_ERROR_PROB)
+                out.mass[~live], out.pos[~live] = 0.0, 1.0
+            rows.append(out)
+            inert.append(~live)
+        self.rows, self._inert, self._vecs = rows, inert, None
         return self
 
     def measure(self) -> tuple[float, float]:
         """Mean entropy over positions -L..L of both users, largest error
-        probability.  The fold takes each density's entropy once and reads it
-        at every position it stands for, so it halts as the full chain does."""
-        a, b = self.unfold([_entropies(vec) for vec in self.vecs])
-        return float(np.mean(a + b)), max(error_prob(d) for vec in self.vecs for d in vec)
+        probability.  The fold takes each row's entropy once and reads it at
+        every position it stands for, so it halts as the full chain does."""
+        a, b = self.unfold([rows.entropies() for rows in self.rows])
+        return float(np.mean(a + b)), max(float(rows.error_probs().max()) for rows in self.rows)
 
     def full_state(self) -> CoupledState:
         return CoupledState(*self.unfold(self.vecs), self.spec.L)
-
-
-def _entropies(vec) -> np.ndarray:
-    return np.array([entropy(d) for d in vec])
 
 
 def coupled_run(
@@ -223,8 +253,8 @@ def coupled_run(
     if profile is not None:
 
         def observe(iteration, eng):
-            full = eng.full_state()
-            profile(iteration, _entropies(full.a_vec), _entropies(full.b_vec))
+            a, b = eng.unfold([rows.entropies() for rows in eng.rows])
+            profile(iteration, np.array(a), np.array(b))
 
     _, residual, halt, iterations = run_to_halt(
         engine, _Engine.iterate, _Engine.measure, max_iters, observe

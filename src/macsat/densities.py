@@ -12,6 +12,9 @@ transforms its masses at most once and keeps the spectrum, so a squaring or
 a density convolved again costs no further forward transform.
 Check-node combining is the box-plus rule 2*atanh(tanh(x/2)*tanh(y/2)), done
 exactly on the quantized grid via a precomputed output-bin table.
+The arithmetic of make_density, conv_vn, conv_cn and mix runs over the last
+axis, so `DensityRows`, a stack of densities one per row, runs the same ops
+on all rows at once with the same bits (coupled DE stacks its positions).
 """
 
 from __future__ import annotations
@@ -136,17 +139,29 @@ def make_density(
     into the lowest finite bin, as conv_vn clips its out-of-range mass.
     """
     mass = np.asarray(mass, dtype=np.float64)
-    low = min(mass.min(initial=0.0), pos_inf, neg_inf)
+    if neg_inf > 0.0:
+        if mass.min(initial=0.0) < -1e-9:
+            raise ValueError(f"negative mass {mass.min()}")
+        mass = np.maximum(mass, 0.0)
+        mass[0] += neg_inf
+    elif neg_inf < -1e-9:
+        raise ValueError(f"negative mass {neg_inf}")
+    return LlrDensity(grid, *_normalized(mass, float(pos_inf)))
+
+
+def _normalized(mass: np.ndarray, pos):
+    """make_density's arithmetic over the last axis: (masses, +inf masses)
+    of one density (a float pos) or of a stack of them (pos one per row)."""
+    rows = np.ndim(pos)
+    low = min(mass.min(initial=0.0), pos.min(initial=0.0) if rows else pos)
     if low < -1e-9:
         raise ValueError(f"negative mass {low}")
     mass = np.maximum(mass, 0.0)
-    if neg_inf > 0.0:
-        mass[0] += neg_inf
-    pos_inf = max(float(pos_inf), 0.0)
-    total = mass.sum() + pos_inf
-    if abs(total - 1.0) > 1e-9:
+    pos = np.maximum(pos, 0.0) if rows else max(pos, 0.0)
+    total = mass.sum(axis=-1) + pos
+    if (np.abs(total - 1.0).max(initial=0.0) if rows else abs(total - 1.0)) > 1e-9:
         raise ValueError(f"total mass {total} too far from 1")
-    return LlrDensity(grid, mass / total, pos_inf / total)
+    return mass / (total[:, None] if rows else total), pos / total
 
 
 def delta_inf(grid: DensityGrid) -> LlrDensity:
@@ -159,6 +174,154 @@ def delta_zero(grid: DensityGrid) -> LlrDensity:
     m = np.zeros(grid.n_bins)
     m[grid.center] = 1.0
     return LlrDensity(grid, m)
+
+
+class DensityRows:
+    """A stack of densities on one grid, one per row: masses (P, n) and +inf
+    masses (P,).  The stacked operations below run the arithmetic of the
+    one-density ones over all rows at once, with that arithmetic's bits; a
+    row the one-density operation answers by an early return takes that
+    operand's row through a mask.  The spectra of the rows a variable-node
+    convolution reads are taken on first use, in one transform, and kept."""
+
+    def __init__(self, grid: DensityGrid, mass: np.ndarray, pos: np.ndarray):
+        self.grid = grid
+        self.mass = mass
+        self.pos = pos
+        self._spectrum = None
+        self._has_spectrum = np.zeros(len(pos), dtype=bool)
+
+    @classmethod
+    def of(cls, densities) -> "DensityRows":
+        grid = densities[0].grid
+        if any(d.grid != grid for d in densities):
+            raise GridMismatchError("stack over mismatched grids")
+        return cls(grid, np.array([d.mass for d in densities]), np.array([float(d.mass_pos_inf) for d in densities]))
+
+    @classmethod
+    def make(cls, grid: DensityGrid, mass: np.ndarray, pos: np.ndarray) -> "DensityRows":
+        """make_density row by row: clip, check and rescale each row."""
+        return cls(grid, *_normalized(mass, pos))
+
+    @classmethod
+    def delta_inf(cls, grid: DensityGrid, rows: int) -> "DensityRows":
+        return cls(grid, np.zeros((rows, grid.n_bins)), np.ones(rows))
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    @property
+    def inf(self) -> np.ndarray:
+        """Rows that are the +inf delta (is_delta_inf)."""
+        return self.pos == 1.0
+
+    @property
+    def zero(self) -> np.ndarray:
+        """Rows that are the 0-LLR delta (is_delta_zero)."""
+        return self.mass[:, self.grid.center] == 1.0
+
+    def take(self, rows) -> "DensityRows":
+        return DensityRows(self.grid, self.mass[rows], self.pos[rows])
+
+    def put(self, rows, src: "DensityRows") -> "DensityRows":
+        """A copy with the given rows replaced by those of src."""
+        mass, pos = self.mass.copy(), self.pos.copy()
+        mass[rows], pos[rows] = src.mass, src.pos
+        return DensityRows(self.grid, mass, pos)
+
+    def density(self, i: int) -> LlrDensity:
+        return LlrDensity(self.grid, self.mass[i], self.pos[i])
+
+    def spectrum(self, rows: np.ndarray) -> np.ndarray:
+        need = rows & ~self._has_spectrum
+        if need.any():
+            if self._spectrum is None:
+                self._spectrum = np.empty((len(self), self.grid.fft_len // 2 + 1), dtype=complex)
+            self._spectrum[need] = rfft(self.mass[need], self.grid.fft_len)
+            self._has_spectrum |= need
+        return self._spectrum[rows]
+
+    def entropies(self) -> np.ndarray:
+        """entropy of each row, one dot product per row as entropy takes it."""
+        kernel = _entropy_kernel(self.grid)
+        return np.array([m @ kernel for m in self.mass])
+
+    def error_probs(self) -> np.ndarray:
+        c = self.grid.center
+        return self.mass[:, :c].sum(axis=-1) + 0.5 * self.mass[:, c]
+
+
+def _combine_rows(a: DensityRows, b: DensityRows, take_a, take_b, where, arithmetic) -> DensityRows:
+    """Rows of a two-operand operation: rows outside `where` are the +inf
+    delta, take_a and take_b rows (the early returns) copy that operand's
+    row, and the rest come from arithmetic(rows) -> (masses, +inf masses)."""
+    mass, pos = np.zeros(a.mass.shape), np.ones(len(a))
+    for take, src in ((take_a & where, a), (take_b & where, b)):
+        mass[take], pos[take] = src.mass[take], src.pos[take]
+    live = where & ~take_a & ~take_b
+    if live.any():
+        mass[live], pos[live] = arithmetic(live)
+    return DensityRows(a.grid, mass, pos)
+
+
+def conv_vn_rows(a: DensityRows, b: DensityRows, where=None) -> DensityRows:
+    """conv_vn of each row pair; rows outside `where` (by default there are
+    none) are not combined and come back as the +inf delta."""
+    where = np.ones(len(a), dtype=bool) if where is None else where
+    a_zero, b_zero = a.zero, b.zero
+
+    def arithmetic(live):
+        return _vn_rows(
+            a.grid, a.spectrum(live), b.spectrum(live),
+            a.mass[live].sum(axis=-1), a.pos[live], b.mass[live].sum(axis=-1), b.pos[live],
+        )  # fmt: skip
+
+    return _combine_rows(a, b, ~a_zero & (b_zero | (a.inf & b.inf)), a_zero, where, arithmetic)
+
+
+def conv_cn_rows(a: DensityRows, b: DensityRows) -> DensityRows:
+    """conv_cn of each row pair; `b is a` squares every row."""
+    a_inf, b_inf = a.inf, b.inf
+    a_zero, b_zero = a.zero, b.zero
+
+    def arithmetic(live):
+        return _cn_rows(a.grid, a.mass[live], a.pos[live], b.mass[live], b.pos[live], b is a)
+
+    take_b = a_inf | (~b_inf & ~a_zero & b_zero)
+    return _combine_rows(a, b, ~a_inf & (b_inf | a_zero), take_b, np.ones(len(a), dtype=bool), arithmetic)
+
+
+def mix_rows(rows: DensityRows, index: np.ndarray, weights) -> DensityRows:
+    """Row r is mix([row index[r, j] for j], weights), summed in mix's order."""
+    return DensityRows(
+        rows.grid, *_mix_rows([rows.mass[col] for col in index.T], [rows.pos[col] for col in index.T], weights)
+    )
+
+
+def _power_rows(a: DensityRows, n: int, conv) -> DensityRows:
+    """_power over rows for n >= 1, without the unit: the unit's combine
+    with the first factor is an early return of that factor."""
+    if n < 1:
+        raise ValueError("stacked powers start at 1")
+    squares = [a]
+    result = None
+    k = 0
+    while n:
+        if k == len(squares):
+            squares.append(conv(squares[-1], squares[-1]))
+        if n & 1:
+            result = squares[k] if result is None else conv(result, squares[k])
+        n >>= 1
+        k += 1
+    return result
+
+
+def power_vn_rows(a: DensityRows, n: int) -> DensityRows:
+    return _power_rows(a, n, conv_vn_rows)
+
+
+def power_cn_rows(a: DensityRows, n: int) -> DensityRows:
+    return _power_rows(a, n, conv_cn_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +353,23 @@ def conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
         return a
     if is_delta_inf(a) and is_delta_inf(b):
         return a
-    g = a.grid
-    k = g.k_max
+    return LlrDensity(
+        a.grid,
+        *_vn_rows(a.grid, a.spectrum, b.spectrum, a.finite_mass, a.mass_pos_inf, b.finite_mass, b.mass_pos_inf),
+    )
 
+
+def _vn_rows(g: DensityGrid, spec_a, spec_b, fin_a, pos_a, fin_b, pos_b):
+    """conv_vn's arithmetic over the last axis, from the operands' spectra,
+    finite masses and +inf masses: (masses, +inf masses)."""
+    k = g.k_max
     # the linear convolution has 4k+1 entries, center index 2k; the padding
     # beyond them holds only roundoff
-    fin = np.maximum(irfft(a.spectrum * b.spectrum, g.fft_len)[: 4 * k + 1], 0.0)
-    core = fin[k : 3 * k + 1]
-    core[-1] += float(fin[3 * k + 1 :].sum())
-    core[0] += float(fin[:k].sum())
-
-    a_fin = a.finite_mass
-    b_fin = b.finite_mass
-    pos = a.mass_pos_inf * (b_fin + b.mass_pos_inf) + b.mass_pos_inf * a_fin
-    return make_density(g, core, pos)
+    fin = np.maximum(irfft(spec_a * spec_b, g.fft_len)[..., : 4 * k + 1], 0.0)
+    core = fin[..., k : 3 * k + 1]
+    core[..., -1] += fin[..., 3 * k + 1 :].sum(axis=-1)
+    core[..., 0] += fin[..., :k].sum(axis=-1)
+    return _normalized(core, pos_a * (fin_b + pos_b) + pos_b * fin_a)
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +473,41 @@ class BoxPlusTable:
         With q is p the two products of a pair (p[m] p[m+D] twice) and of a
         row are equal, so the pass forms one of each and doubles it: x + x is
         2x exactly, and the bits are those of the general pass."""
-        sp = np.cumsum(p[::-1])[::-1]
+        n = p.size
         t = self.n_pairs
         if q is p:
-            g = np.concatenate((p, sp, [0.0]))[self.square_idx]
+            # one buffer [p, sp, 0], the suffix sums summed into it reversed
+            v = np.empty(2 * n + 1)
+            v[:n] = p
+            p[::-1].cumsum(out=v[2 * n - 1 : n - 1 : -1])
+            v[2 * n] = 0.0
+            g = v.take(self.square_idx)
             row = g[2 * t :].reshape(3, -1)
-            weights = np.concatenate((g[:t] * g[t : 2 * t], row[0] * (row[1] - row[2])))
+            weights = np.empty(t + row.shape[1])
+            np.multiply(g[:t], g[t : 2 * t], out=weights[:t])
+            np.subtract(row[1], row[2], out=weights[t:])
+            np.multiply(row[0], weights[t:], out=weights[t:])
             weights[self.n_diag :] *= 2.0
-            return np.bincount(self.out, weights=weights, minlength=p.size)
-        sq = np.cumsum(q[::-1])[::-1]
-        g = np.concatenate((p, q, sq, [0.0], sp, [0.0]))[self.idx]
+            return np.bincount(self.out, weights=weights, minlength=n)
+        # [p, q, sq, 0, sp, 0]
+        v = np.empty(4 * n + 2)
+        v[:n] = p
+        v[n : 2 * n] = q
+        q[::-1].cumsum(out=v[3 * n - 1 : 2 * n - 1 : -1])
+        v[3 * n] = 0.0
+        p[::-1].cumsum(out=v[4 * n : 3 * n : -1])
+        v[4 * n + 1] = 0.0
+        g = v.take(self.idx)
         pair = g[: 4 * t].reshape(4, t)
         row = g[4 * t :].reshape(6, -1)
-        weights = np.concatenate(
-            (pair[0] * pair[1] + pair[2] * pair[3], row[0] * (row[1] - row[2]) + row[3] * (row[4] - row[5]))
-        )
-        return np.bincount(self.out, weights=weights, minlength=p.size)
+        weights = np.empty(t + row.shape[1])
+        w_pair, w_row = weights[:t], weights[t:]
+        np.multiply(pair[0], pair[1], out=w_pair)
+        w_pair += pair[2] * pair[3]
+        np.subtract(row[1], row[2], out=w_row)
+        w_row *= row[0]
+        w_row += row[3] * (row[4] - row[5])
+        return np.bincount(self.out, weights=weights, minlength=n)
 
 
 @cache
@@ -330,14 +515,14 @@ def _boxplus_table(grid: DensityGrid) -> BoxPlusTable:
     return BoxPlusTable(grid)
 
 
-def _cn_parts(a: LlrDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p + n, p - n, finite nonzero masses) of a density, with p/n its
+def _cn_parts(mass: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p + n, p - n, finite nonzero masses) over the last axis, with p/n the
     positive and reflected negative parts indexed 1..k after a leading 0."""
-    c = a.grid.center
-    ap = np.concatenate(([0.0], a.mass[c + 1 :]))
-    an = np.concatenate(([0.0], a.mass[c - 1 :: -1]))
-    fin_nz = a.mass.copy()
-    fin_nz[c] = 0.0
+    lead = np.zeros(mass.shape[:-1] + (1,))
+    ap = np.concatenate((lead, mass[..., c + 1 :]), axis=-1)
+    an = np.concatenate((lead, mass[..., c - 1 :: -1]), axis=-1)
+    fin_nz = mass.copy()
+    fin_nz[..., c] = 0.0
     return ap + an, ap - an, fin_nz
 
 
@@ -352,34 +537,40 @@ def conv_cn(a: LlrDensity, b: LlrDensity) -> LlrDensity:
         return a
     if is_delta_zero(b):
         return b
-    g = a.grid
+    return LlrDensity(a.grid, *_cn_rows(a.grid, a.mass, a.mass_pos_inf, b.mass, b.mass_pos_inf, b is a))
+
+
+def _cn_rows(g: DensityGrid, a_mass, a_pos, b_mass, b_pos, square: bool):
+    """conv_cn's arithmetic over the last axis: (masses, +inf masses).  The
+    magnitude passes run one row at a time; a squaring hands each pass one
+    array for both operands, so magnitude_op takes its squaring branch."""
     c = g.center
     tab = _boxplus_table(g)
+    a0 = a_mass[..., c]
+    b0 = b_mass[..., c]
+    a_sum, a_diff, fin_nz_a = _cn_parts(a_mass, c)
+    b_sum, b_diff, fin_nz_b = (a_sum, a_diff, fin_nz_a) if square else _cn_parts(b_mass, c)
 
-    a0 = float(a.mass[c])
-    b0 = float(b.mass[c])
+    def passes(x, y):
+        if x.ndim == 1:
+            return tab.magnitude_op(x, x if square else y)
+        return np.array([tab.magnitude_op(u, u if square else v) for u, v in zip(x, y)])
 
-    # a squaring reuses its operand's parts, so magnitude_op sees one array
-    # for both operands and takes its squaring pass
-    a_sum, a_diff, fin_nz_a = _cn_parts(a)
-    b_sum, b_diff, fin_nz_b = (a_sum, a_diff, fin_nz_a) if b is a else _cn_parts(b)
-
-    ms = tab.magnitude_op(a_sum, b_sum)
-    md = tab.magnitude_op(a_diff, b_diff)
-    mass = np.empty(g.n_bins)
-    np.add(ms[1:], md[1:], out=mass[c + 1 :])
-    np.subtract(ms[1:], md[1:], out=mass[c - 1 :: -1])
+    ms = passes(a_sum, b_sum)
+    md = passes(a_diff, b_diff)
+    mass = np.empty(a_mass.shape)
+    np.add(ms[..., 1:], md[..., 1:], out=mass[..., c + 1 :])
+    np.subtract(ms[..., 1:], md[..., 1:], out=mass[..., c - 1 :: -1])
     mass *= 0.5
     # anything box-plussed with an erasure is an erasure
-    mass[c] = ms[0] + a0 + b0 - a0 * b0
+    mass[..., c] = ms[..., 0] + a0 + b0 - a0 * b0
 
     # +inf is the identity.  Without infinite mass these terms are exact
     # zeros, and adding them changes no entry (none is -0.0: the bincount
     # sums start at +0.0), so they are skipped.
-    if a.mass_pos_inf or b.mass_pos_inf:
-        mass += a.mass_pos_inf * fin_nz_b + b.mass_pos_inf * fin_nz_a
-
-    return make_density(g, mass, a.mass_pos_inf * b.mass_pos_inf)
+    if np.any(a_pos) or np.any(b_pos):
+        mass += np.expand_dims(a_pos, -1) * fin_nz_b + np.expand_dims(b_pos, -1) * fin_nz_a
+    return _normalized(mass, a_pos * b_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +589,18 @@ def mix(densities: list[LlrDensity], weights) -> LlrDensity:
     for d in densities[1:]:
         if d.grid != g:
             raise GridMismatchError("mixture over mismatched grids")
-    mass = np.zeros(g.n_bins)
+    return LlrDensity(g, *_mix_rows([d.mass for d in densities], [d.mass_pos_inf for d in densities], weights))
+
+
+def _mix_rows(masses, poss, weights):
+    """mix's arithmetic over the last axis, summed in the order given:
+    (masses, +inf masses)."""
+    mass = np.zeros(masses[0].shape)
     pos = 0.0
-    for wgt, d in zip(weights, densities):
-        mass += wgt * d.mass
-        pos += wgt * d.mass_pos_inf
-    return make_density(g, mass, pos)
+    for wgt, m, p in zip(weights, masses, poss):
+        mass += wgt * m
+        pos += wgt * p
+    return _normalized(mass, pos)
 
 
 def _power(a: LlrDensity, n: int, conv, unit: LlrDensity, squares: list | None) -> LlrDensity:

@@ -27,6 +27,7 @@ INF_LLR = 1000.0  # sentinel LLR of the +/-inf lattice entries inside kernels
 KERNEL_ORDER = 129
 LATTICE_BINS_DEFAULT = 128  # coarse half-width of the (u, v) kernel lattice
 MAP_REFINE_TO = 1e-3  # map_bound_sweep stops once alpha_bar moves by less
+MAP_STEP_MIN = 1e-12  # map_bound_sweep rounds each alpha to 12 decimals
 
 
 def _rebin(dens: LlrDensity, coarse: DensityGrid) -> tuple[np.ndarray, float]:
@@ -259,6 +260,8 @@ def map_bound_sweep(
     with a margin, or DE decodes (past the BP threshold g is zero, so the
     area grows no further); then the step is halved near the crossing until
     alpha_bar moves by less than MAP_REFINE_TO."""
+    if not step >= MAP_STEP_MIN:
+        raise ValueError(f"step {step} is below {MAP_STEP_MIN}, the rounding of alpha")
     if grid is None:
         grid = default_grid()
     rate = design_rate(ens)

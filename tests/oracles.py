@@ -92,6 +92,28 @@ class BandBoxPlusTable:
         return out
 
 
+def concat_magnitude_op(tab, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`BoxPlusTable.magnitude_op` as it was first written: the gather source
+    concatenated from p, q and their reversed cumulative sums.  The oracle
+    for the bits of the pass that writes them into one buffer."""
+    sp = np.cumsum(p[::-1])[::-1]
+    t = tab.n_pairs
+    if q is p:
+        g = np.concatenate((p, sp, [0.0]))[tab.square_idx]
+        row = g[2 * t :].reshape(3, -1)
+        weights = np.concatenate((g[:t] * g[t : 2 * t], row[0] * (row[1] - row[2])))
+        weights[tab.n_diag :] *= 2.0
+        return np.bincount(tab.out, weights=weights, minlength=p.size)
+    sq = np.cumsum(q[::-1])[::-1]
+    g = np.concatenate((p, q, sq, [0.0], sp, [0.0]))[tab.idx]
+    pair = g[: 4 * t].reshape(4, t)
+    row = g[4 * t :].reshape(6, -1)
+    weights = np.concatenate(
+        (pair[0] * pair[1] + pair[2] * pair[3], row[0] * (row[1] - row[2]) + row[3] * (row[4] - row[5]))
+    )
+    return np.bincount(tab.out, weights=weights, minlength=p.size)
+
+
 def total_mass(dens: LlrDensity) -> float:
     """All of a density's mass, the +inf point mass included: 1 for every
     density the kernels produce."""

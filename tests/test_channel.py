@@ -12,6 +12,7 @@ from macsat.channel import (
     FnOperator,
     InfeasibleRayError,
     bawgn_density,
+    bisect,
     fn_llr,
     fn_operator,
     mac_acpr_point,
@@ -356,6 +357,13 @@ class TestMutualInfos:
         # I1 = 1/2 at h1 near 1.022 (rendered as 1.03 on a 0.01-grid plot)
         alpha = mac_acpr_point((0.5, 0.5), 1000.0)
         assert alpha == pytest.approx(1.0218, abs=5e-3)
+
+
+class TestBisect:
+    def test_width_finer_than_the_doubles_ends(self):
+        # once lo and hi are adjacent doubles no midpoint lies between them
+        alpha = bisect(lambda a: a >= 1.0, 0.0, 2.0, 1e-300)
+        assert np.nextafter(1.0, 0.0) <= alpha <= 1.0
 
 
 class TestBoundary:

@@ -371,6 +371,11 @@ class TestExitCodes:
             ["acpr", "--tol", "-0.5"],
             ["map-bound", "--step", "0"],
             ["map-bound", "--step", "-0.1"],
+            # below the rounding of the swept alphas a step never advances
+            # (map-bound) or repeats samples (gexit)
+            ["map-bound", "--step", "1e-13"],
+            ["gexit", "--alphas", "0:2:1e-13"],
+            ["gexit", "--alphas", "0:1e-9:1e-11"],
             # sizes and counts must be positive; graphs, grids and coupled
             # ensembles the constructors reject are config errors too
             ["simulate", "--alpha", "1.9", "--frames", "0"],
@@ -518,6 +523,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    def test_tolerance_finer_than_the_doubles_ends(self, capsys):
+        # the bisection stops at adjacent doubles instead of looping forever
+        assert main(["capacity", "--ray-list", "1", "--tol", "1e-20"]) == 0
+
     # a config value passes the same types, ranges and choices as its flag,
     # and a key must name a flag in full
     @pytest.mark.parametrize(
@@ -525,6 +534,8 @@ class TestExitCodes:
         [
             (["threshold"], "tol=0"),
             (["map-bound"], "step=0"),
+            (["map-bound"], "step=1e-13"),
+            (["gexit"], "alphas=0:2:1e-13"),
             (["simulate", "--alpha", "1.9"], "mode=foo"),
             (["threshold"], "genie=maybe"),
             (["threshold"], "t=0.05"),
@@ -543,7 +554,7 @@ class TestExitCodes:
             (["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2"], "n=600"),
         ],
         ids=[
-            "threshold-tol", "map-bound-step", "simulate-mode", "threshold-genie",
+            "threshold-tol", "map-bound-step", "map-bound-tiny-step", "gexit-tiny-step", "simulate-mode", "threshold-genie",
             "threshold-prefix", "threshold-reserved", "capacity-ray-list", "gexit-alphas",
             "threshold-grid-bins", "capacity-rays-key", "acpr-ray-list-key", "capacity-output",
             "simulate-summary-out", "coupled-threshold-profile-out", "simulate-uncoupled-m",

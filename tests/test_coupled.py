@@ -11,6 +11,7 @@ from macsat.coupled import (
     coupled_run,
 )
 from macsat.densities import (
+    BoxPlusTable,
     DensityGrid,
     conv_vn,
     delta_inf,
@@ -18,7 +19,9 @@ from macsat.densities import (
     error_prob,
     mix,
     power_cn,
+    power_cn_rows,
     power_vn,
+    power_vn_rows,
 )
 from macsat.ensembles import CoupledSpec, regular
 from macsat.jointde import bp_threshold, de_iterate, initial_state
@@ -138,25 +141,26 @@ class TestIterate:
 
     def test_check_windows_computed_once_per_user(self, coarse_grid, monkeypatch):
         # a sweep box-plus'es each user's windows c in [-L, L + w - 1] once,
-        # before any update reads them; no window here is all +inf deltas
+        # as one stack, before any update reads them; no window here is all
+        # +inf deltas
         import macsat.coupled as coupled
 
         calls = []
-        monkeypatch.setattr(coupled, "power_cn", lambda *args: calls.append(1) or power_cn(*args))
+        monkeypatch.setattr(coupled, "power_cn_rows", lambda x, n: calls.append(len(x)) or power_cn_rows(x, n))
         rng = np.random.default_rng(3)
         a, b = (tuple(random_density(coarse_grid, rng) for _ in range(9)) for _ in range(2))
         iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
-        assert len(calls) == 2 * (2 * SPEC.L + SPEC.w)
+        assert calls == [2 * SPEC.L + SPEC.w] * 2
 
     def test_symmetric_fold_powers_once_per_position(self, coarse_grid, monkeypatch):
         # on the symmetric fold the partner's (t, g) is the own pair, so a
-        # sweep takes one power_vn per updated position 0..L
+        # sweep takes one power_vn per updated position 0..L, in one stack
         import macsat.coupled as coupled
 
         calls = []
-        monkeypatch.setattr(coupled, "power_vn", lambda *args: calls.append(1) or power_vn(*args))
+        monkeypatch.setattr(coupled, "power_vn_rows", lambda x, n: calls.append(len(x)) or power_vn_rows(x, n))
         iterate(SPEC, ChannelPoint(1.4, 1.0), zero_start(coarse_grid, SPEC), 1)
-        assert len(calls) == SPEC.L + 1
+        assert calls == [SPEC.L + 1]
 
     def test_full_chain_powers_once_per_user_and_position(self, coarse_grid, monkeypatch):
         # off the symmetric ray, a user's update reads its partner's g from
@@ -165,11 +169,11 @@ class TestIterate:
         import macsat.coupled as coupled
 
         calls = []
-        monkeypatch.setattr(coupled, "power_vn", lambda *args: calls.append(1) or power_vn(*args))
+        monkeypatch.setattr(coupled, "power_vn_rows", lambda x, n: calls.append(len(x)) or power_vn_rows(x, n))
         rng = np.random.default_rng(4)
         a, b = (tuple(random_density(coarse_grid, rng) for _ in range(9)) for _ in range(2))
         iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
-        assert len(calls) == 2 * SPEC.n_positions
+        assert calls == [SPEC.n_positions] * 2
 
     def test_decoded_state_is_reused_across_sweeps(self, monkeypatch):
         # a decoded run ends with every position frozen to the +inf delta, so
@@ -222,7 +226,7 @@ class TestIterate:
         windows = [c for c in range(eng.lo, L + w) if live(c - w + 1, c)]
         positions = [i for i in eng.positions if live(i - w + 1, i + w - 1)]
         calls, columns = [], []
-        monkeypatch.setattr(coupled, "power_cn", lambda *args: calls.append(1) or power_cn(*args))
+        monkeypatch.setattr(coupled, "power_cn_rows", lambda x, n: calls.append(len(x)) or power_cn_rows(x, n))
         apply = FnOperator.apply
         monkeypatch.setattr(
             FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x)
@@ -230,7 +234,7 @@ class TestIterate:
         vecs = eng.iterate().vecs
         users = len(vecs)
         assert users == (1 if symmetric else 2)
-        assert len(calls) == users * len(windows) < users * (L + w - eng.lo)
+        assert calls == [len(windows)] * users and len(windows) < L + w - eng.lo
         assert columns == [len(positions)] * users
         for vec in vecs:
             for i, d in zip(eng.positions, vec):
@@ -405,12 +409,18 @@ class TestPinned:
     # profile; a change in any bit of a sweep moves them
     GRID_65 = DensityGrid(30 / 32, 30.0)
     GRID_129 = DensityGrid(30 / 64, 30.0)
+    # a three-term window, whose average depends on the order of its sum
+    # (0.5a + 0.5b is 0.5b + 0.5a exactly, so the w = 2 runs cannot tell)
+    SPEC_W3 = CoupledSpec(3, 6, 4, 3)
     RUNS = {
         # cut as the freeze begins: the end positions are +inf deltas, the rest live
         "fold": (ChannelPoint(1.45, 1.0), GRID_129, True, 35),
         "full-chain": (ChannelPoint(1.45, 1.0), GRID_129, False, 35),
         "off-ray": (ChannelPoint(1.6, 0.9), GRID_65, True, 30_000),
         "stall": (ChannelPoint(1.2, 1.0), GRID_129, True, 30_000),
+        # ends with the centre live and every other position frozen
+        "w3-fold": (ChannelPoint(1.4, 1.0), GRID_65, True, 30_000),
+        "w3-full-chain": (ChannelPoint(1.6, 0.9), GRID_65, True, 30_000),
     }
 
     @pytest.mark.parametrize(
@@ -428,11 +438,18 @@ class TestPinned:
             ("stall", "stall", 105,
              "f447cf8df8c534d06e247f0d26e867166c1ee3c4ed9281b492e1f133f397ec70",
              "67bc7aca58ec088fb0d78ab13f42b1f83e8c208579f51d2b0d97842ad0691850"),
+            ("w3-fold", "success", 31,
+             "b0a9eecd05d7aaa52641c9bcd299db92eabd29d9e47adbde85abdc5e53d5eedd",
+             "bc44909c459b20fb3458168779013c590f5e3bc1ea31433a9b4dcc037df575af"),
+            ("w3-full-chain", "success", 20,
+             "eb974665b28e79f5ff7977f7ad1634431ec814f9aff650163df6e937a729d9f4",
+             "84be196154a3161c52fbb0b5f5e4ecfbe40cc0baeb8842da53fb3a3c1e48c5ba"),
         ],
     )  # fmt: skip
     def test_pinned_runs(self, case, halt, iterations, state_digest, extrinsic_digest):
         ch, grid, shared, max_iters = self.RUNS[case]
-        fp = coupled_run(ch, SPEC, grid, max_iters, start=zero_start(grid, SPEC, shared))
+        spec = self.SPEC_W3 if case.startswith("w3") else SPEC
+        fp = coupled_run(ch, spec, grid, max_iters, start=zero_start(grid, spec, shared))
         assert (fp.halt, fp.iterations) == (halt, iterations)
         h = hashlib.sha256()
         for d in fp.state.a_vec + fp.state.b_vec:
@@ -440,7 +457,21 @@ class TestPinned:
         h.update(repr((fp.halt, fp.iterations, fp.residual)).encode())
         assert h.hexdigest() == state_digest
         h = hashlib.sha256()
-        for pair in fp.state.extrinsic(SPEC):
+        for pair in fp.state.extrinsic(spec):
             for d in pair:
                 h.update(_density_bytes(d))
         assert h.hexdigest() == extrinsic_digest
+
+    def test_fold_run_does_no_extra_work(self, monkeypatch):
+        # the "fold" run's magnitude passes and function-node columns: a
+        # stacked sweep must not spend a pass or a column the staged sweep
+        # of one density at a time did not
+        passes, columns = [], []
+        magnitude_op, apply = BoxPlusTable.magnitude_op, FnOperator.apply
+        monkeypatch.setattr(
+            BoxPlusTable, "magnitude_op", lambda tab, p, q: passes.append(1) or magnitude_op(tab, p, q)
+        )
+        monkeypatch.setattr(FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x))
+        ch, grid, shared, max_iters = self.RUNS["fold"]
+        coupled_run(ch, SPEC, grid, max_iters, start=zero_start(grid, SPEC, shared))
+        assert (len(passes), sum(columns), len(columns)) == (1230, 175, 35)

@@ -30,6 +30,7 @@ from conftest import random_density
 from oracles import (
     BandBoxPlusTable,
     boxplus_scalar,
+    concat_magnitude_op,
     delta_at,
     fftconvolve_conv_vn,
     total_mass,
@@ -252,6 +253,23 @@ class TestBoxPlusTable:
                 want = max(int(np.floor(boxplus_scalar(i * d, j * d) / d + 0.5)), 0)
                 assert np.flatnonzero(out).tolist() == [want]
                 assert out[want] == 1.0
+
+
+class TestMagnitudePassBytes:
+    """The pass that writes p, q and their suffix sums into one buffer has
+    the bytes of the pass that concatenates them (`concat_magnitude_op`)."""
+
+    @pytest.mark.parametrize("bins", [129, 513, 2049])
+    @pytest.mark.parametrize("square", [True, False], ids=["squaring", "general"])
+    def test_matches_concatenating_pass(self, bins, square):
+        grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)
+        tab = BoxPlusTable(grid)
+        rng = np.random.default_rng(bins)
+        n = grid.k_max + 1
+        # signed parts, as in the (p - n) pass, and nonnegative ones
+        for p, q in ((rng.standard_normal(n), rng.standard_normal(n)), (rng.random(n), rng.random(n))):
+            q = p if square else q
+            assert tab.magnitude_op(p, q).tobytes() == concat_magnitude_op(tab, p, q).tobytes()
 
 
 class TestSquaringPass:

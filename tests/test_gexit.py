@@ -12,6 +12,7 @@ from macsat.gexit import (
     MapBoundError,
     bp_gexit_value,
     map_bound,
+    map_bound_sweep,
 )
 from macsat.jointde import DeState, FixedPoint, _variable_side, de_run
 
@@ -230,6 +231,11 @@ class TestMapBound:
         samples = [(a, -a) for a in alphas]
         with pytest.raises(MapBoundError):
             map_bound(samples, 0.5)
+
+    def test_step_below_the_alpha_rounding_rejected(self, tiny_grid):
+        # each alpha is rounded to 12 decimals, so this step never advances
+        with pytest.raises(ValueError, match="step"):
+            map_bound_sweep(regular(3, 6), 1.0, grid=tiny_grid, step=1e-13, bins=4)
 
 
 class TestCoupledGexit:
