@@ -8,17 +8,20 @@ joint symbols are indexed 0..3 via (+1,+1), (+1,-1), (-1,+1), (-1,-1).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
+from importlib import resources
 
 import numpy as np
 
 from .densities import DensityGrid, DensityRows, LlrDensity, delta_zero, make_density
 
-# scipy is imported inside the few set-up functions that need it, none of
-# which runs once per DE iteration, so the Monte-Carlo decoder, which needs
-# only ChannelPoint and fn_llr from here, runs on numpy alone.
+# The Gauss-Hermite rules and the Gaussian stratum quantiles are read from a
+# frozen table, so the only scipy module the package loads is scipy.sparse,
+# imported where the function-node operator is assembled: the Monte-Carlo
+# decoder and the capacity boundary run on numpy alone.
 
 PI1 = np.array([1.0, 1.0, -1.0, -1.0])
 PI2 = np.array([1.0, -1.0, 1.0, -1.0])
@@ -59,12 +62,32 @@ class ChannelPoint:
         return PI1 + self.ratio * PI2
 
 
+QUADRATURE_TABLE = "quadrature.npz"
+
+
+@cache
+def _quadrature() -> dict[str, np.ndarray]:
+    """The frozen table: scipy.special.roots_hermite's nodes and weights
+    (`hermite_nodes_<order>`, `hermite_weights_<order>`) for the orders the
+    package uses, and scipy.special.ndtri at the stratum midpoints of
+    `_strata_bounds` (`strata_quantiles`), as scipy 1.17.1 computes them.
+    `tests/oracles.py::quadrature_table` regenerates it."""
+    with resources.files(__package__).joinpath(QUADRATURE_TABLE).open("rb") as f, np.load(f) as npz:
+        table = {name: npz[name] for name in npz.files}
+    for a in table.values():
+        a.flags.writeable = False
+    return table
+
+
 @cache
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y and weights w such that E[f(Y)] ~ sum w f(mu + y) for Y ~ N(mu, 1)."""
-    from scipy.special import roots_hermite
-
-    t, w = roots_hermite(order)
+    """Nodes y and weights w such that E[f(Y)] ~ sum w f(mu + y) for Y ~ N(mu, 1),
+    for an order the frozen table holds (GH_ORDERS, which include the GEXIT
+    kernel's)."""
+    table = _quadrature()
+    if f"hermite_nodes_{order}" not in table:
+        raise ValueError(f"no Gauss-Hermite rule of order {order} in the table (orders {GH_ORDERS})")
+    t, w = table[f"hermite_nodes_{order}"], table[f"hermite_weights_{order}"]
     return t * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
@@ -77,24 +100,25 @@ FN_TAIL_STRATA = 24
 _FN_CHUNK = 64  # partner bins per block while the operator is assembled (1 MB at 2049 bins)
 
 
-def _gaussian_strata():
-    """Partition of a unit Gaussian into probability strata.
+def _strata_bounds() -> np.ndarray:
+    """CDF bounds of a partition of a unit Gaussian into probability strata.
 
     FN_CENTRAL_STRATA (even) equal-probability central strata bound the CDF
     staircase error by 1/(2 FN_CENTRAL_STRATA); FN_TAIL_STRATA geometrically
     refined tail strata keep tail mass placed down to
-    ~2^-FN_TAIL_STRATA / FN_CENTRAL_STRATA.  Returns (quantile nodes, exact
-    masses).
+    ~2^-FN_TAIL_STRATA / FN_CENTRAL_STRATA.
     """
-    from scipy.special import ndtri
-
     base = 1.0 / FN_CENTRAL_STRATA
     tail = base * 2.0 ** (-np.arange(FN_TAIL_STRATA, 0, -1))
     lower = np.concatenate(([0.0], tail, np.arange(1, FN_CENTRAL_STRATA // 2 + 1) * base))
-    bounds = np.concatenate((lower, (1.0 - lower[::-1])[1:]))
-    # the outermost strata get a midpoint quantile too; it is finite
-    mid = 0.5 * (bounds[:-1] + bounds[1:])
-    return ndtri(mid), np.diff(bounds)
+    return np.concatenate((lower, (1.0 - lower[::-1])[1:]))
+
+
+def _gaussian_strata():
+    """(quantile nodes, exact masses) of the strata: each node is the
+    Gaussian quantile at its stratum's CDF midpoint, from the frozen table
+    (the outermost strata get a midpoint quantile too; it is finite)."""
+    return _quadrature()["strata_quantiles"], np.diff(_strata_bounds())
 
 
 def _logaddexp_into(a: np.ndarray, b) -> np.ndarray:
@@ -254,13 +278,11 @@ def bawgn_density(grid: DensityGrid, h: float) -> LlrDensity:
     Serves as the closed-form oracle for the h2 = 0 and known-partner
     reductions of the function node.
     """
-    from scipy.special import ndtr
-
     if h == 0.0:
         return delta_zero(grid)
     mean, sd = 2.0 * h * h, 2.0 * h
     edges = (np.arange(grid.n_bins + 1) - grid.n_bins / 2.0) * grid.bin_width
-    cdf = ndtr((edges - mean) / sd)
+    cdf = np.array([0.5 * math.erfc((mean - e) / (sd * math.sqrt(2.0))) for e in edges.tolist()])
     mass = np.diff(cdf)
     mass[-1] += 1.0 - cdf[-1]  # clip tails into the extreme bins
     mass[0] += cdf[0]

@@ -73,13 +73,25 @@ class DensityGrid:
 
     @cached_property
     def fft_len(self) -> int:
-        """Real-FFT length of the variable-node convolution: the fast length
-        at or above the 4k+1 entries of a full linear convolution.  scipy is
-        imported here, once per grid, so that code without density algebra
-        (the Monte-Carlo decoder) never loads it."""
-        from scipy.fft import next_fast_len
+        """Real-FFT length of the variable-node convolution: the smallest
+        2·3·5-smooth length at or above the 4k+1 entries of a full linear
+        convolution, the length scipy.fft.next_fast_len(4k+1, real=True)
+        gives and scipy.signal.fftconvolve transforms at."""
+        return _smooth_len(4 * self.k_max + 1)
 
-        return next_fast_len(4 * self.k_max + 1, real=True)
+
+def _smooth_len(n: int) -> int:
+    """The smallest integer at or above n >= 1 with no prime factor above 5."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^j at or above n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def default_grid() -> DensityGrid:
@@ -298,12 +310,14 @@ def mix_rows(rows: DensityRows, index: np.ndarray, weights) -> DensityRows:
     )
 
 
-def _power_rows(a: DensityRows, n: int, conv) -> DensityRows:
-    """_power over rows for n >= 1, without the unit: the unit's combine
-    with the first factor is an early return of that factor."""
+def _squarings(n: int, conv, squares: list):
+    """The n-th power (n >= 1) under `conv` by repeated squaring, of one
+    density or of a stack of them: `squares` is the list [a, a^2, a^4, ...]
+    of the squarings done so far, extended in place, so that several powers
+    of one operand square it once.  The first factor is taken as it is: its
+    combine with the unit would be an early return of it."""
     if n < 1:
-        raise ValueError("stacked powers start at 1")
-    squares = [a]
+        raise ValueError("powers by squaring start at 1")
     result = None
     k = 0
     while n:
@@ -317,11 +331,11 @@ def _power_rows(a: DensityRows, n: int, conv) -> DensityRows:
 
 
 def power_vn_rows(a: DensityRows, n: int) -> DensityRows:
-    return _power_rows(a, n, conv_vn_rows)
+    return _squarings(n, conv_vn_rows, [a])
 
 
 def power_cn_rows(a: DensityRows, n: int) -> DensityRows:
-    return _power_rows(a, n, conv_cn_rows)
+    return _squarings(n, conv_cn_rows, [a])
 
 
 # ---------------------------------------------------------------------------
@@ -605,23 +619,11 @@ def _mix_rows(masses, poss, weights):
 
 def _power(a: LlrDensity, n: int, conv, unit: LlrDensity, squares: list | None) -> LlrDensity:
     """n-fold self-convolution under `conv` by repeated squaring; n = 0 gives
-    `unit`.  `squares`, when given, is the list [a, a^2, a^4, ...] of the
-    squarings done so far, extended in place, so that several powers of one
-    density square it once."""
+    `unit`.  `squares`, when given, is the list of squarings of a that
+    `_squarings` extends."""
     if n < 0:
         raise ValueError("negative power")
-    if squares is None:
-        squares = [a]
-    result = unit
-    k = 0
-    while n:
-        if k == len(squares):
-            squares.append(conv(squares[-1], squares[-1]))
-        if n & 1:
-            result = conv(result, squares[k])
-        n >>= 1
-        k += 1
-    return result
+    return _squarings(n, conv, [a] if squares is None else squares) if n else unit
 
 
 def power_vn(a: LlrDensity, n: int, squares: list | None = None) -> LlrDensity:

@@ -11,10 +11,19 @@ from unittest import mock
 
 import numpy as np
 from scipy.signal import fftconvolve
-from scipy.special import expit
+from scipy.special import expit, ndtri, roots_hermite
 
 from macsat import channel
-from macsat.channel import PI1, PI2, ChannelPoint, FnOperator, _gaussian_strata, gauss_hermite
+from macsat.channel import (
+    GH_ORDERS,
+    PI1,
+    PI2,
+    ChannelPoint,
+    FnOperator,
+    _gaussian_strata,
+    _strata_bounds,
+    gauss_hermite,
+)
 from macsat.densities import (
     DensityGrid,
     LlrDensity,
@@ -128,6 +137,22 @@ def delta_at(grid: DensityGrid, llr: float) -> LlrDensity:
     m = np.zeros(grid.n_bins)
     m[i] = 1.0
     return LlrDensity(grid, m)
+
+
+def quadrature_table() -> dict[str, np.ndarray]:
+    """The arrays of the package's frozen quadrature table, computed by
+    scipy: roots_hermite's nodes and weights for every order the package
+    uses, and ndtri at the midpoints of the function node's strata.
+
+    Regenerate the table with
+    `python -c "import numpy as np, oracles; np.savez('../src/macsat/quadrature.npz', **oracles.quadrature_table())"`
+    run from tests/ with src/ on PYTHONPATH."""
+    table = {}
+    for order in sorted(set(GH_ORDERS) | {KERNEL_ORDER}):
+        table[f"hermite_nodes_{order}"], table[f"hermite_weights_{order}"] = roots_hermite(order)
+    bounds = _strata_bounds()
+    table["strata_quantiles"] = ndtri(0.5 * (bounds[:-1] + bounds[1:]))
+    return table
 
 
 def fftconvolve_conv_vn(a: LlrDensity, b: LlrDensity) -> LlrDensity:

@@ -1,9 +1,12 @@
 import pickle
 import weakref
 from functools import partial
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
 
 import macsat.channel as channel
@@ -38,6 +41,7 @@ from oracles import (
     logaddexp_fn_llr,
     logaddexp_fn_operator,
     nu,
+    quadrature_table,
     scatter_fn_apply,
 )
 
@@ -103,6 +107,19 @@ class TestFnTransform:
         got, ref = bawgn_density(tiny_grid, 0.0), delta_zero(tiny_grid)
         assert got.mass.tobytes() == ref.mass.tobytes()
         assert got.mass_pos_inf == ref.mass_pos_inf
+
+    @pytest.mark.parametrize("h", [0.3, 1.3, 3.0])
+    def test_bawgn_cdf_matches_ndtr(self, work_grid, h):
+        # the CDF comes from math.erfc; scipy's ndtr agrees to roundoff
+        from scipy.special import ndtr
+
+        mean, sd = 2.0 * h * h, 2.0 * h
+        edges = (np.arange(work_grid.n_bins + 1) - work_grid.n_bins / 2.0) * work_grid.bin_width
+        cdf = ndtr((edges - mean) / sd)
+        ref = np.diff(cdf)
+        ref[-1] += 1.0 - cdf[-1]
+        ref[0] += cdf[0]
+        np.testing.assert_allclose(bawgn_density(work_grid, h).mass, ref, rtol=0, atol=1e-15)
 
     def test_known_partner_reduces_to_bawgn(self, work_grid):
         # partner perfectly known: its contribution cancels exactly
@@ -332,6 +349,33 @@ class TestSplitSoftplus:
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
     def test_matrix_over_alpha_sweep_2049(self, ratio):
         assert_split_softplus_matrix(2049, ratio, ALPHA_SWEEP)
+
+
+class TestQuadratureTable:
+    def test_arrays_are_scipys_bytes(self):
+        # the table holds what scipy 1.17.1 computes; another scipy may
+        # differ from it in the last bits
+        frozen, fresh = channel._quadrature(), quadrature_table()
+        assert sorted(frozen) == sorted(fresh)
+        for name, a in fresh.items():
+            assert frozen[name].dtype == a.dtype and frozen[name].shape == a.shape, name
+            if scipy.__version__ == "1.17.1":
+                assert frozen[name].tobytes() == a.tobytes(), name
+            else:
+                np.testing.assert_allclose(frozen[name], a, rtol=1e-13, atol=1e-300, err_msg=name)
+
+    def test_order_outside_the_table_rejected(self):
+        with pytest.raises(ValueError, match="order 64"):
+            channel.gauss_hermite(64)
+
+    def test_table_is_package_data(self):
+        # found through the package's resources, as in an installed copy,
+        # and named in the package data an install copies
+        assert resources.files("macsat").joinpath(channel.QUADRATURE_TABLE).is_file()
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+        assert channel.QUADRATURE_TABLE in package_data["macsat"]
 
 
 class TestMutualInfos:

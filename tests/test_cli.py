@@ -333,23 +333,46 @@ def scipy_modules_after(code: str) -> list[str]:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def scipy_modules_of_command(argv: list[str]) -> list[str]:
+    argv = argv + ["--no-timestamp"]
+    return scipy_modules_after(f"from macsat.cli import main; main({argv!r})")
+
+
+def assert_loads_only_scipy_sparse(argv: list[str]):
+    loaded = scipy_modules_of_command(argv)
+    assert "scipy.sparse" in loaded
+    assert {m.split(".")[1] for m in loaded if "." in m} & {"special", "fft", "linalg", "signal"} == set()
+
+
 class TestImport:
-    # scipy costs about 0.3 s and 20 MB in every process that loads it, each
-    # --jobs worker included; only the density algebra needs it
+    # scipy.sparse costs about 0.2 s and 20 MB in every process that loads
+    # it, each --jobs worker included; only the function-node operator needs
+    # it.  scipy.special, scipy.fft and scipy.linalg would add about 14 MB
+    # more, scipy.signal about a second and 45 MB more
 
     def test_cli_import_leaves_out_scipy(self):
         assert scipy_modules_after("import macsat.cli") == []
 
     def test_simulate_leaves_out_scipy(self):
-        argv = ["simulate", "--n", "600", "--frames", "2", "--alpha", "1.9", "--no-timestamp"]
-        assert scipy_modules_after(f"from macsat.cli import main; main({argv!r})") == []
+        assert scipy_modules_of_command(["simulate", "--n", "600", "--frames", "2", "--alpha", "1.9"]) == []
+
+    def test_capacity_leaves_out_scipy(self):
+        assert scipy_modules_of_command(["capacity", "--ray-list", "1"]) == []
 
     def test_threshold_loads_scipy_on_use(self):
-        argv = ["threshold", "--grid-bins", "65", "--tol", "0.1", "--no-timestamp"]
-        loaded = scipy_modules_after(f"from macsat.cli import main; main({argv!r})")
-        assert "scipy.sparse" in loaded
-        # scipy.signal would add about a second and 45 MB more
-        assert not any(m.startswith("scipy.signal") for m in loaded)
+        assert_loads_only_scipy_sparse(["threshold", "--grid-bins", "65", "--tol", "0.1"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coupled-threshold", "--ensemble", "3,6,4,2", "--grid-bins", "65", "--tol", "0.1"],
+            ["map-bound", "--grid-bins", "65", "--step", "0.1", "--lattice", "8"],
+            ["gexit", "--grid-bins", "65", "--lattice", "8", "--alphas", "0:0.4:0.2"],
+        ],
+        ids=["coupled-threshold", "map-bound", "gexit"],
+    )
+    def test_density_evolution_loads_only_scipy_sparse(self, argv):
+        assert_loads_only_scipy_sparse(argv)
 
 
 class TestExitCodes:

@@ -133,6 +133,12 @@ class TestConvVnSpectrum:
     def test_fft_len_is_fast_length_of_full_convolution(self, bins, fft_len):
         assert DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0).fft_len == fft_len
 
+    def test_fft_len_is_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        for k in range(1, 5001):
+            assert DensityGrid(bin_width=1.0, half_range=float(k)).fft_len == next_fast_len(4 * k + 1, real=True)
+
     @pytest.mark.parametrize("bins", [513, 2049, 4097])
     def test_matches_fftconvolve_bytes(self, bins):
         grid = DensityGrid(bin_width=60.0 / (bins - 1), half_range=30.0)

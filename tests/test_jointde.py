@@ -47,10 +47,11 @@ class TestIteration:
                 assert np.array_equal(shared.a.mass, want.mass)
                 assert shared.a.mass_pos_inf == want.mass_pos_inf
 
-    @pytest.mark.parametrize("ratio,calls", [(1.0, 5), (0.8, 10)])
+    @pytest.mark.parametrize("ratio,calls", [(1.0, 3), (0.8, 6)])
     def test_rho_squared_once_per_user(self, coarse_grid, monkeypatch, ratio, calls):
-        # per updated user: rho^2 once, rho^3 = rho * rho^2 and rho^2 each
-        # from the 0-delta start of a power, and the update's own product
+        # per updated user: rho^2 once, rho^3 = rho * rho^2, and the update's
+        # own product; a power starts from its first factor, not from the
+        # 0-delta, so rho^2 is taken from the squarings as it is
         import macsat.densities as densities
         import macsat.jointde as jointde
 
