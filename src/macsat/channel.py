@@ -9,7 +9,6 @@ joint symbols are indexed 0..3 via (+1,+1), (+1,-1), (-1,+1), (-1,-1).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -227,14 +226,12 @@ class FnOperator:
         vals[start : start + len(at)] = block[at]
         indptr[c0 + 1 : c0 + cols + 1] = start + np.searchsorted(at, np.arange(1, cols + 1) * n)
 
-    def apply(self, partner: LlrDensity | Sequence[LlrDensity] | DensityRows):
-        """The transform of one partner density, of a sequence of them as a
-        list, or of a stack of them as a stack: one sparse product with a
-        column per partner.  CSC sums each column in the same order whatever
-        the batch, so every result has the bits of its own matrix-vector
-        product."""
-        single = isinstance(partner, LlrDensity)
-        rows = partner if isinstance(partner, DensityRows) else DensityRows.of([partner] if single else partner)
+    def apply(self, partner: LlrDensity | DensityRows):
+        """The transform of one partner density, or of a stack of them as a
+        stack: one sparse product with a column per partner.  CSC sums each
+        column in the same order whatever the batch, so every result has the
+        bits of its own matrix-vector product."""
+        rows = partner if isinstance(partner, DensityRows) else DensityRows.of([partner])
         if rows.grid != self.grid:
             raise ValueError("partner density on wrong grid")
         x = np.empty((len(rows), self.grid.n_bins + 1))
@@ -242,10 +239,7 @@ class FnOperator:
         x[:, -1] = rows.pos
         # each column normalized on its own, as a contiguous row
         out = DensityRows.make(self.grid, np.ascontiguousarray((self.matrix @ x.T).T), np.zeros(len(rows)))
-        if isinstance(partner, DensityRows):
-            return out
-        results = [out.density(j) for j in range(len(out))]
-        return results[0] if single else results
+        return out if isinstance(partner, DensityRows) else out[0]
 
 
 _FN_CACHE: dict[tuple, FnOperator] = {}

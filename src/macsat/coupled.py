@@ -13,12 +13,12 @@ with the double-window operators
 and symmetrically for b.  All positions update from the previous state
 (Jacobi), matching the displayed recursion.
 
-One engine runs the recursion over a fold of the chain: positions -L..L of
-both users or, on the symmetric ray (A = 1, equal codes, symmetric start),
-positions 0..L of user 1 read through p -> |p| with the user as its own
-partner, since b = a and a_{-i} = a_i hold there (the user-exchange
-reduction of uncoupled DE together with spatial mirror symmetry).  Each
-user's fold is one stack of densities (`densities.DensityRows`), and since
+One engine runs the recursion over the state it is given, which is its
+fold of the chain: two stacks of densities (`densities.DensityRows`),
+positions -L..L of both users, or on the symmetric ray (A = 1, equal codes)
+one stack, positions 0..L of user 1 read through p -> |p| with the user as
+its own partner, since b = a and a_{-i} = a_i hold there (the user-exchange
+reduction of uncoupled DE together with spatial mirror symmetry).  Since
 the recursion is Jacobi each stage of a sweep is one array operation over
 all positions: the check-window averages are one weighted sum over an index
 map of the fold and its termination, the live windows are box-plus'ed
@@ -48,7 +48,6 @@ from .densities import (
     DensityGrid,
     DensityRows,
     conv_vn_rows,
-    delta_inf,
     delta_zero,
     mix_rows,
     power_cn_rows,
@@ -63,45 +62,54 @@ COUPLED_MAX_ITERS = 30_000  # decoding waves need ~L / wave-speed iterations
 
 @dataclass(frozen=True)
 class CoupledState:
-    """Position-indexed variable-to-check densities for both users."""
+    """Position-stacked variable-to-check densities (`densities.DensityRows`).
 
-    a_vec: tuple
-    b_vec: tuple
+    One stack is the symmetric fold: positions 0..L of user 1, standing for
+    both users and for the mirror positions (b = a, a_{-i} = a_i).  Two
+    stacks are users 1 and 2 over positions -L..L."""
+
+    rows: tuple
     L: int
 
     def __post_init__(self):
-        if len(self.a_vec) != 2 * self.L + 1 or len(self.b_vec) != 2 * self.L + 1:
-            raise ValueError("need one density per position in [-L, L]")
+        n = self.L + 1 if len(self.rows) == 1 else 2 * self.L + 1
+        if len(self.rows) not in (1, 2) or any(len(r) != n for r in self.rows):
+            raise ValueError(f"need one stack of positions 0..{self.L} or two of positions -{self.L}..{self.L}")
+
+    def index(self, p: np.ndarray) -> np.ndarray:
+        """The stack row of each position p, read through p -> |p| on the
+        fold; outside -L..L the termination row, one past the last."""
+        inside = np.abs(p) <= self.L
+        return np.where(inside, np.abs(p) if len(self.rows) == 1 else p + self.L, len(self.rows[0]))
+
+    def unfold(self, stacks) -> tuple:
+        """(user 1, user 2) over positions -L..L from one sequence per stack,
+        indexed as its rows; on the fold both are user 1's chain."""
+        idx = self.index(np.arange(-self.L, self.L + 1))
+        full = [tuple(stack[i] for i in idx) for stack in stacks]
+        return full[0], full[-1]
 
     def extrinsic(self, spec: CoupledSpec) -> list:
         """Per-position (user 1, user 2) variable-to-function densities
         (Gamma = t_i^{*l} of each window), the input of the position-averaged
         GEXIT value."""
         eng = _Engine(spec, self)
-        gammas = [power_vn_rows(eng.inners(u), spec.l) for u in range(len(eng.rows))]
-        return list(zip(*eng.unfold([[g.density(j) for j in range(len(g))] for g in gammas])))
-
-
-def _is_symmetric_state(st: CoupledState) -> bool:
-    n = len(st.a_vec)
-    return all(st.a_vec[i] is st.b_vec[i] for i in range(n)) and all(
-        st.a_vec[i] is st.a_vec[n - 1 - i] for i in range(n // 2)
-    )
+        gammas = [power_vn_rows(eng.inners(u), spec.l) for u in range(len(self.rows))]
+        return list(zip(*self.unfold(gammas)))
 
 
 class _Engine:
-    """The coupled recursion over one fold of the chain, as a staged sweep on
-    position-stacked arrays.
+    """The coupled recursion over the chain a state stacks, as a staged sweep
+    on position-stacked arrays.
 
-    `rows` holds one DensityRows per evolving user over positions lo..L:
-    -L..L of both users, or 0..L of user 1 on the symmetric fold, where
-    positions are read through p -> |p| and user 1 is its own partner.  The
-    symmetric fold serves a start whose users and mirror positions share
-    their density objects, on the symmetric ray; without a channel point the
-    engine only reads windows (no updates), so the start alone decides.
+    A two-stack state runs both users over -L..L.  A one-stack state runs
+    the symmetric fold, positions 0..L of user 1 read through p -> |p| with
+    user 1 as its own partner, on the symmetric ray; run off the ray it is
+    first unfolded into both users' chains.  Without a channel point the
+    engine only reads windows (no updates), so the state alone decides.
     Each stage of a sweep is one operation over all positions of a user:
-    the check-window averages are one weighted sum over an index map of the
-    fold and its termination (a +inf-delta row), the live windows are
+    the check-window averages are one weighted sum over the state's index
+    map and its termination (a +inf-delta row), the live windows are
     box-plus'ed together, (t_i, g) is formed once per position, the
     positions whose own g is not the +inf delta send their partner densities
     through the user's function node in one batched apply, and the product
@@ -112,54 +120,25 @@ class _Engine:
 
     def __init__(self, spec: CoupledSpec, start: CoupledState, ch=None):
         if start.L != spec.L:
-            raise ValueError(f"start has {len(start.a_vec)} positions, {spec} has {spec.n_positions}")
-        grid = start.a_vec[0].grid
-        self.symmetric = _is_symmetric_state(start) and (ch is None or ch.ratio == 1.0)
-        self.spec = spec
-        self.grid = grid
-        self.dinf = delta_inf(grid)
-        users = (1,) if self.symmetric else (1, 2)
-        # fns[u]: the function-node operator toward user u
-        self.fns = () if ch is None else tuple(fn_operator(grid, u, ch) for u in users)
+            raise ValueError(f"start has {2 * start.L + 1} positions, {spec} has {spec.n_positions}")
         L, w = spec.L, spec.w
-        self.lo = 0 if self.symmetric else -L
-        self.positions = range(self.lo, L + 1)
-        self._vecs = [start.a_vec[L:]] if self.symmetric else [start.a_vec, start.b_vec]
-        self.rows = [DensityRows.of(vec) for vec in self._vecs]
-        self._inert = None  # rows that are the +inf delta object, once a sweep ran
-        self.partner = (0,) if self.symmetric else (1, 0)
+        if len(start.rows) == 1 and ch is not None and ch.ratio != 1.0:
+            full = start.rows[0].take(start.index(np.arange(-L, L + 1)))
+            start = CoupledState((full, full), L)
+        self.spec = spec
+        self.state = start
+        self.grid = start.rows[0].grid
+        users = len(start.rows)
+        # fns[u]: the function-node operator toward user u
+        self.fns = () if ch is None else tuple(fn_operator(self.grid, u, ch) for u in (1, 2)[:users])
+        self.partner = (0,) if users == 1 else (1, 0)
         self._weights = np.full(w, 1.0 / w)
         # check window c in [lo, L + w - 1], slot j: the row of position
-        # c - w + 1 + j, or the termination row n outside the chain
-        n = len(self.positions)
-        p = np.arange(self.lo, L + w)[:, None] + np.arange(1 - w, 1)
-        if self.symmetric:
-            p = np.abs(p)
-        self._checks = np.where((self.lo <= p) & (p <= L), p - self.lo, n)
-        self._inner = np.arange(n)[:, None] + np.arange(w)  # position j: windows j..j+w-1
-
-    def _at(self, vec, p: int):
-        if self.symmetric:
-            p = abs(p)
-        return vec[p - self.lo] if self.lo <= p <= self.spec.L else self.dinf
-
-    def unfold(self, vecs) -> tuple:
-        """(a, b) over positions -L..L from per-user sequences over the fold;
-        on the symmetric fold both are user 1's chain."""
-        L = self.spec.L
-        full = [tuple(self._at(vec, p) for p in range(-L, L + 1)) for vec in vecs]
-        return full[0], full[-1]
-
-    @property
-    def vecs(self) -> list:
-        """One tuple of densities per evolving user over the fold; a row a
-        sweep left at the +inf delta is the engine's one +inf delta."""
-        if self._vecs is None:
-            self._vecs = [
-                tuple(self.dinf if inert[j] else rows.density(j) for j in range(len(rows)))
-                for rows, inert in zip(self.rows, self._inert)
-            ]
-        return self._vecs
+        # c - w + 1 + j, or the termination row outside the chain
+        lo = 0 if users == 1 else -L
+        self._checks = start.index(np.arange(lo, L + w)[:, None] + np.arange(1 - w, 1))
+        n = len(start.rows[0])
+        self._inner = np.arange(n)[:, None] + np.arange(w)  # row j: windows j..j+w-1
 
     def _average(self, rows: DensityRows, index: np.ndarray) -> DensityRows:
         """Row r is the uniform mixture of rows index[r]; the +inf delta when
@@ -173,7 +152,7 @@ class _Engine:
 
         Each check window c in [lo, L + w - 1] is box-plus'ed once; a window
         of +inf deltas gives the +inf delta, which box-plus keeps."""
-        rows = self.rows[u]
+        rows = self.state.rows[u]
         ends = DensityRows(self.grid, np.vstack((rows.mass, np.zeros(self.grid.n_bins))), np.append(rows.pos, 1.0))
         x = self._average(ends, self._checks)
         live = ~x.inf
@@ -199,32 +178,33 @@ class _Engine:
         to the +inf delta once the error probability falls below
         FREEZE_ERROR_PROB."""
         branches = []
-        for u in range(len(self.rows)):
+        for u in range(len(self.state.rows)):
             t = self.inners(u)
             branches.append((t, power_vn_rows(t, self.spec.l - 1)))
-        rows, inert = [], []
+        rows = []
         for u, fn in enumerate(self.fns):
             live, vf = self.update_position(u, branches)
             out = DensityRows.delta_inf(self.grid, len(live))
             if live.any():
                 fn_out = out.put(live, fn.apply(vf.take(live)))
-                out = conv_vn_rows(fn_out, branches[u][1], where=live)
-                live &= ~(out.error_probs() < FREEZE_ERROR_PROB)
-                out.mass[~live], out.pos[~live] = 0.0, 1.0
+                new = conv_vn_rows(fn_out, branches[u][1], where=live)
+                live &= ~(new.error_probs() < FREEZE_ERROR_PROB)
+                new.mass[~live], new.pos[~live] = 0.0, 1.0
+                out = new if live.any() else out  # a user frozen whole is the +inf stack
             rows.append(out)
-            inert.append(~live)
-        self.rows, self._inert, self._vecs = rows, inert, None
+        self.state = CoupledState(tuple(rows), self.spec.L)
         return self
+
+    def entropies(self) -> tuple:
+        """Each user's entropies over positions -L..L; the fold takes each
+        row's entropy once and reads it at every position it stands for."""
+        return self.state.unfold([rows.entropies() for rows in self.state.rows])
 
     def measure(self) -> tuple[float, float]:
         """Mean entropy over positions -L..L of both users, largest error
-        probability.  The fold takes each row's entropy once and reads it at
-        every position it stands for, so it halts as the full chain does."""
-        a, b = self.unfold([rows.entropies() for rows in self.rows])
-        return float(np.mean(a + b)), max(float(rows.error_probs().max()) for rows in self.rows)
-
-    def full_state(self) -> CoupledState:
-        return CoupledState(*self.unfold(self.vecs), self.spec.L)
+        probability; so the fold halts as the full chain does."""
+        a, b = self.entropies()
+        return float(np.mean(a + b)), max(float(rows.error_probs().max()) for rows in self.state.rows)
 
 
 def coupled_run(
@@ -240,23 +220,22 @@ def coupled_run(
     FREEZE_ERROR_PROB are frozen to the +inf delta.
 
     `profile(iteration, entropies_a, entropies_b)` is invoked per iteration
-    when given (wave visualization).  On the symmetric ray, from a start
-    whose users and mirror positions share their density objects, the engine
-    evolves half the chain of one user; it is exact, not an approximation.
+    when given (wave visualization).  The no-knowledge start is the fold of
+    0-LLR deltas: on the symmetric ray the engine evolves half the chain of
+    one user, which is exact, not an approximation; off it, both users'
+    chains.  A two-stack `start` runs the full chain on any ray.
     """
     if start is None:
-        d0 = delta_zero(grid)
-        start = CoupledState((d0,) * spec.n_positions, (d0,) * spec.n_positions, spec.L)
+        start = CoupledState((DensityRows.of([delta_zero(grid)] * (spec.L + 1)),), spec.L)
     engine = _Engine(spec, start, ch)
 
     observe = None
     if profile is not None:
 
         def observe(iteration, eng):
-            a, b = eng.unfold([rows.entropies() for rows in eng.rows])
-            profile(iteration, np.array(a), np.array(b))
+            profile(iteration, *map(np.array, eng.entropies()))
 
     _, residual, halt, iterations = run_to_halt(
         engine, _Engine.iterate, _Engine.measure, max_iters, observe
     )
-    return FixedPoint(ch, engine.full_state(), residual, halt, iterations)
+    return FixedPoint(ch, engine.state, residual, halt, iterations)

@@ -190,11 +190,12 @@ def delta_zero(grid: DensityGrid) -> LlrDensity:
 
 class DensityRows:
     """A stack of densities on one grid, one per row: masses (P, n) and +inf
-    masses (P,).  The stacked operations below run the arithmetic of the
-    one-density ones over all rows at once, with that arithmetic's bits; a
-    row the one-density operation answers by an early return takes that
-    operand's row through a mask.  The spectra of the rows a variable-node
-    convolution reads are taken on first use, in one transform, and kept."""
+    masses (P,); `rows[i]` is row i as an LlrDensity.  The stacked
+    operations below run the arithmetic of the one-density ones over all
+    rows at once, with that arithmetic's bits; a row the one-density
+    operation answers by an early return takes that operand's row through a
+    mask.  The spectra of the rows a variable-node convolution reads are
+    taken on first use, in one transform, and kept."""
 
     def __init__(self, grid: DensityGrid, mass: np.ndarray, pos: np.ndarray):
         self.grid = grid
@@ -217,7 +218,9 @@ class DensityRows:
 
     @classmethod
     def delta_inf(cls, grid: DensityGrid, rows: int) -> "DensityRows":
-        return cls(grid, np.zeros((rows, grid.n_bins)), np.ones(rows))
+        """rows +inf deltas whose masses all read one zero row (a read-only
+        view), so that such a stack, a decoded chain say, holds one row."""
+        return cls(grid, np.broadcast_to(np.zeros(grid.n_bins), (rows, grid.n_bins)), np.ones(rows))
 
     def __len__(self) -> int:
         return len(self.pos)
@@ -241,7 +244,7 @@ class DensityRows:
         mass[rows], pos[rows] = src.mass, src.pos
         return DensityRows(self.grid, mass, pos)
 
-    def density(self, i: int) -> LlrDensity:
+    def __getitem__(self, i: int) -> LlrDensity:
         return LlrDensity(self.grid, self.mass[i], self.pos[i])
 
     def spectrum(self, rows: np.ndarray) -> np.ndarray:
@@ -624,16 +627,6 @@ def _power(a: LlrDensity, n: int, conv, unit: LlrDensity, squares: list | None) 
     if n < 0:
         raise ValueError("negative power")
     return _squarings(n, conv, [a] if squares is None else squares) if n else unit
-
-
-def power_vn(a: LlrDensity, n: int, squares: list | None = None) -> LlrDensity:
-    """n-fold variable-node self-convolution; n = 0 gives the 0-LLR delta."""
-    return _power(a, n, conv_vn, delta_zero(a.grid), squares)
-
-
-def power_cn(a: LlrDensity, n: int) -> LlrDensity:
-    """n-fold box-plus self-convolution; n = 0 gives the +inf delta."""
-    return _power(a, n, conv_cn, delta_inf(a.grid), None)
 
 
 def _poly_apply(coeffs, a: LlrDensity, conv, unit: LlrDensity, shift: int, squares=None) -> LlrDensity:

@@ -212,7 +212,8 @@ def bp_gexit_curve(
 
 
 class MapBoundError(RuntimeError):
-    """The curve integral never reaches twice the design rate."""
+    """The curve integral never reaches twice the design rate, or the curve
+    has too few samples to integrate."""
 
 
 def _area(pts) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +234,7 @@ def map_bound(pts, rate: float) -> float:
     alpha_MAP <= alpha_bar.
     """
     if len(pts) < 3:
-        raise ValueError("curve too sparse")
+        raise MapBoundError(f"{len(pts)} curve samples, the area needs 3; use a finer --step")
     alphas, cum = _area(pts)
     if alphas[0] > 1e-9:
         raise ValueError("curve must start at alpha = 0")

@@ -319,11 +319,11 @@ class _CodeSide:
 
     def check_update(self, msg_vc: np.ndarray) -> np.ndarray:
         """Box-plus of all-but-one incoming message per edge, via log-tanh
-        magnitudes and sign parities per check."""
+        magnitudes and sign parities per check.  The messages are within
+        +-LLR_CLIP: var_update clips them, and the first round's are zeros."""
         g = self.graph
-        m = np.clip(msg_vc, -LLR_CLIP, LLR_CLIP)
-        sign = m < 0
-        mag = np.abs(m)
+        sign = msg_vc < 0
+        mag = np.abs(msg_vc)
         # log |tanh(m/2)|, guarded at 0
         lt = np.log(np.tanh(np.maximum(mag, 1e-300) / 2.0))
         lt_sum = np.bincount(g.edge_check, weights=lt, minlength=g.n_checks)

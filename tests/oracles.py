@@ -27,12 +27,15 @@ from macsat.channel import (
 from macsat.densities import (
     DensityGrid,
     LlrDensity,
+    _power,
+    conv_cn,
+    conv_vn,
+    delta_inf,
+    delta_zero,
     is_delta_inf,
     is_delta_zero,
     make_density,
     mix,
-    power_cn,
-    power_vn,
 )
 from macsat.gexit import INF_LLR, KERNEL_ORDER, LOG2E, _rebin
 from macsat.mcsim import (
@@ -223,6 +226,16 @@ def logaddexp_fn_operator(grid: DensityGrid, h_target: float, h_partner: float) 
     """`FnOperator` assembled from `logaddexp_fn_llr` instead of `fn_llr`."""
     with mock.patch.object(channel, "fn_llr", logaddexp_fn_llr):
         return FnOperator(grid, h_target, h_partner)
+
+
+def power_vn(a: LlrDensity, n: int) -> LlrDensity:
+    """n-fold variable-node self-convolution; n = 0 gives the 0-LLR delta."""
+    return _power(a, n, conv_vn, delta_zero(a.grid), None)
+
+
+def power_cn(a: LlrDensity, n: int) -> LlrDensity:
+    """n-fold box-plus self-convolution; n = 0 gives the +inf delta."""
+    return _power(a, n, conv_cn, delta_inf(a.grid), None)
 
 
 def window_g(xs, l: int, r: int, w: int) -> LlrDensity:

@@ -24,6 +24,7 @@ from macsat.channel import (
 )
 from macsat.densities import (
     DensityGrid,
+    DensityRows,
     delta_inf,
     delta_zero,
     entropy,
@@ -207,20 +208,21 @@ class TestFnOperator:
         partners += [delta_inf(grid), delta_zero(grid)]
         for ch in self.POINTS:
             op = FnOperator(grid, ch.h2, ch.h1)
-            batch = op.apply(partners)
+            batch = op.apply(DensityRows.of(partners))
             assert len(batch) == len(partners)
-            for partner, got in zip(partners, batch):
+            for j, partner in enumerate(partners):
                 x = np.append(partner.mass, partner.mass_pos_inf)
                 want = make_density(grid, op.matrix @ x)
-                for d in (got, op.apply(partner), op.apply([partner])[0]):
+                for d in (batch[j], op.apply(partner), op.apply(DensityRows.of([partner]))[0]):
                     assert d.mass.tobytes() == want.mass.tobytes()
                     assert d.mass_pos_inf == 0.0
 
     def test_apply_rejects_partner_on_other_grid(self, coarse_grid):
         op = FnOperator(coarse_grid, 1.0, 1.0)
         other = DensityGrid(1.0, 4.0)
-        with pytest.raises(ValueError):
-            op.apply([delta_zero(coarse_grid), delta_zero(other)])
+        for partner in (delta_zero(other), DensityRows.of([delta_zero(other)])):
+            with pytest.raises(ValueError):
+                op.apply(partner)
 
     def test_columns_sum_to_one(self, coarse_grid):
         for ch in self.POINTS + (ChannelPoint(0.0, 1.0), ChannelPoint(2.5, 0.0)):

@@ -467,6 +467,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "invalid _" not in err  # argparse naming a private type function
 
+    @pytest.mark.parametrize("rays", [[], ["--ray-list", "1,2"]], ids=["one-ray", "ray-list"])
+    def test_step_too_coarse_for_the_area_is_numeric_failure(self, rays, capsys):
+        # the upward sweep decodes at its first sample, alpha = 2, so the
+        # curve has two samples and no area to bound
+        argv = ["map-bound", "--grid-bins", "129", "--lattice", "16", "--step", "2"]
+        assert main(argv + rays) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "2 curve samples" in err and "finer --step" in err
+
     def test_n_with_coupled_ensemble_names_its_size_flag(self, capsys):
         argv = ["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2", "--n", "1200"]
         assert main(argv) == 2

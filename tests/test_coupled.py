@@ -13,34 +13,42 @@ from macsat.coupled import (
 from macsat.densities import (
     BoxPlusTable,
     DensityGrid,
+    DensityRows,
     conv_vn,
     delta_inf,
     delta_zero,
     error_prob,
     mix,
-    power_cn,
     power_cn_rows,
-    power_vn,
     power_vn_rows,
 )
 from macsat.ensembles import CoupledSpec, regular
 from macsat.jointde import bp_threshold, de_iterate, initial_state
 
 from conftest import random_density
-from oracles import total_mass, window_g, window_gamma
+from oracles import power_cn, power_vn, total_mass, window_g, window_gamma
 
 SPEC = CoupledSpec(3, 6, 4, 2)
 
 
-def zero_start(grid, spec, shared=True):
-    """The no-knowledge start; with shared=False every position of each user
-    is its own object, so coupled DE runs the full chain even at A = 1."""
-    n = spec.n_positions
-    if shared:
-        d0 = delta_zero(grid)
-        return CoupledState((d0,) * n, (d0,) * n, spec.L)
-    a, b = (tuple(delta_zero(grid) for _ in range(n)) for _ in range(2))
-    return CoupledState(a, b, spec.L)
+def zero_start(grid, spec, fold=True):
+    """The no-knowledge start: the fold of 0-LLR deltas over positions
+    0..L or, with fold=False, both users' chains over -L..L, which coupled
+    DE runs in full even at A = 1."""
+    if fold:
+        return CoupledState((DensityRows.of([delta_zero(grid)] * (spec.L + 1)),), spec.L)
+    zeros = DensityRows.of([delta_zero(grid)] * spec.n_positions)
+    return CoupledState((zeros, zeros), spec.L)
+
+
+def chain_state(a, b, L) -> CoupledState:
+    """The two-stack state of per-position densities a and b over -L..L."""
+    return CoupledState((DensityRows.of(a), DensityRows.of(b)), L)
+
+
+def chains(state) -> tuple:
+    """Each user's densities over positions -L..L."""
+    return state.unfold(state.rows)
 
 
 def iterate(spec, ch, start, n) -> CoupledState:
@@ -48,7 +56,7 @@ def iterate(spec, ch, start, n) -> CoupledState:
     eng = _Engine(spec, start, ch)
     for _ in range(n):
         eng.iterate()
-    return eng.full_state()
+    return eng.state
 
 
 class TestWindows:
@@ -88,21 +96,23 @@ class TestWindows:
 class TestIterate:
     def test_symmetries_at_unit_ratio(self, coarse_grid):
         # the full chain at A = 1 keeps b = a and the mirror symmetry exactly
-        start = zero_start(coarse_grid, SPEC, shared=False)
-        st = iterate(SPEC, ChannelPoint(1.5, 1.0), start, 5)
-        n = len(st.a_vec)
+        start = zero_start(coarse_grid, SPEC, fold=False)
+        a, b = chains(iterate(SPEC, ChannelPoint(1.5, 1.0), start, 5))
+        n = len(a)
         for i in range(n):
-            assert np.array_equal(st.a_vec[i].mass, st.b_vec[i].mass)
-            assert np.array_equal(st.a_vec[i].mass, st.a_vec[n - 1 - i].mass)
+            assert np.array_equal(a[i].mass, b[i].mass)
+            assert np.array_equal(a[i].mass, a[n - 1 - i].mass)
 
     def test_symmetric_engine_matches_general(self, coarse_grid):
+        # the shape of the state picks the chain: a fold runs as one stack
+        # on the ray and is unfolded into both users' chains off it
         ch = ChannelPoint(1.5, 1.0)
-        full_start = zero_start(coarse_grid, SPEC, shared=False)
-        assert _Engine(SPEC, zero_start(coarse_grid, SPEC), ch).symmetric
-        assert not _Engine(SPEC, full_start, ch).symmetric
-        full = iterate(SPEC, ch, full_start, 5)
+        assert len(_Engine(SPEC, zero_start(coarse_grid, SPEC), ch).state.rows) == 1
+        assert len(_Engine(SPEC, zero_start(coarse_grid, SPEC), ChannelPoint(1.5, 0.9)).state.rows) == 2
+        full = iterate(SPEC, ch, zero_start(coarse_grid, SPEC, fold=False), 5)
         sym = iterate(SPEC, ch, zero_start(coarse_grid, SPEC), 5)
-        for a, b in zip(full.a_vec + full.b_vec, sym.a_vec + sym.b_vec):
+        assert (len(full.rows), len(sym.rows)) == (2, 1)
+        for a, b in zip(sum(chains(full), ()), sum(chains(sym), ())):
             assert np.array_equal(a.mass, b.mass)
 
     def test_w1_positions_decouple(self, coarse_grid):
@@ -112,7 +122,7 @@ class TestIterate:
         ust = initial_state(coarse_grid)
         for _ in range(4):
             ust = de_iterate(ust, ch, regular(3, 6))
-        for d in st.a_vec:
+        for d in chains(st)[0]:
             assert np.abs(d.mass - ust.a.mass).max() < 1e-13
 
     def test_update_matches_window_ops(self, coarse_grid):
@@ -122,13 +132,13 @@ class TestIterate:
         rng = np.random.default_rng(2)
         a = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
         b = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
-        new = iterate(SPEC, ch, CoupledState(a, b, 4), 1)
+        new_a, new_b = chains(iterate(SPEC, ch, chain_state(a, b, 4), 1))
         dinf = delta_inf(coarse_grid)
 
         def window(vec, i):
             return [vec[p + 4] if abs(p) <= 4 else dinf for p in range(i - 1, i + 2)]
 
-        for user, own, partner, got in ((1, a, b, new.a_vec), (2, b, a, new.b_vec)):
+        for user, own, partner, got in ((1, a, b, new_a), (2, b, a, new_b)):
             fn = fn_operator(coarse_grid, user, ch)
             for i in range(-4, 5):
                 expect = conv_vn(
@@ -149,7 +159,7 @@ class TestIterate:
         monkeypatch.setattr(coupled, "power_cn_rows", lambda x, n: calls.append(len(x)) or power_cn_rows(x, n))
         rng = np.random.default_rng(3)
         a, b = (tuple(random_density(coarse_grid, rng) for _ in range(9)) for _ in range(2))
-        iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
+        iterate(SPEC, ChannelPoint(1.4, 0.7), chain_state(a, b, 4), 1)
         assert calls == [2 * SPEC.L + SPEC.w] * 2
 
     def test_symmetric_fold_powers_once_per_position(self, coarse_grid, monkeypatch):
@@ -172,29 +182,33 @@ class TestIterate:
         monkeypatch.setattr(coupled, "power_vn_rows", lambda x, n: calls.append(len(x)) or power_vn_rows(x, n))
         rng = np.random.default_rng(4)
         a, b = (tuple(random_density(coarse_grid, rng) for _ in range(9)) for _ in range(2))
-        iterate(SPEC, ChannelPoint(1.4, 0.7), CoupledState(a, b, 4), 1)
+        iterate(SPEC, ChannelPoint(1.4, 0.7), chain_state(a, b, 4), 1)
         assert calls == [SPEC.n_positions] * 2
 
     def test_decoded_state_is_reused_across_sweeps(self, monkeypatch):
         # a decoded run ends with every position frozen to the +inf delta, so
         # every own g is the +inf delta: no sweep sends a function-node
-        # column, and each hands back the engine's one +inf delta object
+        # column, and each hands the decoded state back as it came, a stack
+        # per user whose rows all read one zero mass row
         grid = DensityGrid(30 / 64, 30.0)
         ch = ChannelPoint(1.8, 0.7)
         fp = coupled_run(ch, SPEC, grid)
         assert fp.decoded
+
+        def decoded(state):
+            return all(rows.inf.all() and rows.mass.strides[0] == 0 for rows in state.rows)
+
+        assert decoded(fp.state)
         eng = _Engine(SPEC, fp.state, ch)
         columns = []
         apply = FnOperator.apply
         monkeypatch.setattr(
             FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x)
         )
-        first = eng.iterate().vecs
-        assert columns == []
-        assert all(x is eng.dinf for v in first for x in v)
-        second = eng.iterate().vecs
-        assert columns == []
-        assert all(x is y for u, v in zip(first, second) for x, y in zip(u, v))
+        for _ in range(2):
+            state = eng.iterate().state
+            assert columns == []
+            assert len(state.rows) == 2 and decoded(state)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["fold", "full-chain"])
     def test_inert_windows_and_positions_are_skipped(self, coarse_grid, monkeypatch, symmetric):
@@ -210,35 +224,36 @@ class TestIterate:
 
         def chain():
             live = [random_density(coarse_grid, rng, symmetric=True) for _ in range(5)]
-            if symmetric:  # mirror positions share their objects
-                live = live[2:0:-1] + live[:3]
-            return (dinf,) * (L - 2) + tuple(live) + (dinf,) * (L - 2)
+            return DensityRows.of([dinf] * (L - 2) + live + [dinf] * (L - 2))
 
-        a = chain()
-        start = CoupledState(a, a if symmetric else chain(), L)
+        if symmetric:  # the fold: positions 0..L
+            live = [random_density(coarse_grid, rng, symmetric=True) for _ in range(3)]
+            start = CoupledState((DensityRows.of(live + [dinf] * (L - 2)),), L)
+        else:
+            start = CoupledState((chain(), chain()), L)
         ch = ChannelPoint(1.4, 1.0 if symmetric else 0.7)
         eng = _Engine(SPEC, start, ch)
-        assert eng.symmetric == symmetric
+        lo = 0 if symmetric else -L
 
         def live(lo, hi):
             return any(abs(p) <= 2 for p in range(lo, hi + 1))
 
-        windows = [c for c in range(eng.lo, L + w) if live(c - w + 1, c)]
-        positions = [i for i in eng.positions if live(i - w + 1, i + w - 1)]
+        windows = [c for c in range(lo, L + w) if live(c - w + 1, c)]
+        positions = [i for i in range(lo, L + 1) if live(i - w + 1, i + w - 1)]
         calls, columns = [], []
         monkeypatch.setattr(coupled, "power_cn_rows", lambda x, n: calls.append(len(x)) or power_cn_rows(x, n))
         apply = FnOperator.apply
         monkeypatch.setattr(
             FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x)
         )
-        vecs = eng.iterate().vecs
-        users = len(vecs)
+        stacks = eng.iterate().state.rows
+        users = len(stacks)
         assert users == (1 if symmetric else 2)
-        assert calls == [len(windows)] * users and len(windows) < L + w - eng.lo
+        assert calls == [len(windows)] * users and len(windows) < L + w - lo
         assert columns == [len(positions)] * users
-        for vec in vecs:
-            for i, d in zip(eng.positions, vec):
-                assert (i in positions) != (d is eng.dinf)
+        for rows in stacks:
+            for i, inf in zip(range(lo, L + 1), rows.inf):
+                assert (i in positions) != inf
 
 
 class TestRun:
@@ -262,7 +277,7 @@ class TestRun:
     def test_spatial_monotonicity(self, coarse_grid):
         spec = CoupledSpec(3, 6, 8, 2)
         fp = coupled_run(ChannelPoint(1.2, 1.0), spec, coarse_grid, max_iters=80)
-        prof = [error_prob(d) for d in fp.state.a_vec]
+        prof = [error_prob(d) for d in chains(fp.state)[0]]
         # |i| >= |j| implies error_prob(a_i) <= error_prob(a_j)
         for i in range(spec.L):
             assert prof[i] <= prof[i + 1] + 1e-9  # left half ascending
@@ -272,7 +287,7 @@ class TestRun:
         spec = CoupledSpec(3, 6, 4, 2)
         fp = coupled_run(ChannelPoint(1.8, 1.0), spec, coarse_grid)
         assert fp.decoded
-        assert all(error_prob(d) == 0.0 for d in fp.state.a_vec)
+        assert all(error_prob(d) == 0.0 for d in chains(fp.state)[0])
 
     def test_profile_rows(self, coarse_grid):
         # each callback gets one entropy per position (2L+1) for each user
@@ -298,16 +313,17 @@ class TestRun:
         ids=["1.6", "1.1", "129bins-1.2", "129bins-1.28"],
     )
     def test_symmetric_fold_matches_full_chain_run(self, bins, alpha):
-        # a start of distinct objects runs the full chain at A = 1; the
+        # a two-stack start runs the full chain at A = 1; the
         # half-chain fold must halt alike on the same densities, with the
         # same residual (on 129 bins the stall rule once read the mean
         # entropy of half the chain and halted a few sweeps early)
         grid = DensityGrid(60.0 / (bins - 1), 30.0)
         ch = ChannelPoint(alpha, 1.0)
         half = coupled_run(ch, SPEC, grid)
-        full = coupled_run(ch, SPEC, grid, start=zero_start(grid, SPEC, shared=False))
+        full = coupled_run(ch, SPEC, grid, start=zero_start(grid, SPEC, fold=False))
+        assert (len(half.state.rows), len(full.state.rows)) == (1, 2)
         assert (half.halt, half.iterations, half.residual) == (full.halt, full.iterations, full.residual)
-        for x, y in zip(half.state.a_vec + half.state.b_vec, full.state.a_vec + full.state.b_vec):
+        for x, y in zip(sum(chains(half.state), ()), sum(chains(full.state), ())):
             assert x.mass.tobytes() == y.mass.tobytes()
             assert x.mass_pos_inf == y.mass_pos_inf
 
@@ -316,12 +332,14 @@ class TestRun:
         fp = coupled_run(ChannelPoint(1.5, ratio), SPEC, coarse_grid, max_iters=0)
         assert (fp.halt, fp.iterations, fp.decoded) == ("max_iters", 0, False)
         assert fp.residual == np.inf
-        assert all(d is fp.state.a_vec[0] for d in fp.state.a_vec + fp.state.b_vec)
+        # the zero fold, unfolded into both users' chains off the ray
+        assert len(fp.state.rows) == (1 if ratio == 1.0 else 2)
+        assert all(rows.zero.all() for rows in fp.state.rows)
 
-    @pytest.mark.parametrize("L, shared", [(6, True), (3, False)], ids=["longer-fold", "shorter-full-chain"])
-    def test_start_of_another_chain_length_rejected(self, tiny_grid, L, shared):
+    @pytest.mark.parametrize("L, fold", [(6, True), (3, False)], ids=["longer-fold", "shorter-full-chain"])
+    def test_start_of_another_chain_length_rejected(self, tiny_grid, L, fold):
         # a start of 2L'+1 positions is not a start of the 2L+1-position chain
-        start = zero_start(tiny_grid, CoupledSpec(3, 6, L, 2), shared)
+        start = zero_start(tiny_grid, CoupledSpec(3, 6, L, 2), fold)
         with pytest.raises(ValueError, match="positions"):
             coupled_run(ChannelPoint(1.5, 1.0), SPEC, tiny_grid, max_iters=1, start=start)
 
@@ -336,7 +354,7 @@ class TestWaveStability:
         eng = _Engine(spec, zero_start(coarse_grid, spec), ChannelPoint(1.35, 1.0))
         decoded = False
         for _ in range(2500):
-            errs = np.array([error_prob(d) for d in eng.iterate().full_state().a_vec])
+            errs = np.array([error_prob(d) for d in chains(eng.iterate().state)[0]])
             if prev is not None:
                 assert np.all(errs <= prev + 1e-9)
             prev = errs
@@ -374,27 +392,24 @@ class TestExtrinsic:
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_profile_matches_window_gamma(self, coarse_grid, symmetric):
-        # Gamma of every window, bit for bit; a symmetric state is read on
-        # half the chain of one user and the objects are shared
+        # Gamma of every window, bit for bit; a fold is read on half the
+        # chain of one user
         rng = np.random.default_rng(4)
         a = [random_density(coarse_grid, rng, symmetric=True) for _ in range(9)]
         if symmetric:
             a = a[:4] + a[4::-1]
-            state = CoupledState(tuple(a), tuple(a), 4)
+            state = CoupledState((DensityRows.of(a[4:]),), 4)
         else:
-            b = tuple(random_density(coarse_grid, rng, symmetric=True) for _ in range(9))
-            state = CoupledState(tuple(a), b, 4)
+            b = [random_density(coarse_grid, rng, symmetric=True) for _ in range(9)]
+            state = chain_state(a, b, 4)
         dinf = delta_inf(coarse_grid)
         prof = state.extrinsic(SPEC)
         for i in range(-4, 5):
-            for user, vec in enumerate((state.a_vec, state.b_vec)):
+            for user, vec in enumerate(chains(state)):
                 xs = [vec[p + 4] if abs(p) <= 4 else dinf for p in range(i - 1, i + 2)]
                 expect = window_gamma(xs, 3, 6, 2)
                 assert prof[i + 4][user].mass.tobytes() == expect.mass.tobytes()
                 assert prof[i + 4][user].mass_pos_inf == expect.mass_pos_inf
-        if symmetric:
-            assert all(ga is gb for ga, gb in prof)
-            assert all(prof[4 - i][0] is prof[4 + i][0] for i in range(5))
 
 
 def _density_bytes(d) -> bytes:
@@ -405,8 +420,10 @@ def _density_bytes(d) -> bytes:
 
 class TestPinned:
     # SHA-256 of the final state (every density's mass bytes and +inf mass,
-    # then halt, iterations and residual) and of the extrinsic
-    # profile; a change in any bit of a sweep moves them
+    # user 1 then user 2, positions -L..L, then halt, iterations and
+    # residual) and of the extrinsic profile; a change in any bit of a sweep
+    # moves them.  A run from the fold (True) or from both users' chains
+    # (False) must give the same digests on any ray.
     GRID_65 = DensityGrid(30 / 32, 30.0)
     GRID_129 = DensityGrid(30 / 64, 30.0)
     # a three-term window, whose average depends on the order of its sum
@@ -417,6 +434,7 @@ class TestPinned:
         "fold": (ChannelPoint(1.45, 1.0), GRID_129, True, 35),
         "full-chain": (ChannelPoint(1.45, 1.0), GRID_129, False, 35),
         "off-ray": (ChannelPoint(1.6, 0.9), GRID_65, True, 30_000),
+        "off-ray-full-chain": (ChannelPoint(1.6, 0.9), GRID_65, False, 30_000),
         "stall": (ChannelPoint(1.2, 1.0), GRID_129, True, 30_000),
         # ends with the centre live and every other position frozen
         "w3-fold": (ChannelPoint(1.4, 1.0), GRID_65, True, 30_000),
@@ -435,6 +453,9 @@ class TestPinned:
             ("off-ray", "success", 35,
              "f9f42b5bfe143e3e39cb88093fd28e27f700ad638f19671faf069c10915c47c1",
              "84be196154a3161c52fbb0b5f5e4ecfbe40cc0baeb8842da53fb3a3c1e48c5ba"),
+            ("off-ray-full-chain", "success", 35,
+             "f9f42b5bfe143e3e39cb88093fd28e27f700ad638f19671faf069c10915c47c1",
+             "84be196154a3161c52fbb0b5f5e4ecfbe40cc0baeb8842da53fb3a3c1e48c5ba"),
             ("stall", "stall", 105,
              "f447cf8df8c534d06e247f0d26e867166c1ee3c4ed9281b492e1f133f397ec70",
              "67bc7aca58ec088fb0d78ab13f42b1f83e8c208579f51d2b0d97842ad0691850"),
@@ -447,12 +468,14 @@ class TestPinned:
         ],
     )  # fmt: skip
     def test_pinned_runs(self, case, halt, iterations, state_digest, extrinsic_digest):
-        ch, grid, shared, max_iters = self.RUNS[case]
+        ch, grid, fold, max_iters = self.RUNS[case]
         spec = self.SPEC_W3 if case.startswith("w3") else SPEC
-        fp = coupled_run(ch, spec, grid, max_iters, start=zero_start(grid, spec, shared))
+        fp = coupled_run(ch, spec, grid, max_iters, start=zero_start(grid, spec, fold))
         assert (fp.halt, fp.iterations) == (halt, iterations)
+        # the fold runs as one stack on the ray only; two stacks run in full
+        assert len(fp.state.rows) == (1 if fold and ch.ratio == 1.0 else 2)
         h = hashlib.sha256()
-        for d in fp.state.a_vec + fp.state.b_vec:
+        for d in sum(chains(fp.state), ()):
             h.update(_density_bytes(d))
         h.update(repr((fp.halt, fp.iterations, fp.residual)).encode())
         assert h.hexdigest() == state_digest
@@ -472,6 +495,6 @@ class TestPinned:
             BoxPlusTable, "magnitude_op", lambda tab, p, q: passes.append(1) or magnitude_op(tab, p, q)
         )
         monkeypatch.setattr(FnOperator, "apply", lambda op, x: columns.append(len(x)) or apply(op, x))
-        ch, grid, shared, max_iters = self.RUNS["fold"]
-        coupled_run(ch, SPEC, grid, max_iters, start=zero_start(grid, SPEC, shared))
+        ch, grid, fold, max_iters = self.RUNS["fold"]
+        coupled_run(ch, SPEC, grid, max_iters, start=zero_start(grid, SPEC, fold))
         assert (len(passes), sum(columns), len(columns)) == (1230, 175, 35)

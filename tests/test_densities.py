@@ -21,8 +21,6 @@ from macsat.densities import (
     poly_cn,
     poly_vn,
     poly_vn_node,
-    power_cn,
-    power_vn,
     symmetry_residual,
 )
 
@@ -33,6 +31,8 @@ from oracles import (
     concat_magnitude_op,
     delta_at,
     fftconvolve_conv_vn,
+    power_cn,
+    power_vn,
     total_mass,
 )
 

@@ -245,13 +245,14 @@ class TestCoupledGexit:
         from dataclasses import replace
 
         from macsat.coupled import CoupledState
+        from macsat.densities import DensityRows
         from macsat.ensembles import CoupledSpec
 
         ch = ChannelPoint(1.4, 1.0)
         fp = de_run(ch, ENS36, coarse_grid)
         spec = CoupledSpec(3, 6, 3, 1)
         n = spec.n_positions
-        state = CoupledState((fp.state.a,) * n, (fp.state.b,) * n, spec.L)
+        state = CoupledState((DensityRows.of([fp.state.a] * n), DensityRows.of([fp.state.b] * n)), spec.L)
         got = bp_gexit_value(replace(fp, state=state), spec)
         assert got == pytest.approx(bp_gexit_value(fp, ENS36), abs=1e-12)
 
