@@ -9,6 +9,7 @@ joint symbols are indexed 0..3 via (+1,+1), (+1,-1), (-1,+1), (-1,-1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -33,6 +34,16 @@ class QuadratureError(RuntimeError):
     """Gauss-Hermite escalation exhausted without converging."""
 
 
+# Each mean mu has |mu| <= h1 + h2, so an output y = mu' + noise is within
+# 2 (h1 + h2) + |noise| of any mean; the Gaussian exponents square that
+# distance, which up to this bound stays below about DBL_MAX / 4
+GAIN_SUM_MAX = math.sqrt(sys.float_info.max) / 4.0
+
+
+class GainRangeError(ValueError):
+    """A gain pair whose squared output distances would overflow a double."""
+
+
 @dataclass(frozen=True)
 class ChannelPoint:
     """Gain pair on a ray: h1 = alpha, h2 = ratio * alpha, noise variance 1."""
@@ -43,6 +54,11 @@ class ChannelPoint:
     def __post_init__(self):
         if self.alpha < 0 or self.ratio < 0:
             raise ValueError("alpha and ratio must be nonnegative")
+        if not self.h1 + self.h2 <= GAIN_SUM_MAX:
+            raise GainRangeError(
+                f"gains h1 + h2 = {self.h1 + self.h2:g} must be at most {GAIN_SUM_MAX:.4g}, "
+                "where squared channel-output distances still fit a double"
+            )
 
     @property
     def h1(self) -> float:
@@ -135,17 +151,27 @@ def _logaddexp_into(a: np.ndarray, b) -> np.ndarray:
     return a
 
 
+def fn_exponents(y, h_t: float, h_p: float) -> tuple:
+    """The exponents -(y - mu_ab)^2 / 2 of `fn_llr`'s four Gaussians, mu_ab =
+    a*h_t + b*h_p, in the order (pp, pm, mp, mm).  Swapping h_t and h_p
+    swaps pm and mp bit for bit (h_t - h_p is -h_p + h_t exactly), so one set
+    serves both users."""
+    return tuple(-0.5 * (y - mu) ** 2 for mu in (h_t + h_p, h_t - h_p, -h_t + h_p, -h_t - h_p))
+
+
+def fn_combine(g, m):
+    """`fn_llr` from its exponents g = (gpp, gpm, gmp, gmm) and partner message m."""
+    gpp, gpm, gmp, gmm = g
+    llr = _logaddexp_into(gpp + m, gpm)
+    llr -= _logaddexp_into(gmp + m, gmm)
+    return llr
+
+
 def fn_llr(y, m, h_t: float, h_p: float):
     """Function-node output LLR toward the target user for channel output y
     and partner message m: log[(nu_pp e^m + nu_pm) / (nu_mp e^m + nu_mm)],
     nu_ab the Gaussian at mean a*h_t + b*h_p (its common factor cancels)."""
-    gpp = -0.5 * (y - (h_t + h_p)) ** 2
-    gpm = -0.5 * (y - (h_t - h_p)) ** 2
-    gmp = -0.5 * (y - (-h_t + h_p)) ** 2
-    gmm = -0.5 * (y - (-h_t - h_p)) ** 2
-    llr = _logaddexp_into(gpp + m, gpm)
-    llr -= _logaddexp_into(gmp + m, gmm)
-    return llr
+    return fn_combine(fn_exponents(y, h_t, h_p), m)
 
 
 class FnOperator:

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, output
 from .channel import (
     ChannelPoint,
+    GainRangeError,
     InfeasibleRayError,
     QuadratureError,
     mac_acpr_point,
@@ -502,7 +503,7 @@ def main(argv=None) -> int:
         text = args.func(args, output.config_hash(resolved))
         output.emit(text, args.output)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, GainRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BracketError, MapBoundError, QuadratureError, InfeasibleRayError) as exc:

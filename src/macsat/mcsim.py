@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .channel import ChannelPoint, fn_llr
+from .channel import ChannelPoint, fn_combine, fn_exponents
 from .ensembles import CoupledSpec
 
 LLR_CLIP = 30.0  # matches the DE grid half-range
@@ -311,6 +311,10 @@ def _encoder_for(graph: LdpcGraph) -> Gf2Encoder:
 # ---------------------------------------------------------------------------
 
 
+# a sign as a factor, indexed by a parity (0 or 1)
+_SIGN = np.array([1.0, -1.0])
+
+
 class _CodeSide:
     """Edge-array sum-product machinery for one Tanner graph."""
 
@@ -320,41 +324,62 @@ class _CodeSide:
     def check_update(self, msg_vc: np.ndarray) -> np.ndarray:
         """Box-plus of all-but-one incoming message per edge, via log-tanh
         magnitudes and sign parities per check.  The messages are within
-        +-LLR_CLIP: var_update clips them, and the first round's are zeros."""
+        +-LLR_CLIP: var_update clips them, and the first round's are zeros.
+
+        The outgoing magnitude is nonnegative, so clipping it before the sign
+        is applied gives the bits of clipping the signed message, -0.0
+        included; the passes run in place on two edge-sized buffers."""
         g = self.graph
         sign = msg_vc < 0
-        mag = np.abs(msg_vc)
         # log |tanh(m/2)|, guarded at 0
-        lt = np.log(np.tanh(np.maximum(mag, 1e-300) / 2.0))
+        lt = np.abs(msg_vc)
+        np.maximum(lt, 1e-300, out=lt)
+        lt *= 0.5  # the bits of lt / 2.0
+        np.tanh(lt, out=lt)
+        np.log(lt, out=lt)
         lt_sum = np.bincount(g.edge_check, weights=lt, minlength=g.n_checks)
         parity = np.bincount(g.edge_check, weights=sign, minlength=g.n_checks).astype(np.int64) & 1
-        lt_ex = lt_sum[g.edge_check] - lt
-        sign_ex = parity[g.edge_check] ^ sign
-        t = np.exp(np.minimum(lt_ex, -1e-300))
-        mag_out = np.log1p(t) - np.log1p(-np.minimum(t, 1.0 - 1e-16))
-        out = np.where(sign_ex, -mag_out, mag_out)
-        return np.clip(out, -LLR_CLIP, LLR_CLIP)
+        t = lt_sum[g.edge_check]
+        t -= lt
+        np.minimum(t, -1e-300, out=t)
+        np.exp(t, out=t)
+        # log1p(t) - log1p(-min(t, 1 - 1e-16)), the second term in lt
+        np.minimum(t, 1.0 - 1e-16, out=lt)
+        np.negative(lt, out=lt)
+        np.log1p(lt, out=lt)
+        np.log1p(t, out=t)
+        t -= lt
+        np.minimum(t, LLR_CLIP, out=t)
+        t *= _SIGN[parity[g.edge_check] ^ sign]
+        return t
 
     def var_update(self, msg_cv: np.ndarray, channel_llr: np.ndarray):
         """Returns (variable-to-check messages, variable-to-function messages,
-        per-variable sums of the check messages).  The v->f message is the
-        clipped sum: the channel term is extrinsic to the function node."""
+        per-variable totals channel + check messages).  The v->f message is
+        the clipped sum of the check messages: the channel term is extrinsic
+        to the function node."""
         g = self.graph
         sums = np.bincount(g.edge_var, weights=msg_cv, minlength=g.n_vars)
-        vc = channel_llr[g.edge_var] + sums[g.edge_var] - msg_cv
-        return np.clip(vc, -LLR_CLIP, LLR_CLIP), np.clip(sums, -LLR_CLIP, LLR_CLIP), sums
+        total = channel_llr + sums
+        vc = total[g.edge_var]
+        vc -= msg_cv
+        np.clip(vc, -LLR_CLIP, LLR_CLIP, out=vc)
+        np.clip(sums, -LLR_CLIP, LLR_CLIP, out=sums)
+        return vc, sums, total
 
 
-def _fn_outputs(y, m_partner, ch: ChannelPoint, to_user: int):
-    """Function-node output LLR for `to_user` given partner v->f messages."""
-    h_t, h_p = (ch.h1, ch.h2) if to_user == 1 else (ch.h2, ch.h1)
-    return np.clip(fn_llr(y, m_partner, h_t, h_p), -LLR_CLIP, LLR_CLIP)
+def _fn_outputs(g, m_partner, to_user: int):
+    """Function-node output LLR for `to_user` given partner v->f messages,
+    from the frame's exponents g = `fn_exponents(y, h1, h2)`."""
+    gpp, gpm, gmp, gmm = g
+    llr = fn_combine(g if to_user == 1 else (gpp, gmp, gpm, gmm), m_partner)
+    return np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
 
 
 def _syndrome_ok(graph: LdpcGraph, hard_pm1: np.ndarray) -> bool:
-    bits = (hard_pm1 < 0).astype(np.int64)
-    parity = np.bincount(graph.edge_check, weights=bits[graph.edge_var], minlength=graph.n_checks)
-    return not np.any(parity.astype(np.int64) & 1)
+    """Every check sees an even number of -1 decisions."""
+    ones = np.bincount(graph.edge_check, weights=(hard_pm1 < 0)[graph.edge_var], minlength=graph.n_checks)
+    return not np.any(ones.astype(np.int64) & 1)
 
 
 @dataclass
@@ -376,11 +401,14 @@ class SimulationResult:
         return errs / (self.n_bits * len(self.frames))
 
     def ber_confidence(self, user: int, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation binomial interval on the BER."""
+        """Wilson score interval on the BER, which stays informative at zero
+        errors: [0, z^2 / (N + z^2)] over N bits."""
         n = self.n_bits * len(self.frames)
         p = self.ber(user)
-        half = z * np.sqrt(max(p * (1 - p), 1e-300) / n)
-        return max(p - half, 0.0), min(p + half, 1.0)
+        zz = z * z / n
+        center = (p + zz / 2) / (1 + zz)
+        half = z * np.sqrt(p * (1 - p) / n + zz / (4 * n)) / (1 + zz)
+        return max(center - half, 0.0), min(center + half, 1.0)
 
 
 def _bp_rounds(inst: JointInstance, ch: ChannelPoint, y: np.ndarray):
@@ -396,6 +424,7 @@ def _bp_rounds(inst: JointInstance, ch: ChannelPoint, y: np.ndarray):
     side2 = _CodeSide(inst.graph2)
     n = inst.graph1.n_vars
     perm = inst.matching
+    g = fn_exponents(y, ch.h1, ch.h2)  # the channel's part, fixed for the frame
 
     vf1 = np.zeros(n)  # indexed by code-1 variable == fn index
     vf2 = np.zeros(n)  # indexed by code-2 variable
@@ -403,17 +432,17 @@ def _bp_rounds(inst: JointInstance, ch: ChannelPoint, y: np.ndarray):
     vc2 = np.zeros(inst.graph2.n_edges)
 
     while True:
-        ch1 = _fn_outputs(y, vf2[perm], ch, 1)
-        out2 = _fn_outputs(y, vf1, ch, 2)  # fn-indexed, pre-round vf1
+        ch1 = _fn_outputs(g, vf2[perm], 1)
+        out2 = _fn_outputs(g, vf1, 2)  # fn-indexed, pre-round vf1
         cv1 = side1.check_update(vc1)
-        vc1, vf1, sums1 = side1.var_update(cv1, ch1)
+        vc1, vf1, total1 = side1.var_update(cv1, ch1)
         ch2_by_var = np.empty(n)
         ch2_by_var[perm] = out2
         cv2 = side2.check_update(vc2)
-        vc2, vf2, sums2 = side2.var_update(cv2, ch2_by_var)
+        vc2, vf2, total2 = side2.var_update(cv2, ch2_by_var)
 
-        hard1 = np.where(ch1 + sums1 >= 0, 1.0, -1.0)
-        hard2 = np.where(ch2_by_var + sums2 >= 0, 1.0, -1.0)
+        hard1 = np.where(total1 >= 0, 1.0, -1.0)
+        hard2 = np.where(total2 >= 0, 1.0, -1.0)
         yield vc1, vc2, ch1, ch2_by_var, hard1, hard2
 
 

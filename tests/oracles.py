@@ -6,6 +6,7 @@ The Monte-Carlo side of the DE-versus-simulation checks lives here too: the
 joint decoder's messages at a fixed round and their distance to a DE density.
 """
 
+import math
 from itertools import islice
 from unittest import mock
 
@@ -22,6 +23,7 @@ from macsat.channel import (
     FnOperator,
     _gaussian_strata,
     _strata_bounds,
+    fn_exponents,
     gauss_hermite,
 )
 from macsat.densities import (
@@ -416,6 +418,21 @@ def rref_encode(row_ints: list[int], pivot_cols: np.ndarray, info_bits: np.ndarr
     return x
 
 
+def check_rule_scalar(graph: LdpcGraph, msg_vc: np.ndarray) -> np.ndarray:
+    """The check-node rule one edge at a time: 2 atanh of the product of
+    tanh(m/2) over the other edges of its check, clipped to +-LLR_CLIP (a
+    check of degree 1 sends the clip)."""
+    out = np.empty(msg_vc.size)
+    for e in range(msg_vc.size):
+        others = np.flatnonzero(graph.edge_check == graph.edge_check[e])
+        prod = 1.0
+        for o in others[others != e]:
+            prod *= math.tanh(msg_vc[o] / 2.0)
+        llr = math.copysign(math.inf, prod) if abs(prod) == 1.0 else 2.0 * math.atanh(prod)
+        out[e] = min(max(llr, -LLR_CLIP), LLR_CLIP)
+    return out
+
+
 def round_messages(inst: JointInstance, ch: ChannelPoint, y, k: int) -> tuple:
     """Round k (k >= 1) of the joint BP decoder's messages, run past any clean
     syndrome: (v->c 1, v->c 2, f->v 1, f->v 2, hard 1, hard 2)."""
@@ -473,7 +490,7 @@ def de_mc_crosscheck(
         else:
             x1, x2, y = _transmit(inst, ch, "random", rng)
         if iteration == 0:
-            out = _fn_outputs(y, np.zeros(y.size), ch, 1)
+            out = _fn_outputs(fn_exponents(y, ch.h1, ch.h2), np.zeros(y.size), 1)
             samples.append(out * x1)
         else:
             vc1 = round_messages(inst, ch, y, iteration)[0]

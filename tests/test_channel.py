@@ -11,11 +11,14 @@ from scipy.integrate import quad
 
 import macsat.channel as channel
 from macsat.channel import (
+    GAIN_SUM_MAX,
     ChannelPoint,
     FnOperator,
+    GainRangeError,
     InfeasibleRayError,
     bawgn_density,
     bisect,
+    fn_exponents,
     fn_llr,
     fn_operator,
     mac_acpr_point,
@@ -49,6 +52,16 @@ from oracles import (
 
 def kolmogorov(a, b) -> float:
     return float(np.abs(np.cumsum(a.mass) - np.cumsum(b.mass)).max())
+
+
+class TestChannelPoint:
+    def test_gain_sum_bound(self):
+        # squares of output distances up to 2 (h1 + h2) stay finite at the bound
+        assert np.isfinite((2.0 * GAIN_SUM_MAX + 40.0) ** 2)
+        ChannelPoint(GAIN_SUM_MAX / 2, 1.0)
+        for alpha, ratio in ((GAIN_SUM_MAX, 1.0), (1.0, 1e300), (1e200, 0.0), (float("nan"), 1.0)):
+            with pytest.raises(GainRangeError, match="at most 3.352e"):
+                ChannelPoint(alpha, ratio)
 
 
 class TestChannelDensity:
@@ -338,6 +351,15 @@ class TestSplitSoftplus:
         y, m = rng.normal(0.0, 4.0, 6000), rng.normal(0.0, 10.0, 6000)
         got, want = fn_llr(y, m, 1.7, 1.2), logaddexp_fn_llr(y, m, 1.7, 1.2)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_swapped_gains_swap_the_middle_exponents(self):
+        # the decoder forms one set of exponents per frame for both users
+        rng = np.random.default_rng(5)
+        y = rng.normal(0.0, 4.0, 2000)
+        for h_t, h_p in rng.uniform(0.0, 3.0, (20, 2)).tolist() + [(1.5, 0.0), (0.0, 1.5)]:
+            pp, pm, mp, mm = fn_exponents(y, h_t, h_p)
+            swapped = fn_exponents(y, h_p, h_t)
+            assert [g.tobytes() for g in swapped] == [g.tobytes() for g in (pp, mp, pm, mm)]
 
     @pytest.mark.parametrize("bins,ratio", list(VISITED))
     def test_matrix_at_visited_points(self, bins, ratio):

@@ -459,6 +459,9 @@ class TestExitCodes:
             ["simulate", "--alpha", "1.9", "--ensemble", "3,6,2,2", "--n", "600"],
             # a rate pair is two numbers
             ["capacity", "--rates", "0.5,x"],
+            # gains whose squared output distances overflow a double
+            ["simulate", "--alpha", "1e200", "--n", "600", "--frames", "2", "--iters", "50"],
+            ["gexit", "--alphas", "0:2e200:1e200", "--grid-bins", "65", "--lattice", "8"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):

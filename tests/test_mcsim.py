@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,9 +8,14 @@ from macsat.channel import ChannelPoint, fn_operator
 from macsat.densities import DensityGrid, delta_zero
 from macsat.ensembles import CoupledSpec, design_rate
 from macsat.mcsim import (
+    LLR_CLIP,
+    FrameResult,
     Gf2Encoder,
     JointInstance,
     LdpcGraph,
+    SimulationResult,
+    _CodeSide,
+    _bp_rounds,
     _count_duplicates,
     _decode_frame,
     _rng_for,
@@ -23,6 +29,7 @@ from macsat.mcsim import (
 
 from oracles import (
     check_degrees,
+    check_rule_scalar,
     de_mc_crosscheck,
     design_rate_realized,
     gauss_jordan_rref,
@@ -135,6 +142,16 @@ class TestEncoder:
             cw = enc.encode(rng.integers(0, 2, enc.k).astype(np.uint8))
             assert _syndrome_ok(g, 1.0 - 2.0 * cw)
 
+    def test_syndrome_fails_with_one_bit_flipped(self):
+        g = build_regular(600, 3, 6, seed=7)
+        enc = Gf2Encoder(g)
+        hard = 1.0 - 2.0 * enc.encode(np.random.default_rng(1).integers(0, 2, enc.k).astype(np.uint8))
+        assert _syndrome_ok(g, hard)
+        for v in (0, 299, 599):  # every variable sits on three checks
+            flipped = hard.copy()
+            flipped[v] = -flipped[v]
+            assert not _syndrome_ok(g, flipped)
+
     def test_codeword_satisfies_graph_parity(self):
         g = build_regular(300, 3, 6, seed=8)
         enc = Gf2Encoder(g)
@@ -243,6 +260,85 @@ class TestSimulation:
         )
         lo, hi = res.ber_confidence(1)
         assert lo <= res.ber(1) <= hi
+        # the Wilson interval over N error-free bits is [0, z^2 / (N + z^2)]
+        res = SimulationResult([FrameResult(f, (0, 0), 9, True) for f in range(2)], 600, "random")
+        lo, hi = res.ber_confidence(1)
+        assert lo == 0.0 == res.ber(1)
+        assert hi == pytest.approx(1.96**2 / (1200 + 1.96**2), rel=1e-12)
+        assert hi == pytest.approx(3.19e-3, abs=1e-5)
+
+
+class TestCheckRule:
+    def test_matches_scalar_tanh_rule(self):
+        # degree-6 checks; exact zeros (both signs), +-LLR_CLIP and mixed
+        # signs, at most two saturated messages per check so that no output
+        # is near the clip, where atanh near 1 is ill-conditioned
+        g = build_regular(120, 3, 6, seed=3)
+        rng = np.random.default_rng(4)
+        msg = rng.uniform(-6.0, 6.0, g.n_edges)
+        by_check = np.argsort(g.edge_check, kind="stable").reshape(g.n_checks, 6)
+        msg[by_check[::3, :2]] = LLR_CLIP * rng.choice([-1.0, 1.0], (20, 2))
+        msg[by_check[1::3, 2]] = -LLR_CLIP
+        msg[by_check[::4, 5]] = 0.0
+        msg[by_check[1::4, 4]] = -0.0
+        got = _CodeSide(g).check_update(msg)
+        np.testing.assert_allclose(got, check_rule_scalar(g, msg), rtol=1e-12, atol=1e-290)
+
+    def test_low_degree_checks(self):
+        # degree 1 sends the clip; degree 2 passes the other message through
+        g = LdpcGraph(6, 3, np.arange(6), np.array([0, 1, 1, 2, 2, 2]))
+        msg = np.array([-3.0, 2.5, -LLR_CLIP, 0.0, -1.5, 4.0])
+        got = _CodeSide(g).check_update(msg)
+        np.testing.assert_allclose(got, check_rule_scalar(g, msg), rtol=1e-12, atol=1e-290)
+        assert got[0] == LLR_CLIP
+        assert got[2] == pytest.approx(2.5, rel=1e-12)
+
+
+def reg36_pair() -> JointInstance:
+    return build_joint(build_regular(600, 3, 6, 0), build_regular(600, 3, 6, 1), 2)
+
+
+def coupled_pair() -> JointInstance:
+    spec = CoupledSpec(3, 6, 4, 2)
+    return build_joint(build_coupled(spec, 60, 1), build_coupled(spec, 60, 2), 3)
+
+
+class TestPinned:
+    # SHA-256 of every array `_bp_rounds` yields in rounds 1-30 of frame 0 at
+    # seed 0 (v->c 1, v->c 2, f->v 1, f->v 2, hard 1, hard 2, round by
+    # round), and that frame's `_decode_frame` result over the same rounds;
+    # a change in any bit of any message moves them
+    ROUNDS = 30
+    CASES = {
+        "reg36-A1": (reg36_pair, ChannelPoint(1.7, 1.0), "random"),
+        "reg36-A0.8": (reg36_pair, ChannelPoint(2.2, 0.8), "random"),
+        "coupled": (coupled_pair, ChannelPoint(1.5, 1.0), "random"),
+        "coupled-all-plus-one": (coupled_pair, ChannelPoint(1.5, 1.0), "all_plus_one"),
+    }
+
+    @pytest.mark.parametrize(
+        "case,decoded,digest",
+        [
+            ("reg36-A1", (123, 115, 30),
+             "3056e9af0678911a43bd753582b8dbede623725ce999c1d43cc5b5b7b4e195fd"),
+            ("reg36-A0.8", (0, 0, 15),
+             "943bba31b8a0aee1b0ff87d7892ef926794bcbd7dc9192d1520dd20ee726f1c6"),
+            ("coupled", (49, 48, 30),
+             "2a3e77b9eb1a493bf233ea0bdb29dfdd1f163e8de07ddf4584e556afb82e0c74"),
+            ("coupled-all-plus-one", (0, 0, 1),
+             "c3e921bae641fede5d49e792e6461e8dff9581211f46aeedd3df6bafd6a955e8"),
+        ],
+    )  # fmt: skip
+    def test_pinned_rounds(self, case, decoded, digest):
+        build, ch, mode = self.CASES[case]
+        inst = build()
+        x1, x2, y = _transmit(inst, ch, mode, _rng_for(0, stream=1000))
+        h = hashlib.sha256()
+        for arrays in islice(_bp_rounds(inst, ch, y), self.ROUNDS):
+            for a in arrays:
+                h.update(a.tobytes())
+        assert _decode_frame(inst, ch, x1, x2, y, self.ROUNDS) == decoded
+        assert h.hexdigest() == digest
 
 
 class TestCrosscheck:
