@@ -14,12 +14,13 @@ and symmetrically for b.  All positions update from the previous state
 (Jacobi), matching the displayed recursion.
 
 One engine runs the recursion over the state it is given, which is its
-fold of the chain: two stacks of densities (`densities.DensityRows`),
-positions -L..L of both users, or on the symmetric ray (A = 1, equal codes)
-one stack, positions 0..L of user 1 read through p -> |p| with the user as
-its own partner, since b = a and a_{-i} = a_i hold there (the user-exchange
-reduction of uncoupled DE together with spatial mirror symmetry).  Since
-the recursion is Jacobi each stage of a sweep is one array operation over
+fold of the chain.  The terminated chain is mirror-symmetric on every ray,
+a_{-i} = a_i and b_{-i} = b_i, so each stack of densities
+(`densities.DensityRows`) holds positions 0..L, read through p -> |p|: two
+stacks are user 1's and user 2's folds; on the symmetric ray (A = 1, equal
+codes), where b = a also holds (the user-exchange reduction of uncoupled
+DE), one stack is the fold of both users, user 1 its own partner.  Since the
+recursion is Jacobi each stage of a sweep is one array operation over
 all positions: the check-window averages are one weighted sum over an index
 map of the fold and its termination, the live windows are box-plus'ed
 together (the magnitude passes one row at a time), each position's (t_i, g)
@@ -62,29 +63,28 @@ COUPLED_MAX_ITERS = 30_000  # decoding waves need ~L / wave-speed iterations
 
 @dataclass(frozen=True)
 class CoupledState:
-    """Position-stacked variable-to-check densities (`densities.DensityRows`).
+    """Position-stacked variable-to-check densities (`densities.DensityRows`)
+    over positions 0..L, standing for the mirror positions too (a_{-i} = a_i).
 
-    One stack is the symmetric fold: positions 0..L of user 1, standing for
-    both users and for the mirror positions (b = a, a_{-i} = a_i).  Two
-    stacks are users 1 and 2 over positions -L..L."""
+    One stack is the symmetric fold, user 1 standing for both users (b = a);
+    two stacks are user 1's and user 2's folds."""
 
     rows: tuple
     L: int
 
     def __post_init__(self):
-        n = self.L + 1 if len(self.rows) == 1 else 2 * self.L + 1
-        if len(self.rows) not in (1, 2) or any(len(r) != n for r in self.rows):
-            raise ValueError(f"need one stack of positions 0..{self.L} or two of positions -{self.L}..{self.L}")
+        if len(self.rows) not in (1, 2) or any(len(r) != self.L + 1 for r in self.rows):
+            raise ValueError(f"need one or two stacks of positions 0..{self.L}")
 
     def index(self, p: np.ndarray) -> np.ndarray:
-        """The stack row of each position p, read through p -> |p| on the
-        fold; outside -L..L the termination row, one past the last."""
-        inside = np.abs(p) <= self.L
-        return np.where(inside, np.abs(p) if len(self.rows) == 1 else p + self.L, len(self.rows[0]))
+        """The stack row of each position p, read through p -> |p|; outside
+        -L..L the termination row, one past the last."""
+        p = np.abs(p)
+        return np.where(p <= self.L, p, self.L + 1)
 
     def unfold(self, stacks) -> tuple:
         """(user 1, user 2) over positions -L..L from one sequence per stack,
-        indexed as its rows; on the fold both are user 1's chain."""
+        indexed as its rows; on the symmetric fold both are user 1's chain."""
         idx = self.index(np.arange(-self.L, self.L + 1))
         full = [tuple(stack[i] for i in idx) for stack in stacks]
         return full[0], full[-1]
@@ -102,11 +102,11 @@ class _Engine:
     """The coupled recursion over the chain a state stacks, as a staged sweep
     on position-stacked arrays.
 
-    A two-stack state runs both users over -L..L.  A one-stack state runs
-    the symmetric fold, positions 0..L of user 1 read through p -> |p| with
-    user 1 as its own partner, on the symmetric ray; run off the ray it is
-    first unfolded into both users' chains.  Without a channel point the
-    engine only reads windows (no updates), so the state alone decides.
+    A two-stack state runs both users' folds, positions 0..L read through
+    p -> |p|.  A one-stack state runs the symmetric fold, user 1 as its own
+    partner, on the symmetric ray; run off the ray it starts both users'
+    folds from its stack.  Without a channel point the engine only reads
+    windows (no updates), so the state alone decides.
     Each stage of a sweep is one operation over all positions of a user:
     the check-window averages are one weighted sum over the state's index
     map and its termination (a +inf-delta row), the live windows are
@@ -123,8 +123,7 @@ class _Engine:
             raise ValueError(f"start has {2 * start.L + 1} positions, {spec} has {spec.n_positions}")
         L, w = spec.L, spec.w
         if len(start.rows) == 1 and ch is not None and ch.ratio != 1.0:
-            full = start.rows[0].take(start.index(np.arange(-L, L + 1)))
-            start = CoupledState((full, full), L)
+            start = CoupledState(start.rows * 2, L)
         self.spec = spec
         self.state = start
         self.grid = start.rows[0].grid
@@ -133,12 +132,10 @@ class _Engine:
         self.fns = () if ch is None else tuple(fn_operator(self.grid, u, ch) for u in (1, 2)[:users])
         self.partner = (0,) if users == 1 else (1, 0)
         self._weights = np.full(w, 1.0 / w)
-        # check window c in [lo, L + w - 1], slot j: the row of position
+        # check window c in [0, L + w - 1], slot j: the row of position
         # c - w + 1 + j, or the termination row outside the chain
-        lo = 0 if users == 1 else -L
-        self._checks = start.index(np.arange(lo, L + w)[:, None] + np.arange(1 - w, 1))
-        n = len(start.rows[0])
-        self._inner = np.arange(n)[:, None] + np.arange(w)  # row j: windows j..j+w-1
+        self._checks = start.index(np.arange(L + w)[:, None] + np.arange(1 - w, 1))
+        self._inner = np.arange(L + 1)[:, None] + np.arange(w)  # row i: windows i..i+w-1
 
     def _average(self, rows: DensityRows, index: np.ndarray) -> DensityRows:
         """Row r is the uniform mixture of rows index[r]; the +inf delta when
@@ -150,7 +147,7 @@ class _Engine:
     def inners(self, u: int) -> DensityRows:
         """The window averages t_i of user u over the evolving positions.
 
-        Each check window c in [lo, L + w - 1] is box-plus'ed once; a window
+        Each check window c in [0, L + w - 1] is box-plus'ed once; a window
         of +inf deltas gives the +inf delta, which box-plus keeps."""
         rows = self.state.rows[u]
         ends = DensityRows(self.grid, np.vstack((rows.mass, np.zeros(self.grid.n_bins))), np.append(rows.pos, 1.0))
@@ -196,13 +193,13 @@ class _Engine:
         return self
 
     def entropies(self) -> tuple:
-        """Each user's entropies over positions -L..L; the fold takes each
-        row's entropy once and reads it at every position it stands for."""
+        """Each user's entropies over positions -L..L; each row's entropy is
+        taken once and read at every position it stands for."""
         return self.state.unfold([rows.entropies() for rows in self.state.rows])
 
     def measure(self) -> tuple[float, float]:
         """Mean entropy over positions -L..L of both users, largest error
-        probability; so the fold halts as the full chain does."""
+        probability; so the fold halts as the whole chain does."""
         a, b = self.entropies()
         return float(np.mean(a + b)), max(float(rows.error_probs().max()) for rows in self.state.rows)
 
@@ -222,8 +219,9 @@ def coupled_run(
     `profile(iteration, entropies_a, entropies_b)` is invoked per iteration
     when given (wave visualization).  The no-knowledge start is the fold of
     0-LLR deltas: on the symmetric ray the engine evolves half the chain of
-    one user, which is exact, not an approximation; off it, both users'
-    chains.  A two-stack `start` runs the full chain on any ray.
+    one user, which is exact, not an approximation; off it, half the chain
+    of each user.  A two-stack `start` is both users' folds and runs them on
+    any ray.
     """
     if start is None:
         start = CoupledState((DensityRows.of([delta_zero(grid)] * (spec.L + 1)),), spec.L)

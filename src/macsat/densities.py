@@ -68,8 +68,11 @@ class DensityGrid:
         return k * self.bin_width
 
     def llr_to_index(self, llr: np.ndarray) -> np.ndarray:
-        """Nearest-bin index (0-based into the mass vector), unclipped."""
-        return np.floor(llr / self.bin_width + 0.5).astype(np.int64) + self.center
+        """Nearest-bin index (0-based into the mass vector), unclipped but
+        for LLRs beyond half_range + bin_width, which read as that bound (off
+        the grid still), so the int64 cast stays defined at any LLR."""
+        bound = self.half_range + self.bin_width
+        return np.floor(np.clip(llr, -bound, bound) / self.bin_width + 0.5).astype(np.int64) + self.center
 
     @cached_property
     def fft_len(self) -> int:

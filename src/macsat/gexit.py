@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelPoint, _logaddexp_into, gauss_hermite
+from .channel import ChannelPoint, GainRangeError, _logaddexp_into, gauss_hermite
 from .densities import LOG2E, DensityGrid, LlrDensity, default_grid
 from .ensembles import CoupledSpec, EnsembleSpec, design_rate
 from .jointde import BRACKET_ALPHA_MAX, FixedPoint, de_runner
 
 INF_LLR = 1000.0  # sentinel LLR of the +/-inf lattice entries inside kernels
+# The kernel sums Gaussian exponents of order (h1 + h2)^2 whose differences
+# cancel; up to this gain sum a decoded point reads |g| <= 1.3e-10 (grids of
+# 65 to 4097 bins, ratios 0 to 100), and from about 4e10 on above 1e-9
+GEXIT_GAIN_SUM_MAX = 1e10
 
 KERNEL_ORDER = 129
 LATTICE_BINS_DEFAULT = 128  # coarse half-width of the (u, v) kernel lattice
@@ -121,6 +125,11 @@ class KernelLattice:
     """
 
     def __init__(self, ch: ChannelPoint, grid: DensityGrid, bins: int = LATTICE_BINS_DEFAULT):
+        if not ch.h1 + ch.h2 <= GEXIT_GAIN_SUM_MAX:
+            raise GainRangeError(
+                f"GEXIT gains h1 + h2 = {ch.h1 + ch.h2:g} must be at most {GEXIT_GAIN_SUM_MAX:g}, "
+                "where the kernel's exponent differences still resolve a decoded point"
+            )
         if grid.k_max % bins != 0:
             raise ValueError(f"lattice bins {bins} must divide grid half-width {grid.k_max}")
         self.ch = ch

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 import weakref
 from functools import partial
 from importlib import resources
@@ -243,6 +244,16 @@ class TestFnOperator:
                 op = FnOperator(coarse_grid, h_t, h_p)
                 assert op.matrix.shape == (coarse_grid.n_bins, coarse_grid.n_bins + 1)
                 col_sums = np.asarray(op.matrix.sum(axis=0)).ravel()
+                assert np.abs(col_sums - 1.0).max() <= 1e-14
+
+    def test_huge_gains_build_without_warning(self):
+        # output LLRs past the int64 range fold to the extreme bins, not
+        # through an undefined cast
+        grid = DensityGrid(bin_width=30 / 32, half_range=30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h_t, h_p in ((1e12, 1e12), (1e12, 0.0), (1e150, 1e150)):
+                col_sums = np.asarray(FnOperator(grid, h_t, h_p).matrix.sum(axis=0)).ravel()
                 assert np.abs(col_sums - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("bins", [65, 513])

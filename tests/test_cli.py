@@ -262,6 +262,15 @@ class TestGexitCommand:
             assert branch == "stable"
             assert float(g) <= 1e-6
 
+    def test_huge_gain_reads_decoded(self, tmp_path):
+        # the largest gains GEXIT takes still resolve a decoded point to 0
+        argv = ["gexit", "--alphas", "0:1e9:1e9", "--grid-bins", "65", "--lattice", "8", "--no-timestamp"]
+        code, text = run_cli(argv, tmp_path, "g.csv")
+        assert code == 0
+        rows = [l for l in text.splitlines() if l and not l.startswith("#")]
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 1e9]
+        assert abs(float(rows[-1].split(",")[1])) <= 1e-9
+
 
 class TestConfigHash:
     @pytest.mark.parametrize(
@@ -462,6 +471,8 @@ class TestExitCodes:
             # gains whose squared output distances overflow a double
             ["simulate", "--alpha", "1e200", "--n", "600", "--frames", "2", "--iters", "50"],
             ["gexit", "--alphas", "0:2e200:1e200", "--grid-bins", "65", "--lattice", "8"],
+            # gains whose GEXIT kernel no longer resolves a decoded point
+            ["gexit", "--alphas", "0:1e20:1e20", "--grid-bins", "65", "--lattice", "8"],
         ],
     )
     def test_bad_input_is_config_error(self, argv, capsys):

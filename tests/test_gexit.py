@@ -240,8 +240,8 @@ class TestMapBound:
 
 class TestCoupledGexit:
     def test_identical_positions_match_uncoupled_value(self, coarse_grid):
-        # w = 1 windows collapse, so a chain of identical densities carries
-        # exactly the uncoupled GEXIT value
+        # w = 1 windows collapse, so both users' folds of identical
+        # densities carry exactly the uncoupled GEXIT value
         from dataclasses import replace
 
         from macsat.coupled import CoupledState
@@ -251,7 +251,7 @@ class TestCoupledGexit:
         ch = ChannelPoint(1.4, 1.0)
         fp = de_run(ch, ENS36, coarse_grid)
         spec = CoupledSpec(3, 6, 3, 1)
-        n = spec.n_positions
+        n = spec.L + 1
         state = CoupledState((DensityRows.of([fp.state.a] * n), DensityRows.of([fp.state.b] * n)), spec.L)
         got = bp_gexit_value(replace(fp, state=state), spec)
         assert got == pytest.approx(bp_gexit_value(fp, ENS36), abs=1e-12)
@@ -277,9 +277,38 @@ class TestCurve:
         stable = bp_gexit_curve(ENS36, 1.0, alphas, grid=work_grid)
         assert all(g <= 1e-6 for _, g in stable)
         gs = [g for _, g in stable]
-        # continuity below the drop, near-zero above the BP threshold
-        for (a1, g1), (a2, g2) in zip(stable, stable[1:]):
-            if a2 <= 1.6:
-                assert abs(g2 - g1) < 0.25 * (a2 - a1) / 0.2 + 0.05
+        # far below the threshold the extrinsic densities are the 0-LLR
+        # delta, so the curve starts on the uncoded slope -dI_sum/dalpha,
+        # which leaves 0 steeply (-0.534 at 0.2); that start is checked by
+        # the area theorem of the uncoded values, not by a continuity bound
+        z = delta_zero(work_grid)
+        assert gs[1] == pytest.approx(KernelLattice(ChannelPoint(0.2), work_grid).value(z, z), abs=1e-9)
+        self._check_uncoded_areas()
         assert abs(gs[-1]) < 1e-5  # 1.8 is beyond the threshold
         assert min(gs) < -1.0  # the deep part of the curve
+
+    @staticmethod
+    def _check_uncoded_areas():
+        # -int_0^alpha g = I(alpha) for the uncoded GEXIT values: both users
+        # at the 0-LLR delta give I(X1,X2;Y) (trapezoids of step 0.05), user
+        # 2 known gives I(X1;Y|X2) (step 0.01), on and off the symmetric ray
+        from macsat.channel import mac_mutual_infos
+        from macsat.densities import delta_inf
+
+        grid = DensityGrid(60.0 / 512, 30.0)
+        z, known = delta_zero(grid), delta_inf(grid)
+        alphas = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 12)
+
+        def area(g, x):
+            return np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(x))))
+
+        for ratio in (0.5, 1.0, 2.0):
+            values = []
+            for a in alphas:
+                lattice = KernelLattice(ChannelPoint(a, ratio), grid, 64)
+                values.append((lattice.value(z, z), lattice.value(z, known)))
+            g_sum, g_user = np.array(values).T
+            infos = np.array([mac_mutual_infos(ChannelPoint(a, ratio)) for a in alphas])
+            every = slice(None, None, 5)
+            assert np.abs(area(g_sum[every], alphas[every]) + infos[every, 2]).max() < 2e-3
+            assert np.abs(area(g_user, alphas) + infos[:, 0]).max() < 5e-5
